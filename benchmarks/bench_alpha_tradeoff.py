@@ -4,9 +4,10 @@ Sweeps α on high-degree stars: measured β must sit between the Theorem 2
 floor and the §4.2 promise 2·log_α ∆ + 2, decreasing as α grows.
 """
 
+from repro import guarantees
 from repro.extensions import AlphaForgivingTree, tradeoff_point
 from repro.graphs import generators, metrics
-from repro.harness import bounds, report
+from repro.harness import report
 
 from benchmarks.conftest import dump_bench, emit, table
 

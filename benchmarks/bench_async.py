@@ -64,7 +64,7 @@ def _campaign(healer_cls, n, events, spec, tree_seed=11, adv_seed=3, adversary=N
         healer,
         adversary,
         events=events,
-        measure_diameter=False,
+        metrics="none",
         seed=adv_seed,
         transport=spec,
     )

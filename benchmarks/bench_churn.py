@@ -78,7 +78,7 @@ def run_scale_sweep():
         events = SCALE_EVENTS(n0)
         t0 = time.perf_counter()
         result = run_churn_campaign(
-            healer, adversary, events=events, measure_diameter=False
+            healer, adversary, events=events, metrics="none"
         )
         elapsed = time.perf_counter() - t0
         rows.append(

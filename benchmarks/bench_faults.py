@@ -52,7 +52,7 @@ def _campaign(healer_cls, drop, tree_seed=11, adv_seed=3):
         healer,
         ScatterChurnAdversary(p_insert=0.25, seed=adv_seed),
         events=FAULT_EVENTS,
-        measure_diameter=False,
+        metrics="none",
         seed=adv_seed,
         transport=spec,
         faults=plan,

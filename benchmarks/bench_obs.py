@@ -62,7 +62,7 @@ def _campaign(n, obs):
         healer,
         adversary,
         events=EVENTS(n),
-        measure_diameter=False,
+        metrics="none",
         seed=SEED,
         transport=spec,
         obs=obs,

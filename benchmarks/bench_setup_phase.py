@@ -6,10 +6,11 @@ min-label flooding); O(1) per tree edge for the initial wills.
 
 import math
 
+from repro import guarantees
 from repro.distributed import DistributedForgivingTree
 from repro.distributed.setup import distributed_bfs_setup
 from repro.graphs import generators, metrics
-from repro.harness import bounds, report
+from repro.harness import report
 
 from benchmarks.conftest import dump_bench, emit, table
 
@@ -36,7 +37,7 @@ def run_sweep():
                     rep.latency,
                     rep.max_messages_per_edge,
                     f"{rep.mean_messages_per_edge:.1f}",
-                    f"{bounds.setup_messages_bound(len(g)):.0f}",
+                    f"{guarantees.setup_messages_bound(len(g)):.0f}",
                 ]
             )
     return rows

@@ -24,10 +24,10 @@ Quick mode (CI smoke + the committed baseline): ``CHURN_BENCH_QUICK=1``.
 """
 
 import json
-import math
 import os
 import time
 
+from repro import guarantees
 from repro.adversaries import (
     GrowthThenMassacreAdversary,
     RandomChurnAdversary,
@@ -122,14 +122,14 @@ def check_claims(rows):
     by_key = {(r[0], r[1], r[2]): r for r in rows}
     for n in SIZES:
         # log of the largest population the campaign ever reaches.
-        envelope = 2 * math.log2(2 * n) + 2
+        envelope = guarantees.fg_stretch_envelope(2 * n)
         for adv in ADVERSARIES:
             fg = by_key[(n, adv, "forgiving-graph")]
-            assert fg[4] <= 3, f"FG degree bound broken: {fg}"
+            assert fg[4] <= guarantees.degree_increase_bound(), f"FG degree bound broken: {fg}"
             assert fg[7] is True, f"FG disconnected: {fg}"
             assert fg[5] <= envelope, f"FG stretch outside O(log n): {fg}"
             ft = by_key[(n, adv, "forgiving-tree")]
-            assert ft[4] <= 3, f"FT degree bound broken: {ft}"
+            assert ft[4] <= guarantees.degree_increase_bound(), f"FT degree bound broken: {ft}"
 
 
 def dump_json(rows, trajectories):

@@ -5,6 +5,7 @@ degree increase per cell against the bound (3), plus the surrogate
 baseline's blow-up on the same attack for contrast.
 """
 
+from repro import guarantees
 from repro.adversaries import (
     MaxDegreeAdversary,
     MinDegreeAdversary,
@@ -13,7 +14,7 @@ from repro.adversaries import (
 )
 from repro.baselines import ForgivingTreeHealer, SurrogateHealer
 from repro.graphs import generators
-from repro.harness import bounds, report, run_campaign
+from repro.harness import report, run_campaign
 
 from benchmarks.conftest import dump_bench, emit, table
 
@@ -33,14 +34,14 @@ def run_sweep():
         tree = generators.TREE_FAMILIES[family](N, 7)
         for adv_name, make_adv in ADVERSARIES.items():
             healer = ForgivingTreeHealer({k: set(v) for k, v in tree.items()})
-            result = run_campaign(healer, make_adv(), measure_diameter=False)
+            result = run_campaign(healer, make_adv(), metrics="none")
             rows.append(
                 [
                     family,
                     adv_name,
                     result.n0,
                     result.peak_degree_increase,
-                    bounds.thm1_degree_bound(),
+                    guarantees.degree_increase_bound(),
                     "OK" if result.peak_degree_increase <= 3 else "VIOLATION",
                 ]
             )
@@ -57,7 +58,7 @@ def test_thm1_degree_bound(benchmark, capsys):
         SurrogateHealer({k: set(v) for k, v in tree.items()}),
         SurrogateKillerAdversary(),
         rounds=N // 2,
-        measure_diameter=False,
+        metrics="none",
     )
     dump_bench(
         "thm1_degree",

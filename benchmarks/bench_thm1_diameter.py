@@ -2,15 +2,16 @@
 
 Reports, per family, the worst healed diameter over a full adversarial
 campaign against the original diameter D, the log∆ factor, and the
-explicit envelope from harness.bounds.
+explicit envelope from repro.guarantees.
 """
 
 import math
 
+from repro import guarantees
 from repro.adversaries import CenterAdversary, MaxDegreeAdversary
 from repro.baselines import ForgivingTreeHealer
 from repro.graphs import generators, metrics
-from repro.harness import bounds, report, run_campaign
+from repro.harness import report, run_campaign
 
 from benchmarks.conftest import dump_bench, emit, table
 
@@ -24,11 +25,11 @@ def run_sweep():
         tree = generators.TREE_FAMILIES[family](N, 3)
         d0 = metrics.diameter_exact(tree)
         delta = max(len(v) for v in tree.values())
-        envelope = bounds.thm1_diameter_bound(d0, delta)
+        envelope = guarantees.diameter_envelope(d0, delta)
         worst = 0
         for adv in (CenterAdversary(), MaxDegreeAdversary()):
             healer = ForgivingTreeHealer({k: set(v) for k, v in tree.items()})
-            result = run_campaign(healer, adv, measure_diameter=True)
+            result = run_campaign(healer, adv)
             worst = max(worst, result.peak_diameter)
             assert result.stayed_connected
         rows.append(

@@ -7,6 +7,7 @@ measured β against the Section 4.2 promise β ≤ 2·log_α ∆ + 2.
 
 import math
 
+from repro import guarantees
 from repro.baselines import (
     BinaryTreeHealer,
     ForgivingTreeHealer,
@@ -15,7 +16,7 @@ from repro.baselines import (
 )
 from repro.graphs import generators, metrics
 from repro.graphs.adjacency import is_connected
-from repro.harness import bounds, report
+from repro.harness import report
 
 from benchmarks.conftest import dump_bench, emit, table
 
@@ -34,14 +35,14 @@ def run_sweep():
             assert is_connected(g)
             alpha = max(3, healer.max_degree_increase())
             beta = metrics.diameter_exact(g) / 2  # star diameter is 2
-            holds = bounds.thm2_lower_bound_holds(alpha, beta, delta)
+            holds = guarantees.thm2_lower_bound_holds(alpha, beta, delta)
             rows.append(
                 [
                     delta,
                     make.name,
                     alpha,
                     f"{beta:.1f}",
-                    f"{bounds.thm2_min_stretch(alpha, delta):.2f}",
+                    f"{guarantees.thm2_min_stretch(alpha, delta):.2f}",
                     "OK" if holds else "VIOLATION",
                 ]
             )

@@ -107,7 +107,7 @@ def forgiving_graph_act() -> None:
         healer = make({k: set(v) for k, v in overlay.items()})
         res = run_churn_campaign(
             healer, TraceReplayAdversary(trace), events=len(trace),
-            measure_diameter=False,
+            metrics="none",
         )
         campaigns[healer.name] = (res, healer)
     ideal = campaigns["forgiving-graph"][1].ideal_graph(include_dead=True)
@@ -159,7 +159,7 @@ def async_act() -> None:
             healer,
             TraceReplayAdversary(trace),
             events=len(trace),
-            measure_diameter=False,
+            metrics="none",
             seed=7,
             transport=TransportSpec(
                 mode="async",
@@ -207,7 +207,7 @@ def main() -> None:
     for make in (NoRepairHealer, SurrogateHealer, ForgivingTreeHealer):
         healer = make({k: set(v) for k, v in overlay.items()})
         result = run_campaign(
-            healer, MaxDegreeAdversary(), rounds=rounds, measure_diameter=False
+            healer, MaxDegreeAdversary(), rounds=rounds, metrics="none"
         )
         graph = healer.graph()
         comps = connected_components(graph)

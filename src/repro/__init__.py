@@ -19,8 +19,12 @@ Public entry points
 :mod:`repro.baselines` / :mod:`repro.adversaries`
     The naive strategies the paper's introduction rules out, and the attack
     strategies that defeat them.
+:mod:`repro.guarantees`
+    The papers' bounds stated once (degree +3, the Theorem 1.2 diameter
+    envelope, message budgets); every checker, test and benchmark
+    imports them from here.
 :mod:`repro.harness`
-    Attack/heal simulation loops, sweeps and report tables reproducing
+    The attack/heal campaign loop, duels and report tables reproducing
     every theorem, figure and claim (see DESIGN.md / EXPERIMENTS.md).
 :mod:`repro.churn`
     The churn model (The Forgiving Graph, PODC 2009): node insertions as

@@ -12,8 +12,7 @@ proves them.
 
 * :mod:`repro.audit.schema` — typed, versioned log records (send /
   deliver / drop / dup / dup-suppressed / dead / crash / control)
-  emitted by the async kernel; legacy positional 6-tuples decode
-  losslessly.
+  emitted by the async kernel, with a versioned JSONL dialect.
 * :mod:`repro.audit.query` — composable streaming operators
   (filter / join / group / window) over log records, plus the
   ``python -m repro.audit.query`` CLI (per-heal message flows,
@@ -55,8 +54,6 @@ from .schema import (
     HealDelta,
     LogRecord,
     SendRecord,
-    decode_log,
-    decode_record,
     load_jsonl,
     record_from_dict,
     write_jsonl,
@@ -85,8 +82,6 @@ __all__ = [
     "Violation",
     "certify_campaign",
     "check_corruption",
-    "decode_log",
-    "decode_record",
     "heal_flows",
     "link_table",
     "load_jsonl",

@@ -56,15 +56,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import ReproError
-from .schema import (
-    ControlRecord,
-    HealDelta,
-    LogRecord,
-    RawRecord,
-    SendRecord,
-    decode_record,
-    normalize_edges,
-)
+from .. import guarantees
+from .schema import ControlRecord, HealDelta, LogRecord, SendRecord, normalize_edges
 
 #: The certificate classes, in reporting order.
 CERTIFICATE_KINDS = ("budget", "locality", "exclusion", "causality", "accounting")
@@ -80,22 +73,18 @@ class AuditError(ReproError):
 class AuditParams:
     """The checkable constants behind the certificates.
 
-    ``ft_node_budget`` is the Theorem 1.3 envelope: no node sends more
-    than this many messages per delete heal (the measured worst across
-    the committed benchmarks is 4; 12 leaves headroom for generalized
-    branching without ever scaling in n).  Batch-insert waves scale it
-    by the wave size — each joiner runs its own O(1) handshake.
-    ``ft_msg_ids`` is the FT word budget: no message names more than 8
-    node ids (``WillPortionMsg`` is the widest).  The FG manifest
-    budget is ``fg_id_base + fg_ids_per_node · |alive|`` — manifests
-    enumerate region members, and a region can never exceed the alive
-    node set the delta replay tracks.
+    The budgets default to the ones :mod:`repro.guarantees` states (and
+    justifies): ``ft_node_budget`` is the Theorem 1.3 per-node send
+    envelope per delete heal, scaled by the wave size for batch inserts;
+    ``ft_msg_ids`` the FT word budget; the FG manifest budget is
+    ``fg_id_base + fg_ids_per_node · |alive|`` over the alive node set
+    the delta replay tracks.
     """
 
-    ft_node_budget: int = 12
-    ft_msg_ids: int = 8
-    fg_id_base: int = 6
-    fg_ids_per_node: int = 2
+    ft_node_budget: int = guarantees.FT_NODE_MESSAGE_BUDGET
+    ft_msg_ids: int = guarantees.FT_MESSAGE_ID_BUDGET
+    fg_id_base: int = guarantees.FG_ID_BASE
+    fg_ids_per_node: int = guarantees.FG_IDS_PER_NODE
     clock_eps: float = 1e-6
 
 
@@ -203,7 +192,7 @@ class AuditInputs:
     certificate class actually bites.
     """
 
-    records: Sequence[RawRecord]
+    records: Sequence[LogRecord]
     heal_stats: Sequence
     deltas: Sequence[HealDelta] = ()
     initial_edges: frozenset = frozenset()
@@ -211,7 +200,7 @@ class AuditInputs:
     fault_summary: object = None
     params: Optional[AuditParams] = None
 
-    def certify(self, records: Optional[Sequence[RawRecord]] = None) -> AuditReport:
+    def certify(self, records: Optional[Sequence[LogRecord]] = None) -> AuditReport:
         """Run the certificates — over ``records`` if given (the
         mutation hook), else over the campaign's own log."""
         return certify_campaign(
@@ -235,7 +224,7 @@ def _delta_key(delta: HealDelta) -> Optional[str]:
 
 
 def certify_campaign(
-    records: Sequence[RawRecord],
+    records: Sequence[LogRecord],
     heal_stats: Sequence,
     deltas: Sequence[HealDelta] = (),
     initial_edges: Iterable = (),
@@ -257,14 +246,11 @@ def certify_campaign(
     params = params or AuditParams()
     report = AuditReport(protocol=protocol)
 
-    # One fused linear pass: decode, campaign-wide clock monotonicity,
-    # and bucketing by heal (control rows feed exclusion).  Certification
+    # One fused linear pass: campaign-wide clock monotonicity and
+    # bucketing by heal (control rows feed exclusion).  Certification
     # rides every audited campaign, so this pass is the auditor's hot
     # loop — see EXP-AUDIT-OVERHEAD.
-    log: List[LogRecord] = [
-        row if isinstance(row, LogRecord) else decode_record(row)
-        for row in records
-    ]
+    log: List[LogRecord] = list(records)  # accepts a load_jsonl stream
     by_heal: Dict[int, List[Tuple[int, LogRecord]]] = {}
     controls: List[Tuple[int, ControlRecord]] = []
     crashed_hids: Set[int] = set()
@@ -336,22 +322,17 @@ def certify_campaign(
         window = (recs[0][0], recs[-1][0]) if recs else (-1, -1)
         cert = HealCertificate(heal=hid, label=stats.label, window=window)
         certificates[hid] = cert
-        checked: List[str] = []
-        skipped: List[str] = []
 
         is_setup = stats.label.startswith("round-")
         didx = delta_index.get(stats.label)
         if is_setup or didx is None:
-            skipped.extend(["budget", "locality"])
+            cert.skipped = ("budget", "locality")
         else:
             ordered.append((didx, hid))
 
         _check_causality(cert, recs, stats, params, hid in crashed_hids)
-        checked.append("causality")
         _check_accounting(cert, tallies.get(hid) or _Tally(), stats)
-        checked.append("accounting")
-        cert.checked = tuple(checked)
-        cert.skipped = tuple(skipped)
+        cert.checked = ("causality", "accounting")
 
     # Budget + locality, replaying deltas in oracle order.
     ordered.sort()
@@ -404,12 +385,7 @@ def _check_causality(
     # audited campaign — see EXP-AUDIT-OVERHEAD).  Sends and dups are
     # logged at send time, so every arrival's origin record precedes it
     # in the stream and ``origins`` accumulates as the loop walks.
-    # Arrival-matching violations are held back until the pass proves
-    # the log has send records at all (legacy tuple logs are
-    # arrival-only, and matching is then vacuous, not violated).
     origins: Dict[int, Tuple[int, LogRecord]] = {}
-    have_sends = False
-    pending: List[Violation] = []
     last_depth = -1
     last_idx = -1
     for i, rec in recs:
@@ -417,7 +393,6 @@ def _check_causality(
         if kind == "send" or kind == "dup":
             if rec.seq >= 0:
                 origins[rec.seq] = (i, rec)
-                have_sends = have_sends or kind == "send"
             continue
         if kind == "deliver":
             # Delivery layers are monotone: the kernel may not hand
@@ -447,7 +422,7 @@ def _check_causality(
             continue
         origin = origins.get(rec.seq)
         if origin is None:
-            pending.append(
+            cert.violations.append(
                 Violation(
                     "causality", hid, (i, i),
                     f"{kind} of seq {rec.seq} has no send record",
@@ -456,7 +431,7 @@ def _check_causality(
             continue
         oi, orec = origin
         if orec.src != rec.src or orec.dst != rec.dst or orec.msg != rec.msg:
-            pending.append(
+            cert.violations.append(
                 Violation(
                     "causality", hid, (oi, i),
                     f"arrival {rec.src}->{rec.dst} {rec.msg} does not match "
@@ -464,15 +439,13 @@ def _check_causality(
                 )
             )
         if rec.t < orec.t - eps:
-            pending.append(
+            cert.violations.append(
                 Violation(
                     "causality", hid, (oi, i),
                     f"deliver-before-send: seq {rec.seq} arrived at {rec.t} "
                     f"but was sent at {orec.t}",
                 )
             )
-    if have_sends:
-        cert.violations.extend(pending)
 
 
 class _Tally:
@@ -496,7 +469,6 @@ def _check_accounting(
     kinds = tally.kinds
     sends_per_node = tally.sends_per_node
     recv_per_node = tally.recv_per_node
-    have_sends = bool(sends_per_node)
 
     def mismatch(what: str, got: int, want: int) -> None:
         cert.violations.append(
@@ -524,7 +496,7 @@ def _check_accounting(
     if recv_per_node != {n: c for n, c in stats.received.items() if c}:
         mismatch("received per node", sum(recv_per_node.values()),
                  sum(stats.received.values()))
-    if have_sends and sends_per_node != {n: c for n, c in stats.sent.items() if c}:
+    if sends_per_node != {n: c for n, c in stats.sent.items() if c}:
         mismatch("sent per node", sum(sends_per_node.values()),
                  sum(stats.sent.values()))
 
@@ -539,8 +511,15 @@ def _check_budget(
 ) -> None:
     hid = cert.heal
     sends = [(i, rec) for i, rec in recs if isinstance(rec, SendRecord)]
-    if not sends:
-        return  # legacy log: no send records to bound
+    if not sends and any(rec.kind in _ARRIVAL_KINDS for _, rec in recs):
+        # Arrivals without a single send record: the log cannot bound
+        # what the heal sent, so the budget is unproven, not vacuous.
+        cert.violations.append(
+            Violation(
+                "budget", hid, cert.window,
+                "messages arrived but the log holds no send record to bound",
+            )
+        )
     if protocol == "ft":
         wave = max(1, len(delta.joiners)) if delta.kind == "insert" else 1
         budget = params.ft_node_budget * wave
@@ -577,10 +556,9 @@ def _check_locality(
 ) -> None:
     hid = cert.heal
     region = delta.region
-    payloads = [(i, rec) for i, rec in recs if rec.kind == "send"]
-    if not payloads:  # legacy log: fall back to the delivery mirror
-        payloads = [(i, rec) for i, rec in recs if rec.kind == "deliver"]
-    for i, rec in payloads:
+    for i, rec in recs:
+        if rec.kind != "send":
+            continue
         edge = (rec.src, rec.dst) if rec.src <= rec.dst else (rec.dst, rec.src)
         if edge in universe:
             continue

@@ -17,6 +17,8 @@ corruption             certificate   seeded defect
 ``lease-overlap``      exclusion     a ``lease-release`` deleted, extending the
                                      grant over a region-sharing later heal
 ``phantom-drop``       accounting    a :class:`DropRecord` duplicated
+``strip-sends``        budget        every :class:`SendRecord` removed (an
+                                     arrival-only log proves no budget)
 =====================  ============  =========================================
 
 :func:`run_self_test` drives the whole table over a seeded
@@ -38,10 +40,9 @@ from .schema import (
     DropRecord,
     LogRecord,
     SendRecord,
-    decode_log,
 )
 
-#: A corruption takes the decoded log + its sidecar inputs and returns
+#: A corruption takes the log + its sidecar inputs and returns
 #: the mutated log, or ``None`` when the campaign has nothing to corrupt
 #: (e.g. no drops recorded) — the self-test treats ``None`` as an error,
 #: since its campaign is chosen to exercise every class.
@@ -146,6 +147,16 @@ def corrupt_phantom_drop(
     return None
 
 
+def corrupt_strip_sends(
+    log: List[LogRecord], inputs: AuditInputs
+) -> Optional[List[LogRecord]]:
+    """An arrival-only log: with nothing to bound or to match arrivals
+    against, the budget and causality certificates must fail, not pass
+    vacuously."""
+    stripped = [rec for rec in log if not isinstance(rec, SendRecord)]
+    return stripped if len(stripped) < len(log) else None
+
+
 #: corruption name -> (certificate class expected to catch it, mutator).
 CORRUPTIONS: Dict[str, Tuple[str, Corruption]] = {
     "dropped-delivery": ("accounting", corrupt_dropped_delivery),
@@ -154,6 +165,7 @@ CORRUPTIONS: Dict[str, Tuple[str, Corruption]] = {
     "deliver-before-send": ("causality", corrupt_deliver_before_send),
     "lease-overlap": ("exclusion", corrupt_lease_overlap),
     "phantom-drop": ("accounting", corrupt_phantom_drop),
+    "strip-sends": ("budget", corrupt_strip_sends),
 }
 
 
@@ -200,8 +212,7 @@ def check_corruption(
     window.
     """
     expected, mutate = CORRUPTIONS[name]
-    log = decode_log(inputs.records)
-    mutated = mutate(list(log), inputs)
+    mutated = mutate(list(inputs.records), inputs)
     if mutated is None:
         return False, "corruption not applicable to this campaign", None
     report = inputs.certify(mutated)

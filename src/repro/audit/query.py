@@ -2,7 +2,7 @@
 
 :class:`LogQuery` wraps any iterable of records (a live
 ``AsyncNetwork.event_log``, a :func:`~repro.audit.schema.load_jsonl`
-stream, a legacy tuple list) and exposes lazy, chainable operators —
+stream) and exposes lazy, chainable operators —
 ``filter`` / ``join`` / ``group_by`` / ``window`` — that never hold more
 of the log in memory than the operator semantically requires.  The
 canned reports the CLI exposes (:func:`heal_flows`,
@@ -40,9 +40,7 @@ from .schema import (
     CrashRecord,
     DeliverRecord,
     LogRecord,
-    RawRecord,
     SendRecord,
-    decode_record,
     load_jsonl,
 )
 
@@ -57,12 +55,11 @@ class LogQuery:
     re-iterable (a list) as the source.
     """
 
-    def __init__(self, source: Iterable[RawRecord]):
+    def __init__(self, source: Iterable[LogRecord]):
         self._source = source
 
     def __iter__(self) -> Iterator[LogRecord]:
-        for row in self._source:
-            yield decode_record(row)
+        return iter(self._source)
 
     # -- transforms ---------------------------------------------------
 
@@ -85,7 +82,7 @@ class LogQuery:
 
     def join(
         self,
-        other: Iterable[RawRecord],
+        other: Iterable[LogRecord],
         key: Callable[[LogRecord], object],
         other_key: Optional[Callable[[LogRecord], object]] = None,
     ) -> Iterator[Tuple[LogRecord, LogRecord]]:
@@ -98,8 +95,7 @@ class LogQuery:
         """
         other_key = other_key or key
         table: Dict[object, List[LogRecord]] = {}
-        for row in other:
-            rec = decode_record(row)
+        for rec in other:
             table.setdefault(other_key(rec), []).append(rec)
         for left in self:
             for right in table.get(key(left), ()):
@@ -153,7 +149,7 @@ class LogQuery:
 # ---------------------------------------------------------------------------
 
 def heal_flows(
-    records: Iterable[RawRecord], hid: Optional[int] = None
+    records: Iterable[LogRecord], hid: Optional[int] = None
 ) -> "OrderedDict[int, Dict[str, object]]":
     """Per-heal message flow: for each heal id, the message-type mix,
     the causal-layer span, and the fault counts — the shape Figure-style
@@ -203,7 +199,7 @@ def heal_flows(
 
 
 def link_table(
-    records: Iterable[RawRecord], top: Optional[int] = None
+    records: Iterable[LogRecord], top: Optional[int] = None
 ) -> List[Dict[str, object]]:
     """Per-link traffic: delivered / dropped / duplicated counts per
     directed ``src -> dst`` pair, hottest links first."""
@@ -232,13 +228,11 @@ def link_table(
 
 
 def queue_timeline(
-    records: Iterable[RawRecord], bucket: float = 1.0
+    records: Iterable[LogRecord], bucket: float = 1.0
 ) -> List[Dict[str, float]]:
     """In-flight message depth over time: sends (and dup injections)
     raise the depth, terminal arrivals (deliver / dup-suppressed / dead)
-    lower it; sampled once per tumbling ``bucket``.  Logs predating the
-    typed schema have no send records — their timeline is arrival-only
-    (depth stays ≤ 0 and the per-bucket arrival counts still plot)."""
+    lower it; sampled once per tumbling ``bucket``."""
     timeline: List[Dict[str, float]] = []
     depth = 0
     for start, recs in LogQuery(records).kind(

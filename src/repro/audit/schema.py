@@ -1,12 +1,8 @@
 """Typed, versioned records of the kernel's causal event log.
 
-The async kernel (:class:`repro.simnet.AsyncNetwork`) historically
-pinned its determinism artifact as positional 6-tuples
-``(t, heal, depth, src, dst, tag)`` with the record kind mangled into
-the tag string (``"InsertRequest"``, ``"drop:Deleted"``,
-``"lease-grant"``).  Consumers indexed positions blindly and parsed the
-tag by convention.  This module is the schema those tuples always
-implied, made explicit:
+The async kernel (:class:`repro.simnet.AsyncNetwork`) pins its
+determinism artifact as a causal event log.  This module is that log's
+schema:
 
 * one frozen dataclass per record kind — :class:`SendRecord`,
   :class:`DeliverRecord`, :class:`DropRecord`, :class:`DupRecord`,
@@ -16,11 +12,6 @@ implied, made explicit:
   records additionally carry the kernel's global send sequence number
   and the message's id count, the quantities the budget and
   happens-before certificates need);
-* lossless legacy decoding: :func:`decode_record` turns any historical
-  tuple into its typed record (:func:`decode_log` a whole log), and
-  :meth:`LogRecord.to_tuple` produces the historical shape back
-  (new-only fields — ``seq``, ``ids`` — have no tuple slot and are the
-  one thing the round trip forgets);
 * a versioned JSONL dialect (``"v": 1`` on every line) via
   :func:`write_jsonl` / :func:`load_jsonl` /
   :func:`record_from_dict`, the interchange format of the
@@ -36,30 +27,21 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, fields
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Type, Union
+from typing import Dict, Iterable, Iterator, Tuple, Type
 
 #: Version stamped on every JSONL line; bump on any field change.
 SCHEMA_VERSION = 1
-
-#: Legacy tag prefixes of the fault-plane rows (``<prefix>:<MsgType>``).
-_PREFIXED = {
-    "send": "SendRecord",
-    "drop": "DropRecord",
-    "dup": "DupRecord",
-    "dup-suppressed": "DupSuppressedRecord",
-    "dead": "DeadDropRecord",
-}
 
 
 @dataclass(frozen=True)
 class LogRecord:
     """Base record: when, which heal, which causal layer, which link.
 
-    ``t`` is the kernel's virtual clock (rounded to 9 decimals, exactly
-    as the legacy tuples pinned it); ``heal`` the kernel heal id (or a
-    control ``ref`` — see :class:`ControlRecord`); ``depth`` the causal
-    layer (``-1`` where layering does not apply); ``src``/``dst`` the
-    link endpoints (``-1`` where absent).
+    ``t`` is the kernel's virtual clock (rounded to 9 decimals);
+    ``heal`` the kernel heal id (or a control ``ref`` — see
+    :class:`ControlRecord`); ``depth`` the causal layer (``-1`` where
+    layering does not apply); ``src``/``dst`` the link endpoints (``-1``
+    where absent).
     """
 
     t: float
@@ -70,12 +52,9 @@ class LogRecord:
 
     kind = "record"
 
-    def to_tuple(self) -> Tuple[float, int, int, int, int, str]:
-        """The historical positional 6-tuple (lossy for ``seq``/``ids``)."""
-        return (self.t, self.heal, self.depth, self.src, self.dst, self.tag())
-
     def tag(self) -> str:
-        """The legacy tag string (position 5 of the historical tuple)."""
+        """One-word label: ``<kind>:<MsgType>``, the bare message type for
+        deliveries, the transition name for control entries."""
         raise NotImplementedError
 
     def to_dict(self) -> Dict[str, object]:
@@ -121,7 +100,7 @@ class DeliverRecord(_MessageRecord):
     kind = "deliver"
 
     def tag(self) -> str:
-        return self.msg  # legacy deliveries used the bare type name
+        return self.msg
 
 
 @dataclass(frozen=True)
@@ -207,7 +186,7 @@ class ControlRecord(LogRecord):
         return self.heal
 
 
-#: Everything :func:`decode_record` can produce, by kind string.
+#: Every record class, by kind string.
 RECORD_TYPES: Dict[str, Type[LogRecord]] = {
     cls.kind: cls
     for cls in (
@@ -221,41 +200,6 @@ RECORD_TYPES: Dict[str, Type[LogRecord]] = {
         ControlRecord,
     )
 }
-
-RawRecord = Union[LogRecord, Tuple[float, int, int, int, int, str]]
-
-
-def decode_record(row: RawRecord) -> LogRecord:
-    """Decode one event-log entry — typed records pass through, legacy
-    positional 6-tuples decode losslessly by tag convention.
-
-    The legacy disambiguation rules are exactly the ones consumers used
-    to hard-code: prefixed tags (``drop:``/``dup:``/…) are fault-plane
-    rows, ``"crash"`` with ``dst == -1`` is a crash, a row with all of
-    depth/src/dst ``== -1`` is a control entry, and anything else is a
-    delivery tagged with the bare message type name.
-    """
-    if isinstance(row, LogRecord):
-        return row
-    if not isinstance(row, (tuple, list)) or len(row) != 6:
-        raise ValueError(f"not an event-log record: {row!r}")
-    t, heal, depth, src, dst, tag = row
-    if not isinstance(tag, str):
-        raise ValueError(f"event-log tag must be a string: {row!r}")
-    head, _, rest = tag.partition(":")
-    if rest and head in _PREFIXED:
-        cls = RECORD_TYPES[head]  # prefix == kind for every fault row
-        return cls(t, heal, depth, src, dst, msg=rest)  # type: ignore[call-arg]
-    if tag == "crash" and depth == -1 and dst == -1:
-        return CrashRecord(t, heal, depth, src, dst)
-    if depth == -1 and src == -1 and dst == -1:
-        return ControlRecord(t, heal, depth, src, dst, ctl=tag)
-    return DeliverRecord(t, heal, depth, src, dst, msg=tag)
-
-
-def decode_log(rows: Iterable[RawRecord]) -> List[LogRecord]:
-    """Decode a whole event log (typed records and legacy tuples mix)."""
-    return [decode_record(row) for row in rows]
 
 
 def record_from_dict(d: Dict[str, object]) -> LogRecord:
@@ -278,12 +222,12 @@ def record_from_dict(d: Dict[str, object]) -> LogRecord:
     return cls(**kwargs)  # type: ignore[arg-type]
 
 
-def write_jsonl(records: Iterable[RawRecord], path: str) -> int:
+def write_jsonl(records: Iterable[LogRecord], path: str) -> int:
     """Export a log as versioned JSONL; returns the line count."""
     n = 0
     with open(path, "w") as fh:
-        for row in records:
-            fh.write(json.dumps(decode_record(row).to_dict()))
+        for rec in records:
+            fh.write(json.dumps(rec.to_dict()))
             fh.write("\n")
             n += 1
     return n

@@ -1,7 +1,7 @@
 """Healer strategies: the Forgiving Tree and the baselines it outperforms."""
 
 from .base import Healer, edge_delta_report
-from .forgiving import ENGINE_CORES, ForgivingTreeHealer
+from .forgiving import ForgivingTreeHealer
 from .naive import (
     BinaryTreeHealer,
     DegreeCappedSurrogateHealer,
@@ -23,7 +23,6 @@ def __getattr__(name):
 
 __all__ = [
     "BinaryTreeHealer",
-    "ENGINE_CORES",
     "DegreeCappedSurrogateHealer",
     "ForgivingGraphHealer",
     "ForgivingTreeHealer",

@@ -7,17 +7,12 @@ the Forgiving Tree over a BFS spanning tree and keeps the surviving
 *non-tree* edges of the original graph in the overlay (they can only help
 the diameter and never hurt the degree bound, since they existed in G_0).
 
-Two interchangeable cores drive the same protocol (``core=``):
-
-* ``"flat"`` (default) — :class:`~repro.core.flat_tree.FlatForgivingTree`,
-  struct-of-arrays storage with O(1) hot queries; what churn campaigns at
-  n = 10k..1M run on.
-* ``"object"`` — :class:`~repro.core.forgiving_tree.ForgivingTree`, the
-  readable per-node object reference the flat core is differentially
-  tested against (``tests/test_flatcore.py``).
-
-The two produce bit-identical :class:`~repro.core.events.HealReport`
-streams, so the choice never changes results — only constant factors.
+The healer runs on :class:`~repro.core.flat_tree.FlatForgivingTree`
+(struct-of-arrays storage with O(1) hot queries; what churn campaigns at
+n = 10k..1M run on).  The readable per-node object reference,
+:class:`~repro.core.forgiving_tree.ForgivingTree`, produces bit-identical
+:class:`~repro.core.events.HealReport` streams and stays as the test
+oracle (``tests/test_flatcore.py`` wraps it with :meth:`from_engine`).
 """
 
 from __future__ import annotations
@@ -27,21 +22,16 @@ from typing import Dict, Optional, Set, Tuple
 
 from ..core.events import HealReport, edge_key
 from ..core.flat_tree import FlatForgivingTree
-from ..core.forgiving_tree import WILL_SPLICE, ForgivingTree
+from ..core.forgiving_tree import WILL_SPLICE
 from ..graphs.adjacency import Graph, require_connected
 from ..graphs.spanning import bfs_tree, non_tree_edges
 from .base import Healer
-
-#: ``core=`` choices: engine class per storage layout.
-ENGINE_CORES = {"flat": FlatForgivingTree, "object": ForgivingTree}
-
 
 class ForgivingTreeHealer(Healer):
     """Forgiving Tree self-healing over a general connected graph.
 
     Parameters mirror :class:`~repro.core.forgiving_tree.ForgivingTree`;
-    ``root`` selects the spanning-tree root (default: smallest id);
-    ``core`` selects the storage layout (see module docstring).
+    ``root`` selects the spanning-tree root (default: smallest id).
     """
 
     name = "forgiving-tree"
@@ -53,15 +43,11 @@ class ForgivingTreeHealer(Healer):
         branching: int = 2,
         will_mode: str = WILL_SPLICE,
         strict: bool = False,
-        core: str = "flat",
     ):
         super().__init__(graph)
         require_connected(graph)
-        if core not in ENGINE_CORES:
-            raise ValueError(f"unknown core {core!r} (one of {sorted(ENGINE_CORES)})")
         tree = bfs_tree(graph, root)
-        self.core = core
-        self.engine = ENGINE_CORES[core](
+        self.engine = FlatForgivingTree(
             tree,
             root=root,
             branching=branching,
@@ -99,9 +85,6 @@ class ForgivingTreeHealer(Healer):
         self._initial = adjacency
         self._original_degree = dict(engine.original_degree)
         self.rounds = engine.rounds
-        self.core = (
-            "flat" if isinstance(engine, FlatForgivingTree) else "object"
-        )
         self.engine = engine
         self._extra = set(extras)
         self._pure_tree = not self._extra
@@ -174,8 +157,8 @@ class ForgivingTreeHealer(Healer):
         """Uniform surviving node id; O(1) on the flat core.
 
         Capability hook for opt-in fast adversary sampling
-        (``RandomChurnAdversary(fast_sample=True)``).  The object core
-        falls back to a sorted draw with the same distribution (but a
+        (``RandomChurnAdversary(fast_sample=True)``).  A wrapped object
+        engine falls back to a sorted draw with the same distribution (but a
         different stream than the adversary's classic path).
         """
         sampler = getattr(self.engine, "sample_alive", None)

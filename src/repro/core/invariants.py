@@ -1,12 +1,15 @@
 """Invariant checkers for the Forgiving Tree.
 
 These functions validate everything the paper guarantees (and the internal
-bookkeeping those guarantees rest on).  They are used three ways:
+bookkeeping those guarantees rest on).  Only tests call them (the engines'
+``strict`` mode runs the engines' own ``check()``):
 
-* the engine's ``strict`` mode calls them after every deletion;
 * unit tests call them at chosen checkpoints;
 * property-based tests (hypothesis) fuzz random trees and deletion orders
   and call :func:`check_full` continuously.
+
+The theorem bounds come from :mod:`repro.guarantees`; the graph walks from
+:mod:`repro.graphs`.
 
 ``check_full`` raises :class:`~repro.core.errors.InvariantViolationError`
 with the name of the violated invariant (I1-I6 from DESIGN.md, or the
@@ -15,18 +18,18 @@ theorem bound that failed).
 
 from __future__ import annotations
 
-import math
-from collections import deque
-from typing import Dict, Iterable, Set, Tuple
+from typing import Set
 
+from ..graphs.adjacency import is_connected
+from ..graphs.metrics import diameter_exact
+from ..guarantees import degree_increase_bound, diameter_envelope
 from .errors import InvariantViolationError
 from .forgiving_tree import ForgivingTree
-from .virtual_tree import VTHelper
 
 
 def check_degree_bound(ft: ForgivingTree) -> None:
     """Theorem 1.1: no node's degree grows by more than branching + 1."""
-    bound = ft.branching + 1
+    bound = degree_increase_bound(ft.branching)
     for nid in ft.alive:
         inc = ft.degree_increase(nid)
         if inc > bound:
@@ -37,22 +40,8 @@ def check_degree_bound(ft: ForgivingTree) -> None:
 
 def check_connectivity(ft: ForgivingTree) -> None:
     """The healed overlay stays connected while any node survives."""
-    adjacency = ft.adjacency()
-    if not adjacency:
-        return
-    start = next(iter(adjacency))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for nxt in adjacency[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    if len(seen) != len(adjacency):
-        raise InvariantViolationError(
-            "connectivity", f"{len(adjacency) - len(seen)} nodes unreachable"
-        )
+    if not is_connected(ft.adjacency()):
+        raise InvariantViolationError("connectivity", "healed overlay is disconnected")
 
 
 def check_acyclic_image(ft: ForgivingTree) -> bool:
@@ -86,21 +75,6 @@ def check_slot_invariants(ft: ForgivingTree) -> None:
     ft.check()
 
 
-def diameter_bound(original_diameter: int, max_degree: int, branching: int = 2) -> int:
-    """The Theorem 1.2 envelope we assert empirically.
-
-    The proof bounds each original tree edge on a root path by a factor
-    ``log ∆ + 1`` (the depth of a reconstruction tree plus its ready heir),
-    and the diameter by twice the root-path height.  We use the concrete
-    safe form ``(⌈log_b ∆⌉ + 2) · (D + 1) + 2`` which dominates the paper's
-    ``O(D log ∆)`` constant-free statement for every graph we generate.
-    """
-    if max_degree <= 1:
-        return max(original_diameter, 1) + 2
-    log_delta = max(1, math.ceil(math.log(max_degree, branching)))
-    return (log_delta + 2) * (original_diameter + 1) + 2
-
-
 def check_diameter_bound(
     ft: ForgivingTree, original_diameter: int, max_degree: int
 ) -> None:
@@ -108,8 +82,8 @@ def check_diameter_bound(
     adjacency = ft.adjacency()
     if len(adjacency) <= 1:
         return
-    measured = _exact_diameter(adjacency)
-    bound = diameter_bound(original_diameter, max_degree, ft.branching)
+    measured = diameter_exact(adjacency)
+    bound = diameter_envelope(original_diameter, max_degree, ft.branching)
     if measured > bound:
         raise InvariantViolationError(
             "thm1-diameter", f"diameter {measured} > bound {bound}"
@@ -133,25 +107,3 @@ def check_full(
 
 #: Alias: "check all invariants" (used by the churn property tests).
 check_all = check_full
-
-
-def _exact_diameter(adjacency: Dict[int, Set[int]]) -> int:
-    best = 0
-    for source in adjacency:
-        dist = _bfs(adjacency, source)
-        if len(dist) != len(adjacency):
-            raise InvariantViolationError("connectivity", "disconnected during diameter")
-        best = max(best, max(dist.values()))
-    return best
-
-
-def _bfs(adjacency: Dict[int, Set[int]], source: int) -> Dict[int, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        cur = queue.popleft()
-        for nxt in adjacency[cur]:
-            if nxt not in dist:
-                dist[nxt] = dist[cur] + 1
-                queue.append(nxt)
-    return dist

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 
 from ..core.forgiving_tree import ForgivingTree
+from ..guarantees import degree_increase_bound, section42_stretch_bound, thm2_min_stretch
 
 
 def branching_for_alpha(alpha: int) -> int:
@@ -36,7 +37,7 @@ def alpha_for_branching(branching: int) -> int:
     """Degree-increase bound achieved by ``branching``-ary helpers."""
     if branching < 2:
         raise ValueError("branching must be >= 2")
-    return branching + 1
+    return degree_increase_bound(branching)
 
 
 class AlphaForgivingTree(ForgivingTree):
@@ -56,14 +57,10 @@ def tradeoff_point(alpha: int, max_degree: int) -> dict:
     Theorem 2 floor, for benchmark tables."""
     b = branching_for_alpha(alpha)
     depth = math.log(max_degree, b) if max_degree > 1 else 0.0
-    beta_promise = 2 * math.log(max_degree, alpha) + 2 if max_degree > 1 else 2.0
-    beta_floor = (
-        max(0.0, (math.log(max_degree, alpha) - 1) / 2) if max_degree > 1 else 0.0
-    )
     return {
         "alpha": alpha,
         "branching": b,
         "rt_depth": depth,
-        "beta_promise": beta_promise,
-        "beta_floor_thm2": beta_floor,
+        "beta_promise": section42_stretch_bound(alpha, max_degree),
+        "beta_floor_thm2": thm2_min_stretch(alpha, max_degree),
     }

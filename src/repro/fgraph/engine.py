@@ -62,6 +62,7 @@ from ..core.events import (
     normalize_wave,
 )
 from ..graphs.adjacency import Graph, copy as copy_graph, from_adjacency
+from ..guarantees import degree_increase_bound
 from .rtree import ReconstructionTree
 
 
@@ -394,8 +395,9 @@ class ForgivingGraph:
                 f"multiset drift: {sorted(set(stored) ^ set(fresh))[:6]}",
             )
         # The paper's Theorem: additive degree increase bounded by 3.
+        bound = degree_increase_bound()
         for n in self._alive:
-            if self.degree_increase(n) > 3:
+            if self.degree_increase(n) > bound:
                 raise InvariantViolationError(
                     "fg-degree", f"node {n} increase {self.degree_increase(n)}"
                 )

@@ -1,7 +1,7 @@
-"""Experiment harness: campaigns, sweeps, bounds and report tables."""
+"""Experiment harness: campaigns, sweeps and report tables."""
 
 from ..obs.spec import OBS_MODES, ObsSpec, ObsSummary
-from . import bounds, report
+from . import report
 from .experiment import (
     METRICS_MODES,
     TRANSPORT_MODES,
@@ -21,7 +21,6 @@ __all__ = [
     "ObsSpec",
     "ObsSummary",
     "RoundRecord",
-    "bounds",
     "churn_duel",
     "duel",
     "report",

@@ -6,6 +6,8 @@ a healer repairs, and we record the paper's success metrics each round
 communication.  :func:`run_churn_campaign` plays the extended churn game
 (the Forgiving Graph model): the adversary emits a mixed insert/delete
 stream and the per-round records additionally track alive-set growth.
+The deletion game is the insert-free case of the churn game, so both
+runners are entries to the one event loop, :func:`_play`.
 Campaigns power every benchmark table.
 """
 
@@ -17,11 +19,11 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..adversaries.base import Adversary
-from ..adversaries.churn import ChurnAdversary
+from ..adversaries.churn import ChurnAdversary, DeletionOnlyChurnAdversary
 from ..audit.certify import AuditInputs, AuditReport
 from ..audit.schema import HealDelta, normalize_edges
 from ..baselines.base import Healer
-from ..churn.events import Delete, Insert, InsertWave
+from ..churn.events import Insert, InsertWave
 from ..core.errors import NotATreeError, ReproError, SimulationOverError
 from ..core.events import HealReport
 from ..faults.plan import FaultInput, FaultSummary, resolve_faults
@@ -203,9 +205,9 @@ class CampaignResult:
     #: The telemetry bundle the certificates ran over (kept for
     #: re-certification, e.g. the mutation self-test).
     audit_inputs: Optional[AuditInputs] = field(default=None, repr=False)
-    # Streaming aggregates (folded per round; authoritative when the
-    # records themselves are not kept).
-    _peak_ddeg: int = field(default=0, repr=False)
+    # Streaming aggregates: every record is folded, kept or not, so the
+    # properties below read the same with ``keep_rounds`` on or off.
+    _peak_ddeg: Optional[int] = field(default=None, repr=False)
     _peak_diameter: int = field(default=0, repr=False)
     _peak_msgs: int = field(default=0, repr=False)
     _all_connected: bool = field(default=True, repr=False)
@@ -215,7 +217,9 @@ class CampaignResult:
 
     def fold(self, record: RoundRecord) -> None:
         """Fold one round into the streaming aggregates (O(1) memory)."""
-        if record.max_degree_increase > self._peak_ddeg:
+        # A baseline's degree increase can be negative (no-repair on a
+        # star), so the peak starts unset rather than at 0.
+        if self._peak_ddeg is None or record.max_degree_increase > self._peak_ddeg:
             self._peak_ddeg = record.max_degree_increase
         if record.diameter is not None and record.diameter > self._peak_diameter:
             self._peak_diameter = record.diameter
@@ -230,16 +234,10 @@ class CampaignResult:
 
     @property
     def peak_degree_increase(self) -> int:
-        if self.rounds:
-            return max(r.max_degree_increase for r in self.rounds)
-        return self._peak_ddeg
+        return self._peak_ddeg if self._peak_ddeg is not None else 0
 
     @property
     def peak_diameter(self) -> int:
-        if self.rounds:
-            return max(
-                (r.diameter for r in self.rounds if r.diameter is not None), default=0
-            )
         return self._peak_diameter
 
     @property
@@ -250,33 +248,23 @@ class CampaignResult:
 
     @property
     def stayed_connected(self) -> bool:
-        if self.rounds:
-            return all(r.connected for r in self.rounds)
         return self._all_connected
 
     @property
     def peak_messages_per_node(self) -> int:
-        if self.rounds:
-            return max(r.max_messages_per_node for r in self.rounds)
         return self._peak_msgs
 
     # -- churn-campaign views ---------------------------------------------
     @property
     def n_inserts(self) -> int:
-        if self.rounds:
-            return sum(1 for r in self.rounds if r.event == "insert")
         return self._n_inserts
 
     @property
     def n_deletes(self) -> int:
-        if self.rounds:
-            return sum(1 for r in self.rounds if r.event == "delete")
         return self._n_deletes
 
     @property
     def final_alive(self) -> int:
-        if self.rounds:
-            return self.rounds[-1].alive
         return self._last_alive if self._last_alive is not None else self.n0
 
     @property
@@ -297,20 +285,6 @@ class CampaignResult:
         return [getattr(r, attr) for r in self.rounds]
 
 
-def _resolve_metrics(
-    metrics: Optional[str],
-    measure_diameter: bool,
-    exact_diameter: bool,
-    default: str = "double-sweep",
-) -> str:
-    """Back-compat resolution of the legacy flags into a metrics mode."""
-    if metrics is not None:
-        return metrics
-    if not measure_diameter:
-        return "none"
-    return "exact" if exact_diameter else default
-
-
 def _initial_diameter(meter: _DiameterMeter, initial: Graph) -> int:
     """The campaign's baseline diameter, measured with its own instrument.
 
@@ -327,39 +301,6 @@ def _initial_diameter(meter: _DiameterMeter, initial: Graph) -> int:
     if meter.tracker is not None:
         return meter.tracker.diameter
     return diameter_double_sweep(initial, seed=meter.seed)
-
-
-def _record_round(
-    t: int,
-    report: HealReport,
-    healer: Healer,
-    meter: _DiameterMeter,
-    d0: int,
-) -> RoundRecord:
-    """The per-event measurement + bookkeeping shared by both runners."""
-    connected, diameter, alive = meter.measure(
-        report, healer.graph, fast_stats=getattr(healer, "fast_stats", None)
-    )
-    return RoundRecord(
-        round=t + 1,
-        deleted=report.deleted,
-        alive=alive,
-        max_degree_increase=healer.max_degree_increase(),
-        diameter=diameter,
-        connected=connected,
-        edges_added=len(report.edges_added),
-        total_messages=report.total_messages,
-        max_messages_per_node=report.max_messages_per_node,
-        event="insert" if report.is_insertion else "delete",
-        inserted=report.inserted,
-        # A wave of one is indistinguishable from a single insert (the
-        # engines route singles through the batch path), so only true
-        # multi-joiner waves mark the record.
-        wave_size=(
-            len(report.inserted_batch) if len(report.inserted_batch) > 1 else 0
-        ),
-        stretch=(diameter / d0) if diameter is not None and d0 > 0 else None,
-    )
 
 
 def _make_mirror(
@@ -386,80 +327,31 @@ def _make_mirror(
         spec = replace(spec, faults=plan)
     if spec is None:
         return None
-    if (
-        obs_state is not None
-        and obs_state.spec.audit
-        and spec.mode == "async"
-        and not spec.record_log
-    ):
+    if obs_state is not None and obs_state.spec.audit:
         # The certificates are checked from the event log: auditing
-        # forces the kernel to keep it.
+        # (async-only, see _make_obs) forces the kernel to keep it.
         spec = replace(spec, record_log=True)
     return TransportMirror(healer, spec, obs=obs_state)
-
-
-def _recover_crash(
-    mirror: TransportMirror,
-    healer: Healer,
-    obs_state: Optional[ObsState],
-    meter: "_DiameterMeter",
-    d0: int,
-    t: int,
-    result: CampaignResult,
-    keep_rounds: bool,
-    on_round: Optional[Callable[[RoundRecord, Healer], None]],
-    audit_deltas: Optional[List[HealDelta]] = None,
-) -> None:
-    """A planned crash fired in the transport mirror.
-
-    The victim is dead in the distributed runtime but still alive in the
-    oracle: apply the death to the oracle as an extra, adversary-
-    invisible deletion, hand the resulting report to the mirror's repair
-    pass (reset-replay + node-for-node re-validation), and record the
-    round as ``event="crash"`` so the incremental metrics tracker stays
-    in step with the oracle overlay.
-    """
-    report = _oracle_step(
-        obs_state, "oracle:delete", healer.delete, mirror.pending_crash
-    )
-    mirror.recover_from_crash(report)
-    if audit_deltas is not None:
-        audit_deltas.append(HealDelta.from_report(report))
-    record = _record_round(t, report, healer, meter, d0)
-    record.event = "crash"
-    result.fold(record)
-    if keep_rounds:
-        result.rounds.append(record)
-    if obs_state is not None and obs_state.metrics is not None:
-        _stream_round(obs_state.metrics, record)
-    if on_round is not None:
-        on_round(record, healer)
 
 
 def _make_obs(obs: ObsInput, transport: TransportInput) -> Optional[ObsState]:
     """Resolve the ``obs=`` knob into live instruments (or None).
 
-    Tracing rides the async kernel's virtual clock, so ``obs="trace"``
-    (or a spec with ``trace=True``) requires an async transport mirror —
-    without one there is nothing to trace and the knob raises rather
-    than silently producing an empty file.
+    Tracing rides the async kernel's virtual clock and the audit
+    certificates are checked from its event log, so ``obs="trace"`` /
+    ``"audit"`` (or a spec with either flag) require an async transport
+    mirror — without one there is nothing to trace or certify and the
+    knob raises rather than silently producing an empty artifact.
     """
     spec = resolve_obs(obs)
     if spec is None:
         return None
-    if spec.trace:
+    if spec.trace or spec.audit:
         tspec = resolve_transport(transport)
         if tspec is None or tspec.mode != "async":
             raise ValueError(
-                "obs tracing needs an async transport "
-                "(transport='async' or 'lease')"
-            )
-    if spec.audit:
-        tspec = resolve_transport(transport)
-        if tspec is None or tspec.mode != "async":
-            raise ValueError(
-                "obs auditing needs an async transport "
-                "(transport='async' or 'lease')"
+                f"obs {'tracing' if spec.trace else 'auditing'} needs an "
+                "async transport (transport='async' or 'lease')"
             )
     return ObsState(spec)
 
@@ -487,7 +379,8 @@ def _stream_round(registry, record: RoundRecord) -> None:
 
 def _run_audit(
     result: CampaignResult,
-    obs_state: Optional[ObsState],
+    obs_state: ObsState,
+    protocol: str,
     deltas: List[HealDelta],
     initial_edges: frozenset,
 ) -> None:
@@ -497,24 +390,24 @@ def _run_audit(
     only what a real deployment could export — the kernel event log,
     per-heal tallies, the fault summary, and the oracle's
     :class:`HealDelta` edge summaries — never the oracle overlay itself.
-    Violations arm the flight recorder (dumped under an ``audit`` label)
-    before the caller's strictness check decides whether to raise.
+    ``protocol`` is the mirror's own driver dispatch
+    (:attr:`TransportMirror.protocol`).  Violations arm the flight
+    recorder (dumped under an ``audit`` label) before the caller's
+    strictness check decides whether to raise.
     """
-    summary = result.transport
-    if summary is None or summary.event_log is None:
-        return
+    summary = result.transport  # auditing forced record_log: the log is there
     inputs = AuditInputs(
         records=tuple(summary.event_log),
         heal_stats=tuple(summary.heal_stats or ()),
         deltas=tuple(deltas),
         initial_edges=initial_edges,
-        protocol="fg" if "graph" in result.healer_name else "ft",
+        protocol=protocol,
         fault_summary=summary.faults,
     )
     report = inputs.certify()
     result.audit = report
     result.audit_inputs = inputs
-    recorder = obs_state.recorder if obs_state is not None else None
+    recorder = obs_state.recorder
     if recorder is not None and not report.ok:
         for violation in report.violations[:32]:
             recorder.record(
@@ -533,15 +426,142 @@ def _run_audit(
         recorder.dump(path, label="audit")
 
 
+def _play(
+    healer: Healer,
+    adversary: ChurnAdversary,
+    adversary_name: str,
+    events: Optional[int],
+    stop_fraction: Optional[float],
+    *,
+    metrics: str,
+    seed: int,
+    on_round: Optional[Callable[[RoundRecord, Healer], None]],
+    transport: TransportInput,
+    obs: ObsInput,
+    keep_rounds: bool,
+    faults: FaultInput,
+    metrics_tracker: Optional[DynamicTreeMetrics] = None,
+) -> CampaignResult:
+    """The one campaign loop behind both runners.
+
+    Plays at most ``events`` rounds (``None``: ``n0 - 1``, the whole
+    deletion game) and stops early when the adversary runs out of moves
+    (:class:`SimulationOverError`) or the survivors reach the floor:
+    ``max(1, ⌊stop_fraction · n0⌋)`` for the deletion game, the empty
+    network (``stop_fraction=None``) for the churn game.
+    """
+    initial = healer.graph()
+    n0 = len(initial)
+    meter = _DiameterMeter(metrics, initial, seed, tracker=metrics_tracker)
+    d0 = _initial_diameter(meter, initial)
+    result = CampaignResult(
+        healer_name=healer.name,
+        adversary_name=adversary_name,
+        n0=n0,
+        initial_diameter=d0,
+        initial_max_degree=max_degree(initial),
+    )
+    obs_state = _make_obs(obs, transport)
+    mirror = _make_mirror(healer, transport, seed, obs_state, faults)
+    auditing = mirror is not None and obs_state is not None and obs_state.spec.audit
+    audit_deltas: Optional[List[HealDelta]] = [] if auditing else None
+    audit_initial = normalize_edges(initial) if auditing else frozenset()
+    registry = obs_state.metrics if obs_state is not None else None
+    fast_stats = getattr(healer, "fast_stats", None)
+
+    def settle(t: int, report: HealReport, crash: bool = False) -> None:
+        """One applied event's bookkeeping: measure the overlay, build
+        the record, fold it into the aggregates, keep/stream it, tell
+        the observer."""
+        if audit_deltas is not None:
+            audit_deltas.append(HealDelta.from_report(report))
+        connected, diameter, alive = meter.measure(
+            report, healer.graph, fast_stats=fast_stats
+        )
+        record = RoundRecord(
+            round=t + 1,
+            deleted=report.deleted,
+            alive=alive,
+            max_degree_increase=healer.max_degree_increase(),
+            diameter=diameter,
+            connected=connected,
+            edges_added=len(report.edges_added),
+            total_messages=report.total_messages,
+            max_messages_per_node=report.max_messages_per_node,
+            event="crash" if crash else "insert" if report.is_insertion else "delete",
+            inserted=report.inserted,
+            # A wave of one is indistinguishable from a single insert (the
+            # engines route singles through the batch path), so only true
+            # multi-joiner waves mark the record.
+            wave_size=(
+                len(report.inserted_batch) if len(report.inserted_batch) > 1 else 0
+            ),
+            stretch=(diameter / d0) if diameter is not None and d0 > 0 else None,
+        )
+        result.fold(record)
+        if keep_rounds:
+            result.rounds.append(record)
+        if registry is not None:
+            _stream_round(registry, record)
+        if on_round is not None:
+            on_round(record, healer)
+
+    budget = events if events is not None else n0 - 1
+    floor = 0 if stop_fraction is None else max(1, int(stop_fraction * n0))
+    adversary.reset()
+    for t in range(budget):
+        if len(healer.alive) <= floor:
+            break
+        try:
+            event = adversary.next_event(healer)
+            if isinstance(event, Insert):
+                report = _oracle_step(
+                    obs_state, "oracle:insert", healer.insert, event.nid, event.attach_to
+                )
+            elif isinstance(event, InsertWave):
+                report = _oracle_step(
+                    obs_state, "oracle:insert", healer.insert_batch, event.joiners
+                )
+            else:
+                report = _oracle_step(
+                    obs_state, "oracle:delete", healer.delete, event.nid
+                )
+        except SimulationOverError:
+            break
+        if mirror is not None:
+            mirror.apply(report)
+        settle(t, report)
+        if mirror is not None and mirror.pending_crash is not None:
+            # A planned crash fired in the mirror: the victim is dead in
+            # the distributed runtime but still alive in the oracle.
+            # Apply the death to the oracle as an extra, adversary-
+            # invisible deletion, hand the report to the mirror's repair
+            # pass (reset-replay + node-for-node re-validation), and
+            # record the round as ``event="crash"`` so the incremental
+            # metrics tracker stays in step with the oracle overlay.
+            report = _oracle_step(
+                obs_state, "oracle:delete", healer.delete, mirror.pending_crash
+            )
+            mirror.recover_from_crash(report)
+            settle(t, report, crash=True)
+    if mirror is not None:
+        result.transport = mirror.finish()
+        if audit_deltas is not None:
+            _run_audit(result, obs_state, mirror.protocol, audit_deltas, audit_initial)
+    if obs_state is not None:
+        result.obs = obs_state.finish()
+        if result.audit is not None and obs_state.spec.audit_strict:
+            result.audit.raise_on_violation()
+    return result
+
+
 def run_campaign(
     healer: Healer,
     adversary: Adversary,
     rounds: Optional[int] = None,
-    measure_diameter: bool = True,
-    exact_diameter: bool = False,
     stop_fraction: float = 0.0,
     on_round: Optional[Callable[[RoundRecord, Healer], None]] = None,
-    metrics: Optional[str] = None,
+    metrics: str = "double-sweep",
     seed: int = 0,
     transport: TransportInput = None,
     obs: ObsInput = None,
@@ -550,14 +570,14 @@ def run_campaign(
 ) -> CampaignResult:
     """Play the Delete and Repair game.
 
+    The insert-free case of the churn game: the adversary is lifted into
+    the churn interface and played through the same loop as
+    :func:`run_churn_campaign`.
+
     Parameters
     ----------
     rounds:
         Number of deletions (default: until one node remains).
-    measure_diameter:
-        Compute the diameter each round (double sweep unless
-        ``exact_diameter`` — exact on trees either way).  Legacy flags;
-        ``metrics`` overrides both when given.
     stop_fraction:
         Stop once fewer than this fraction of nodes survive.
     on_round:
@@ -608,102 +628,28 @@ def run_campaign(
         across fault plans) — except a planned crash, which the oracle
         absorbs as one extra ``event="crash"`` deletion round.
     """
-    initial = healer.graph()
-    n0 = len(initial)
-    meter = _DiameterMeter(
-        _resolve_metrics(metrics, measure_diameter, exact_diameter), initial, seed
+    return _play(
+        healer,
+        DeletionOnlyChurnAdversary(adversary),
+        adversary.name,
+        rounds,
+        stop_fraction,
+        metrics=metrics,
+        seed=seed,
+        on_round=on_round,
+        transport=transport,
+        obs=obs,
+        keep_rounds=keep_rounds,
+        faults=faults,
     )
-    d0 = _initial_diameter(meter, initial)
-    result = CampaignResult(
-        healer_name=healer.name,
-        adversary_name=adversary.name,
-        n0=n0,
-        initial_diameter=d0,
-        initial_max_degree=max_degree(initial),
-    )
-    obs_state = _make_obs(obs, transport)
-    mirror = _make_mirror(healer, transport, seed, obs_state, faults)
-    auditing = mirror is not None and obs_state is not None and obs_state.spec.audit
-    audit_deltas: Optional[List[HealDelta]] = [] if auditing else None
-    audit_initial = normalize_edges(initial) if auditing else frozenset()
-    adversary.reset()
-    budget = rounds if rounds is not None else n0 - 1
-    for t in range(budget):
-        if len(healer.alive) <= max(1, int(stop_fraction * n0)):
-            break
-        try:
-            victim = adversary.choose(healer)
-            report = _oracle_step(obs_state, "oracle:delete", healer.delete, victim)
-        except SimulationOverError:
-            break
-        if mirror is not None:
-            mirror.apply(report)
-        if audit_deltas is not None:
-            audit_deltas.append(HealDelta.from_report(report))
-        record = _record_round(t, report, healer, meter, d0)
-        result.fold(record)
-        if keep_rounds:
-            result.rounds.append(record)
-        if obs_state is not None and obs_state.metrics is not None:
-            _stream_round(obs_state.metrics, record)
-        if on_round is not None:
-            on_round(record, healer)
-        if mirror is not None and mirror.pending_crash is not None:
-            _recover_crash(
-                mirror, healer, obs_state, meter, d0, t, result,
-                keep_rounds, on_round, audit_deltas,
-            )
-    if mirror is not None:
-        result.transport = mirror.finish()
-        if audit_deltas is not None:
-            _run_audit(result, obs_state, audit_deltas, audit_initial)
-    if obs_state is not None:
-        result.obs = obs_state.finish()
-    if (
-        result.audit is not None
-        and not result.audit.ok
-        and obs_state is not None
-        and obs_state.spec.audit_strict
-    ):
-        result.audit.raise_on_violation()
-    return result
-
-
-def duel(
-    graph: Graph,
-    healers: Sequence[Callable[[Graph], Healer]],
-    adversary_factory: Callable[[], Adversary],
-    rounds: Optional[int] = None,
-    exact_diameter: bool = False,
-    metrics: Optional[str] = None,
-    seed: int = 0,
-    transport: TransportInput = None,
-) -> Dict[str, CampaignResult]:
-    """Run the same attack against several healers on the same graph."""
-    out: Dict[str, CampaignResult] = {}
-    for factory in healers:
-        healer = factory({k: set(v) for k, v in graph.items()})
-        result = run_campaign(
-            healer,
-            adversary_factory(),
-            rounds=rounds,
-            exact_diameter=exact_diameter,
-            metrics=metrics,
-            seed=seed,
-            transport=transport,
-        )
-        out[result.healer_name] = result
-    return out
 
 
 def run_churn_campaign(
     healer: Healer,
     adversary: ChurnAdversary,
     events: int,
-    measure_diameter: bool = True,
-    exact_diameter: bool = False,
     on_round: Optional[Callable[[RoundRecord, Healer], None]] = None,
-    metrics: Optional[str] = None,
+    metrics: str = "auto",
     seed: int = 0,
     transport: TransportInput = None,
     obs: ObsInput = None,
@@ -753,86 +699,47 @@ def run_churn_campaign(
     crash-during-heal) to the mirrored transport — see
     :func:`run_campaign`.
     """
-    initial = healer.graph()
-    n0 = len(initial)
-    meter = _DiameterMeter(
-        _resolve_metrics(metrics, measure_diameter, exact_diameter, default="auto"),
-        initial,
-        seed,
-        tracker=metrics_tracker,
+    return _play(
+        healer,
+        adversary,
+        adversary.name,
+        events,
+        None,
+        metrics=metrics,
+        seed=seed,
+        on_round=on_round,
+        transport=transport,
+        obs=obs,
+        keep_rounds=keep_rounds,
+        faults=faults,
+        metrics_tracker=metrics_tracker,
     )
-    d0 = _initial_diameter(meter, initial)
-    result = CampaignResult(
-        healer_name=healer.name,
-        adversary_name=adversary.name,
-        n0=n0,
-        initial_diameter=d0,
-        initial_max_degree=max_degree(initial),
+
+
+def _duel(runner, graph: Graph, healers, adversary_factory, **kwargs):
+    """Run one campaign per healer factory on its own copy of ``graph``."""
+    out: Dict[str, CampaignResult] = {}
+    for factory in healers:
+        healer = factory({k: set(v) for k, v in graph.items()})
+        result = runner(healer, adversary_factory(), **kwargs)
+        out[result.healer_name] = result
+    return out
+
+
+def duel(
+    graph: Graph,
+    healers: Sequence[Callable[[Graph], Healer]],
+    adversary_factory: Callable[[], Adversary],
+    rounds: Optional[int] = None,
+    metrics: str = "double-sweep",
+    seed: int = 0,
+    transport: TransportInput = None,
+) -> Dict[str, CampaignResult]:
+    """Run the same attack against several healers on the same graph."""
+    return _duel(
+        run_campaign, graph, healers, adversary_factory,
+        rounds=rounds, metrics=metrics, seed=seed, transport=transport,
     )
-    obs_state = _make_obs(obs, transport)
-    mirror = _make_mirror(healer, transport, seed, obs_state, faults)
-    auditing = mirror is not None and obs_state is not None and obs_state.spec.audit
-    audit_deltas: Optional[List[HealDelta]] = [] if auditing else None
-    audit_initial = normalize_edges(initial) if auditing else frozenset()
-    adversary.reset()
-    for t in range(events):
-        if not healer.alive:
-            break
-        try:
-            event = adversary.next_event(healer)
-            if isinstance(event, Insert):
-                report = _oracle_step(
-                    obs_state,
-                    "oracle:insert",
-                    healer.insert,
-                    event.nid,
-                    event.attach_to,
-                )
-            elif isinstance(event, InsertWave):
-                report = _oracle_step(
-                    obs_state,
-                    "oracle:insert",
-                    healer.insert_batch,
-                    event.joiners,
-                )
-            else:
-                assert isinstance(event, Delete)
-                report = _oracle_step(
-                    obs_state, "oracle:delete", healer.delete, event.nid
-                )
-        except SimulationOverError:
-            break
-        if mirror is not None:
-            mirror.apply(report)
-        if audit_deltas is not None:
-            audit_deltas.append(HealDelta.from_report(report))
-        record = _record_round(t, report, healer, meter, d0)
-        result.fold(record)
-        if keep_rounds:
-            result.rounds.append(record)
-        if obs_state is not None and obs_state.metrics is not None:
-            _stream_round(obs_state.metrics, record)
-        if on_round is not None:
-            on_round(record, healer)
-        if mirror is not None and mirror.pending_crash is not None:
-            _recover_crash(
-                mirror, healer, obs_state, meter, d0, t, result,
-                keep_rounds, on_round, audit_deltas,
-            )
-    if mirror is not None:
-        result.transport = mirror.finish()
-        if audit_deltas is not None:
-            _run_audit(result, obs_state, audit_deltas, audit_initial)
-    if obs_state is not None:
-        result.obs = obs_state.finish()
-    if (
-        result.audit is not None
-        and not result.audit.ok
-        and obs_state is not None
-        and obs_state.spec.audit_strict
-    ):
-        result.audit.raise_on_violation()
-    return result
 
 
 def churn_duel(
@@ -840,23 +747,12 @@ def churn_duel(
     healers: Sequence[Callable[[Graph], Healer]],
     adversary_factory: Callable[[], ChurnAdversary],
     events: int,
-    exact_diameter: bool = False,
-    metrics: Optional[str] = None,
+    metrics: str = "auto",
     seed: int = 0,
     transport: TransportInput = None,
 ) -> Dict[str, CampaignResult]:
     """Run the same churn stream against several healers on the same graph."""
-    out: Dict[str, CampaignResult] = {}
-    for factory in healers:
-        healer = factory({k: set(v) for k, v in graph.items()})
-        result = run_churn_campaign(
-            healer,
-            adversary_factory(),
-            events=events,
-            exact_diameter=exact_diameter,
-            metrics=metrics,
-            seed=seed,
-            transport=transport,
-        )
-        out[result.healer_name] = result
-    return out
+    return _duel(
+        run_churn_campaign, graph, healers, adversary_factory,
+        events=events, metrics=metrics, seed=seed, transport=transport,
+    )

@@ -22,11 +22,8 @@ One package every layer feeds instead of growing its own telemetry:
   escalating breaches into alerts, a flight-recorder dump, and forced
   trace sampling.
 
-The typed event-log decoder (:func:`decode_log` / :func:`decode_record`
-/ :class:`LogRecord`) is re-exported here from
-:mod:`repro.audit.schema` — consumers of ``AsyncNetwork.event_log``
-should use it instead of indexing tuple positions; the full trace-query
-and certificate machinery lives in :mod:`repro.audit`.
+The typed event-log schema, the trace-query operators and the
+certificate machinery live in :mod:`repro.audit`.
 
 Wired into campaigns through the ``obs=`` knob on
 :func:`~repro.harness.run_campaign` / ``run_churn_campaign`` — see
@@ -34,7 +31,6 @@ Wired into campaigns through the ``obs=`` knob on
 the streaming half over checkpointed long-horizon campaigns.
 """
 
-from ..audit.schema import LogRecord, decode_log, decode_record
 from .histogram import DEFAULT_GROWTH, LogHistogram
 from .metrics import Counter, Gauge, MetricsRegistry
 from .profile import PhaseProfiler
@@ -87,7 +83,6 @@ __all__ = [
     "Gauge",
     "JsonlSink",
     "LogHistogram",
-    "LogRecord",
     "MemorySink",
     "MetricsRegistry",
     "MetricsStreamer",
@@ -106,8 +101,6 @@ __all__ = [
     "TelemetrySink",
     "Tracer",
     "WindowedSink",
-    "decode_log",
-    "decode_record",
     "default_slos",
     "fault_slos",
     "record_to_dict",

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+from ..guarantees import degree_increase_bound
 from .recorder import FlightRecorder
 
 #: Comparison operators an :class:`SloSpec` may use: the observed value
@@ -194,7 +195,7 @@ def default_slos(
             name="degree-budget",
             metric="peak_degree_increase",
             op="<=",
-            threshold=branching + 1,
+            threshold=degree_increase_bound(branching),
             description="Theorem 1.1: heal degree increase is bounded",
         ),
         SloSpec(

@@ -365,7 +365,9 @@ class TransportMirror:
     def _build_driver(self, healer, network):
         """Instantiate the distributed runtime matching the healer, on
         ``network`` (the mirror's kernel, or a throwaway synchronous
-        network during the repair pass's reset-replay)."""
+        network during the repair pass's reset-replay).  The dispatch
+        also names the mirrored protocol (:attr:`protocol`: ``"ft"`` or
+        ``"fg"``), which selects the audit certificates' budgets."""
         from ..baselines.forgiving import ForgivingTreeHealer
         from ..core.forgiving_tree import WILL_SPLICE
         from ..fgraph.healer import ForgivingGraphHealer
@@ -385,6 +387,7 @@ class TransportMirror:
             )
             # The FT healer carries surviving non-tree edges alongside the
             # protocol's tree overlay; the mirror validates the overlay.
+            self.protocol = "ft"
             self._oracle_graph = healer.tree_overlay
             return driver, lambda: _edge_set(healer.tree_overlay())
         if isinstance(healer, ForgivingGraphHealer):
@@ -393,6 +396,7 @@ class TransportMirror:
             driver = DistributedForgivingGraph(
                 healer.initial_graph, network=network
             )
+            self.protocol = "fg"
             self._oracle_graph = healer.graph
             return driver, lambda: _edge_set(healer.graph())
         raise ValueError(

@@ -1,7 +1,7 @@
 """Tests for the guarantee auditor (repro.audit).
 
-The walls the ISSUE demands: the typed record schema round-trips the
-legacy tuple dialect losslessly; the query operators and CLI work over
+The walls the ISSUE demands: the typed record schema round-trips its
+JSONL dialect losslessly; the query operators and CLI work over
 JSONL exports; the certificates pass on seeded FT and FG campaigns
 across every latency x scheduler model, under lease overlap and under a
 drop/dup/crash fault plan — computed from exported telemetry only (the
@@ -22,20 +22,13 @@ from repro.audit import (
     SCHEMA_VERSION,
     AuditError,
     AuditReport,
-    ControlRecord,
-    CrashRecord,
     DeliverRecord,
     DropRecord,
-    DupRecord,
-    DupSuppressedRecord,
     HealDelta,
     LogQuery,
     SendRecord,
     Violation,
-    certify_campaign,
     check_corruption,
-    decode_log,
-    decode_record,
     heal_flows,
     link_table,
     load_jsonl,
@@ -108,47 +101,6 @@ def audited_ft():
 # ---------------------------------------------------------------------------
 
 class TestSchema:
-    def test_legacy_tuple_decoding(self):
-        assert decode_record((1.0, 3, 2, 4, 5, "Deleted")) == DeliverRecord(
-            1.0, 3, 2, 4, 5, msg="Deleted"
-        )
-        assert decode_record((1.0, 3, -1, 4, 5, "drop:WillMsg")) == DropRecord(
-            1.0, 3, -1, 4, 5, msg="WillMsg"
-        )
-        assert isinstance(
-            decode_record((1.0, 3, 0, 4, 5, "dup:WillMsg")), DupRecord
-        )
-        assert isinstance(
-            decode_record((1.0, 3, 0, 4, 5, "dup-suppressed:WillMsg")),
-            DupSuppressedRecord,
-        )
-        crash = decode_record((2.0, 7, -1, 9, -1, "crash"))
-        assert isinstance(crash, CrashRecord) and crash.victim == 9
-        ctl = decode_record((2.0, 7, -1, -1, -1, "lease-grant"))
-        assert isinstance(ctl, ControlRecord)
-        assert ctl.ref == 7 and ctl.ctl == "lease-grant"
-
-    def test_tuple_round_trip(self):
-        rows = [
-            (1.0, 3, 2, 4, 5, "Deleted"),
-            (1.5, 3, -1, 4, 5, "drop:WillMsg"),
-            (2.0, 7, -1, 9, -1, "crash"),
-            (2.5, 7, -1, -1, -1, "lease-release"),
-        ]
-        assert [r.to_tuple() for r in decode_log(rows)] == rows
-
-    def test_typed_records_pass_through(self):
-        rec = SendRecord(1.0, 2, 0, 3, 4, msg="WillMsg", seq=17, ids=3)
-        assert decode_record(rec) is rec
-        assert rec.tag() == "send:WillMsg"
-        assert rec.to_tuple() == (1.0, 2, 0, 3, 4, "send:WillMsg")
-
-    def test_decode_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            decode_record((1.0, 2, 3))
-        with pytest.raises(ValueError):
-            decode_record((1.0, 2, 3, 4, 5, 6))
-
     def test_dict_round_trip(self):
         rec = SendRecord(1.0, 2, 0, 3, 4, msg="WillMsg", seq=17, ids=3)
         d = rec.to_dict()
@@ -165,7 +117,7 @@ class TestSchema:
         log = audited_ft.transport.event_log
         path = str(tmp_path / "log.jsonl")
         assert write_jsonl(log, path) == len(log)
-        assert list(load_jsonl(path)) == decode_log(log)
+        assert list(load_jsonl(path)) == list(log)
 
     def test_normalize_edges(self):
         assert normalize_edges({0: {1}, 1: {0, 2}, 2: {1}}) == frozenset(
@@ -228,16 +180,11 @@ class TestQuery:
         with pytest.raises(ValueError):
             list(LogQuery(_SYNTH).window(0))
 
-    def test_queries_decode_legacy_tuples(self):
-        assert LogQuery([(1.0, 3, 2, 4, 5, "Deleted")]).kind(
-            "deliver"
-        ).count() == 1
-
     def test_heal_flows(self, audited_ft):
         log = audited_ft.transport.event_log
         flows = heal_flows(log)
         assert set(flows) == {
-            r.heal for r in decode_log(log) if r.kind != "control"
+            r.heal for r in log if r.kind != "control"
         }
         for f in flows.values():
             assert f["t_first"] <= f["t_last"]
@@ -248,7 +195,7 @@ class TestQuery:
         log = audited_ft.transport.event_log
         table = link_table(log)
         assert sum(r["delivered"] for r in table) == sum(
-            1 for rec in decode_log(log) if rec.kind == "deliver"
+            1 for rec in log if rec.kind == "deliver"
         )
         hot = table[0]["delivered"] + table[0]["dropped"]
         assert all(r["delivered"] + r["dropped"] <= hot for r in table[1:])
@@ -327,28 +274,27 @@ class TestCertificates:
                 obs="audit",
             )
 
-    def test_certify_pure_legacy_log(self, audited_ft):
-        """A pre-schema log (bare tuples, no send records) still gets
-        causality/accounting checked; send-side checks are skipped, not
-        spuriously violated."""
+    def test_protocol_follows_the_mirror_not_the_name(self):
+        """The certificate protocol is the mirror's own driver dispatch:
+        an FT healer whose *name* mentions a graph is still audited
+        against the FT budgets."""
+
+        class RenamedHealer(ForgivingTreeHealer):
+            name = "tree-over-a-graph"
+
+        res = _audited_run(RenamedHealer, n=16, events=10)
+        assert res.healer_name == "tree-over-a-graph"
+        assert res.audit.protocol == "ft"
+
+    def test_arrival_only_log_is_violated_not_skipped(self, audited_ft):
+        """A log with no send records proves neither the budget nor the
+        arrival matching: both certificates must fail, not pass
+        vacuously."""
         inputs = audited_ft.audit_inputs
-        legacy = [
-            rec.to_tuple()
-            for rec in decode_log(inputs.records)
-            if rec.kind in ("deliver", "crash", "control")
-        ]
-        report = certify_campaign(
-            legacy,
-            inputs.heal_stats,
-            deltas=inputs.deltas,
-            initial_edges=inputs.initial_edges,
-            protocol="ft",
-        )
-        # Arrival tallies no longer match the kernel stats (we stripped
-        # the fault rows), but nothing crashes and budget stays skipped.
-        assert all(
-            v.cert in ("accounting", "locality") for v in report.violations
-        )
+        stripped = [r for r in inputs.records if not isinstance(r, SendRecord)]
+        assert len(stripped) < len(inputs.records)
+        certs = {v.cert for v in inputs.certify(stripped).violations}
+        assert {"budget", "causality", "accounting"} <= certs
 
     def test_raise_on_violation_names_evidence(self):
         report = AuditReport(protocol="ft")
@@ -385,7 +331,8 @@ class TestMutation:
     def test_cli(self, capsys):
         assert mutate_mod.main(["--seed", "11"]) == 0
         out = capsys.readouterr().out
-        assert f"{len(CORRUPTIONS)}/{len(CORRUPTIONS)} corruptions caught" in out
+        assert "caught  strip-sends" in out
+        assert "7/7 corruptions caught" in out
 
     def test_undetected_corruption_raises(self, clean_inputs, monkeypatch):
         monkeypatch.setitem(

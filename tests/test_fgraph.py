@@ -26,6 +26,7 @@ import pytest
 
 from tests.conftest import *  # noqa: F401,F403 - shared fixtures
 
+from repro import guarantees
 from repro.adversaries import (
     GrowthThenMassacreAdversary,
     MaxDegreeAdversary,
@@ -147,7 +148,7 @@ def _stretch_ok(engine: ForgivingGraph, sample: int = 6, seed: int = 0) -> None:
         return
     ideal = engine.ideal_graph(include_dead=True)
     image = engine.graph()
-    bound = 2 * math.log2(len(ideal)) + 2
+    bound = guarantees.fg_stretch_envelope(len(ideal))
     rng = random.Random(seed)
     sources = rng.sample(alive, min(sample, len(alive)))
     for u in sources:

@@ -10,7 +10,7 @@ the same wills, and the same degree accounting.  Everything here drives
 both engines with the same drawn events and asserts that contract.
 
 Also covered: the free-list id recycling that keeps the arena bounded,
-``from_parents`` O(n) construction, the healer's ``core=`` knob and fast
+``from_parents`` O(n) construction, the healer over either engine and fast
 paths (``fast_stats`` / ``sample_alive``), the harness's streaming
 ``keep_rounds=False`` mode, and the benchmark table's numeric coercion.
 """
@@ -23,7 +23,7 @@ import pytest
 
 from repro import FlatForgivingTree, ForgivingTree
 from repro.adversaries import RandomChurnAdversary
-from repro.baselines import ENGINE_CORES, ForgivingTreeHealer
+from repro.baselines import ForgivingTreeHealer
 from repro.core import invariants
 from repro.core.errors import (
     NodeNotFoundError,
@@ -375,23 +375,12 @@ class TestFromParents:
             DynamicTreeMetrics.from_parents([-1, 9])
 
 
-class TestHealerCoreKnob:
-    def test_engine_catalog(self):
-        assert set(ENGINE_CORES) == {"flat", "object"}
-        assert ENGINE_CORES["flat"] is FlatForgivingTree
-        assert ENGINE_CORES["object"] is ForgivingTree
-
-    def test_unknown_core_rejected(self):
-        with pytest.raises(ValueError):
-            ForgivingTreeHealer({0: {1}, 1: {0}}, core="numpy")
-
+class TestHealerOverEitherEngine:
     def test_cores_heal_identically_behind_the_healer(self):
         tree = generators.random_tree(30, seed=12)
         healers = {
-            core: ForgivingTreeHealer(
-                {k: set(v) for k, v in tree.items()}, core=core
-            )
-            for core in ("flat", "object")
+            "flat": ForgivingTreeHealer({k: set(v) for k, v in tree.items()}),
+            "object": ForgivingTreeHealer.from_engine(ForgivingTree(tree)),
         }
         rng = random.Random(12)
         next_id = len(tree)

@@ -85,7 +85,7 @@ class TestWholePaperPipeline:
         """The paper's full pipeline: arbitrary graph -> distributed BFS
         setup -> Forgiving Tree -> adversarial campaign -> bounds hold."""
         from repro.distributed.setup import distributed_bfs_setup
-        from repro.harness import bounds
+        from repro import guarantees
 
         g = generators.preferential_attachment(60, 2, seed=11)
         report = distributed_bfs_setup(g, seed=1)
@@ -96,4 +96,4 @@ class TestWholePaperPipeline:
         random.Random(3).shuffle(order)
         for victim in order[:-1]:
             ft.delete(victim)
-        assert ft.max_degree_increase() <= bounds.thm1_degree_bound()
+        assert ft.max_degree_increase() <= guarantees.degree_increase_bound()

@@ -425,9 +425,8 @@ class TestKernelLeasePrimitives:
         net.log_control("lease-grant", 7)
         entry = net.event_log[-1]
         assert entry.kind == "control" and entry.ref == 7
-        # The typed record still round-trips to the historical tuple.
-        assert entry.to_tuple() == (
-            round(net.clock, 9), 7, -1, -1, -1, "lease-grant"
+        assert (entry.t, entry.depth, entry.src, entry.dst, entry.ctl) == (
+            round(net.clock, 9), -1, -1, -1, "lease-grant"
         )
         assert len(net.event_log) == before + 1
         quiet = AsyncNetwork()

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro import ForgivingTree
+from repro import ForgivingTree, guarantees
 from repro.adversaries import (
     CenterAdversary,
     MaxDegreeAdversary,
@@ -20,7 +20,7 @@ from repro.baselines import (
 )
 from repro.extensions import AlphaForgivingTree, tradeoff_point
 from repro.graphs import generators, metrics
-from repro.harness import bounds, run_campaign
+from repro.harness import run_campaign
 
 
 class TestTheorem1Degree:
@@ -33,8 +33,8 @@ class TestTheorem1Degree:
     def test_degree_increase_at_most_three(self, family, adversary):
         tree = generators.TREE_FAMILIES[family](50, 2)
         healer = ForgivingTreeHealer({k: set(v) for k, v in tree.items()})
-        result = run_campaign(healer, adversary, measure_diameter=False)
-        assert result.peak_degree_increase <= bounds.thm1_degree_bound()
+        result = run_campaign(healer, adversary, metrics="none")
+        assert result.peak_degree_increase <= guarantees.degree_increase_bound()
 
     def test_bound_is_tight(self):
         """Some instance actually reaches +3 (the bound is not slack)."""
@@ -50,9 +50,9 @@ class TestTheorem1Diameter:
         tree = generators.TREE_FAMILIES[family](60, 4)
         d0 = metrics.diameter_exact(tree)
         delta = max(len(v) for v in tree.values())
-        envelope = bounds.thm1_diameter_bound(d0, delta)
+        envelope = guarantees.diameter_envelope(d0, delta)
         healer = ForgivingTreeHealer({k: set(v) for k, v in tree.items()})
-        result = run_campaign(healer, CenterAdversary(), measure_diameter=True)
+        result = run_campaign(healer, CenterAdversary())
         assert result.peak_diameter <= envelope
         assert result.stayed_connected
 
@@ -88,7 +88,7 @@ class TestTheorem2:
         healed = metrics.diameter_exact(ft.adjacency())
         alpha = max(3, ft.max_degree_increase())
         beta = healed / 2  # the star's diameter is 2
-        assert bounds.thm2_lower_bound_holds(alpha, beta, delta)
+        assert guarantees.thm2_lower_bound_holds(alpha, beta, delta)
 
     @pytest.mark.parametrize("delta", [8, 32, 128])
     def test_lower_bound_for_every_healer(self, delta):
@@ -104,11 +104,11 @@ class TestTheorem2:
             assert is_connected(g)
             alpha = max(3, healer.max_degree_increase())
             beta = metrics.diameter_exact(g) / 2
-            assert bounds.thm2_lower_bound_holds(alpha, beta, delta), make.name
+            assert guarantees.thm2_lower_bound_holds(alpha, beta, delta), make.name
 
     def test_min_stretch_formula(self):
-        assert bounds.thm2_min_stretch(3, 3 ** 5) == pytest.approx(2.0)
-        assert bounds.thm2_min_stretch(3, 1) == 0.0
+        assert guarantees.thm2_min_stretch(3, 3 ** 5) == pytest.approx(2.0)
+        assert guarantees.thm2_min_stretch(3, 1) == 0.0
 
 
 class TestSection42Tradeoff:
@@ -135,7 +135,7 @@ class TestSection42Tradeoff:
             ft = AlphaForgivingTree(tree, alpha=alpha, strict=True)
             ft.delete(0)
             beta = metrics.diameter_exact(ft.adjacency()) / 2
-            assert beta <= bounds.section42_stretch_bound(alpha, delta) + 1
+            assert beta <= guarantees.section42_stretch_bound(alpha, delta) + 1
 
     def test_tradeoff_point_fields(self):
         point = tradeoff_point(5, 1024)
