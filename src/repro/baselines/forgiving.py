@@ -9,9 +9,10 @@ the diameter and never hurt the degree bound, since they existed in G_0).
 
 The healer runs on :class:`~repro.core.flat_tree.FlatForgivingTree`
 (struct-of-arrays storage with O(1) hot queries; what churn campaigns at
-n = 10k..1M run on).  The readable per-node object reference,
-:class:`~repro.core.forgiving_tree.ForgivingTree`, produces bit-identical
-:class:`~repro.core.events.HealReport` streams and stays as the test
+n = 10k..1M run on).  :class:`~repro.core.forgiving_tree.ForgivingTree`
+runs the same healing algorithm — the same function objects — over the
+readable per-node object storage, so it produces bit-identical
+:class:`~repro.core.events.HealReport` streams and stays as the storage
 oracle (``tests/test_flatcore.py`` wraps it with :meth:`from_engine`).
 """
 
@@ -20,9 +21,9 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional, Set, Tuple
 
+from ..core import WILL_SPLICE
 from ..core.events import HealReport, edge_key
 from ..core.flat_tree import FlatForgivingTree
-from ..core.forgiving_tree import WILL_SPLICE
 from ..graphs.adjacency import Graph, require_connected
 from ..graphs.spanning import bfs_tree, non_tree_edges
 from .base import Healer
@@ -154,14 +155,12 @@ class ForgivingTreeHealer(Healer):
         return True, len(self.engine.alive)
 
     def sample_alive(self, rng: random.Random) -> int:
-        """Uniform surviving node id; O(1) on the flat core.
+        """Uniform surviving node id, drawn by the engine's store.
 
         Capability hook for opt-in fast adversary sampling
-        (``RandomChurnAdversary(fast_sample=True)``).  A wrapped object
-        engine falls back to a sorted draw with the same distribution (but a
-        different stream than the adversary's classic path).
+        (``RandomChurnAdversary(fast_sample=True)``): O(1) on the flat
+        core; an object engine wrapped with :meth:`from_engine` answers
+        with a sorted draw — the same distribution, but a different
+        stream than the flat core's or the adversary's classic path.
         """
-        sampler = getattr(self.engine, "sample_alive", None)
-        if sampler is not None:
-            return sampler(rng)
-        return rng.choice(sorted(self.engine.alive))
+        return self.engine.sample_alive(rng)

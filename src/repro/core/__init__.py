@@ -24,8 +24,14 @@ from .events import (
     edge_key,
 )
 from .flat import AliveView, FlatCore, FlatWills
-from .flat_tree import FlatForgivingTree
-from .forgiving_tree import WILL_REBUILD, WILL_SPLICE, ForgivingTree
+from .flat_tree import (
+    WILL_REBUILD,
+    WILL_SPLICE,
+    FlatForgivingTree,
+    as_adjacency,
+    check_is_tree,
+)
+from .forgiving_tree import ForgivingTree
 from .slot_tree import SlotTree
 from .state import ALLOWED_TRANSITIONS, HelperState, NodeState
 from .virtual_tree import VirtualTree, VTHelper, VTNode, VTReal

@@ -34,8 +34,9 @@ Three contracts make the flat layer a drop-in replacement:
   not (``FlatForgivingTree`` keeps the ``_ever`` set exactly like the object
   engine).  Virtual-tree slots freed during an event enter a *limbo* list
   and only rejoin the free list when the next event starts, so within one
-  healing round slot equality is object identity — the engine's ``is``
-  checks translate to ``==`` on ints without aliasing.
+  healing round slot equality is object identity — the algorithm's
+  ``==`` on handles means the same thing on ints as on the object
+  store's node objects, without aliasing.
 * **orderings are preserved**: child lists are doubly linked (insert-before
   and positional replace are O(1)), helper iteration is hid-ascending, and
   every will operation touches positions in the same order as the object
@@ -140,7 +141,7 @@ class FlatCore:
     Handles are integer *slots*; ``NIL`` (= -1) plays ``None``.  The public
     mutation API mirrors :class:`~repro.core.virtual_tree.VirtualTree`
     operation for operation, including the order of emitted image-edge
-    events, so the engine port stays a line-by-line translation.
+    events, so the one healing algorithm text runs over either store.
     """
 
     def __init__(self, recorder: Optional[Callable[[object], None]] = None):
@@ -1261,48 +1262,6 @@ class FlatWills:
             added=tuple(ids),
             touched=self._touched_filter(owner, touched),
         )
-
-    def set_heir(self, owner: int, new_heir: int) -> Tuple[int, ...]:
-        """Move heir-ness to another free stand-in (generalized-b only)."""
-        if (owner, new_heir) not in self._leafpos:
-            raise NodeNotFoundError(new_heir, "set_heir")
-        if (owner, new_heir) in self._intpos:
-            raise InvariantViolationError("slot-tree-heir", "heir cannot hold an internal")
-        old = self._heir[owner]
-        self._heir[owner] = new_heir
-        return tuple(t for t in (old, new_heir) if t != NIL)
-
-    def exclude_from_assignment(self, owner: int, busy: Set[int]) -> Tuple[int, ...]:
-        """Re-assign internal positions away from ``busy`` stand-ins."""
-        touched: List[int] = []
-
-        def free_pool() -> List[int]:
-            heir = self._heir[owner]
-            return [
-                s
-                for s in sorted(self.stand_ins(owner))
-                if s != heir and (owner, s) not in self._intpos and s not in busy
-            ]
-
-        if self._heir[owner] in busy:
-            pool = free_pool()
-            if not pool:
-                raise InvariantViolationError(
-                    "slot-tree-exclusion", "no free stand-in to take heir-ness"
-                )
-            touched.extend(self.set_heir(owner, pool[0]))
-        for sim in [s for s in self.internal_sims(owner) if s in busy]:
-            pool = free_pool()
-            if not pool:
-                raise InvariantViolationError(
-                    "slot-tree-exclusion", "no free stand-in for internal position"
-                )
-            node = self._intpos.pop((owner, sim))
-            self.wval[node] = pool[0]
-            self._intpos[(owner, pool[0])] = node
-            touched.extend([sim, pool[0]])
-            touched.extend(self._around(node))
-        return self._touched_filter(owner, touched)
 
     # ------------------------------------------------------------------
     # object view / validation

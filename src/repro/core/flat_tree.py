@@ -1,13 +1,27 @@
-"""The Forgiving Tree engine on flat struct-of-arrays storage.
+"""The Forgiving Tree healing algorithm, and the engine that runs it on
+flat struct-of-arrays storage.
 
-:class:`FlatForgivingTree` is a *faithful translation* of
-:class:`~repro.core.forgiving_tree.ForgivingTree` onto :class:`~repro.core.flat.FlatCore`
-and :class:`~repro.core.flat.FlatWills`: same healing logic, same orderings
-(child lists, donor BFS, hid-ascending steals, sorted anchor scans), same
-event logs, same synthesized message tallies.  The object engine stays the
-readable reference; this engine is what the hot path runs, and the parity
-wall in ``tests/test_flatcore.py`` asserts the two are structurally
-identical event for event.
+This module holds the package's **one text** of the paper's algorithm
+(Algorithm 3.1 with its will / heir / helper rules): ``delete`` /
+``insert_batch`` and the ``_fix_node_deletion`` / ``_fix_leaf_deletion`` /
+``_find_donor`` / will-maintenance methods of :class:`FlatForgivingTree`.
+The text is written against a small storage surface — integer-like
+*handles* compared with ``==`` against ``NIL``, six columns (``ident``,
+``nchild``, ``parent``, ``sim``, ``head``, ``role``), the structural
+methods of :class:`~repro.core.flat.FlatCore` and the owner-keyed will
+operations of :class:`~repro.core.flat.FlatWills` — and never asks which
+storage it is on.  One algorithm, two stores:
+
+* :class:`FlatForgivingTree` (here) runs it over ``FlatCore`` +
+  ``FlatWills``: the hot path, what every campaign and benchmark measures;
+* :class:`~repro.core.forgiving_tree.ForgivingTree` runs the *same
+  function objects* over a :class:`~repro.core.virtual_tree.VirtualTree`
+  and a dict of :class:`~repro.core.slot_tree.SlotTree` — the readable
+  object model, kept as the differential oracle for the storage.
+
+The tree-input helpers (:func:`as_adjacency`, :func:`check_is_tree`), the
+will-mode constants and the per-round message tally live here too, next
+to the algorithm that uses them; import them from :mod:`repro.core`.
 
 What the flat layout buys (the BENCH_churn ladder's flat per-event cost):
 
@@ -28,7 +42,7 @@ against the same API either way.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .errors import (
     DuplicateNodeError,
@@ -50,17 +64,65 @@ from .events import (
     normalize_wave,
 )
 from .flat import NIL, AliveView, FlatCore, FlatWills
-from .forgiving_tree import (
-    WILL_REBUILD,
-    WILL_SPLICE,
-    TreeInput,
-    _as_adjacency,
-    _check_is_tree,
-    _Tally,
-)
 from .slot_tree import SlotTree
 from .state import HelperState, NodeState
 from .virtual_tree import VirtualTree, VTHelper
+
+TreeInput = Union[Mapping[int, Iterable[int]], Iterable[Tuple[int, int]], object]
+
+#: Will-maintenance modes.
+WILL_SPLICE = "splice"
+WILL_REBUILD = "rebuild"
+
+
+def as_adjacency(tree: TreeInput) -> Dict[int, List[int]]:
+    """Normalize tree input (adjacency mapping, edge iterable or
+    ``networkx.Graph``) to a symmetric adjacency dict."""
+    if hasattr(tree, "adj") and hasattr(tree, "nodes"):  # networkx.Graph
+        return {int(n): sorted(int(m) for m in tree.adj[n]) for n in tree.nodes}
+    if isinstance(tree, Mapping):
+        adj: Dict[int, Set[int]] = {int(n): set() for n in tree}
+        for n, neighbors in tree.items():
+            for m in neighbors:
+                adj.setdefault(int(n), set()).add(int(m))
+                adj.setdefault(int(m), set()).add(int(n))
+        return {n: sorted(s) for n, s in adj.items()}
+    adj = {}
+    for u, v in tree:  # type: ignore[union-attr]
+        adj.setdefault(int(u), set()).add(int(v))
+        adj.setdefault(int(v), set()).add(int(u))
+    return {n: sorted(s) for n, s in adj.items()}
+
+
+def check_is_tree(adjacency: Mapping[int, Sequence[int]]) -> None:
+    """Raise :class:`NotATreeError` unless ``adjacency`` is connected
+    with exactly ``n - 1`` edges."""
+    n = len(adjacency)
+    m = sum(len(v) for v in adjacency.values()) // 2
+    if m != n - 1:
+        raise NotATreeError(f"{n} nodes but {m} edges")
+    start = next(iter(adjacency))
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for nxt in adjacency[cur]:
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    if len(seen) != n:
+        raise NotATreeError("graph is not connected")
+
+
+class _Tally:
+    """Per-round synthesized message accounting (mirrors the distributed
+    layer's counting rules so Theorem 1.3 can be sanity-checked cheaply)."""
+
+    def __init__(self) -> None:
+        self.sent: Dict[int, int] = {}
+
+    def send(self, node: int, count: int = 1) -> None:
+        self.sent[node] = self.sent.get(node, 0) + count
 
 
 class FlatForgivingTree:
@@ -80,13 +142,13 @@ class FlatForgivingTree:
         will_mode: str = WILL_SPLICE,
         strict: bool = False,
     ) -> None:
-        adjacency = _as_adjacency(tree)
+        adjacency = as_adjacency(tree)
         if not adjacency:
             raise NotATreeError("empty tree")
         root_id = min(adjacency) if root is None else root
         if root_id not in adjacency:
             raise NodeNotFoundError(root_id, "root")
-        _check_is_tree(adjacency)
+        check_is_tree(adjacency)
         self._setup(root_id, branching, will_mode, strict)
         self.original_degree = {
             nid: len(neigh) for nid, neigh in adjacency.items()
@@ -246,46 +308,6 @@ class FlatForgivingTree:
         self._c.recorder = self._events.append
         return self
 
-    def parent_state(self) -> Dict[str, list]:
-        """The current *image graph* as metrics-tracker parent state.
-
-        Shaped for :meth:`DynamicTreeMetrics.from_parents(parents, ids=,
-        chords=) <repro.graphs.incremental.DynamicTreeMetrics.from_parents>`:
-        a BFS spanning orientation of the healed overlay from the virtual
-        root's owner, ids ascending, leftover (heal-cycle) edges as
-        chords.  Lets the harness rebuild its diameter tracker next to a
-        restored engine without materializing an adjacency dict first.
-        """
-        c = self._c
-        ids = sorted(c._reals)
-        index = {nid: i for i, nid in enumerate(ids)}
-        adj: Dict[int, List[int]] = {nid: [] for nid in ids}
-        for (u, v) in c._image:
-            adj[u].append(v)
-            adj[v].append(u)
-        parents = [NIL] * len(ids)
-        seen: Set[int] = set()
-        chords: List[Tuple[int, int]] = []
-        if ids:
-            start = c.owner(c.root) if c.root != NIL else ids[0]
-            seen.add(start)
-            queue = deque([start])
-            while queue:
-                cur = queue.popleft()
-                for nxt in sorted(adj[cur]):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        parents[index[nxt]] = index[cur]
-                        queue.append(nxt)
-            tree = {
-                (min(u, v), max(u, v))
-                for u in ids
-                for v in (ids[parents[index[u]]],)
-                if parents[index[u]] != NIL
-            }
-            chords = sorted(e for e in c._image if e not in tree)
-        return {"ids": ids, "parents": parents, "chords": chords}
-
     def to_object_engine(self) -> "ForgivingTree":
         """Materialize an object :class:`ForgivingTree` in the same state.
 
@@ -294,7 +316,10 @@ class FlatForgivingTree:
         flat one, and replays a window of events through both — the two
         report streams must match bit for bit before the soak continues
         (the same parity the ``tests/test_flatcore.py`` wall asserts from
-        round zero, applied from an arbitrary mid-campaign state).
+        round zero, applied from an arbitrary mid-campaign state).  Both
+        engines run this module's algorithm text, so the oracle differs
+        in *storage*: it catches a slot, free-list, counter or will-arena
+        fault in the restored arrays, not a wrong healing rule.
         """
         from .forgiving_tree import ForgivingTree
 
@@ -306,10 +331,9 @@ class FlatForgivingTree:
         obj._events = []
         vt = self.virtual_tree()
         vt.recorder = obj._events.append
-        obj._vt = vt
-        obj._wills = {
-            owner: self._w.to_slot_tree(owner) for owner in self._w._root
-        }
+        obj._mount(
+            vt, {owner: self._w.to_slot_tree(owner) for owner in self._w._root}
+        )
         obj.original_degree = dict(self.original_degree)
         obj.initial_nodes = set(self.initial_nodes)
         obj._ever = set(self._ever)
@@ -373,7 +397,8 @@ class FlatForgivingTree:
         return self._c.max_degree_increase()
 
     def sample_alive(self, rng) -> int:
-        """Uniform surviving node id in O(1) (ladder-scale victim picks)."""
+        """Uniform surviving node id — O(1) on the flat store (ladder-scale
+        victim picks); the object store answers with a sorted draw."""
         return self._c.sample_alive(rng)
 
     def state_of(self, nid: int) -> NodeState:
@@ -433,22 +458,6 @@ class FlatForgivingTree:
     def render(self) -> str:
         """ASCII view of the virtual tree (helpers bracketed)."""
         return self.virtual_tree().render()
-
-    def image_edge_array(self):
-        """Current overlay edges as an (m, 2) int64 numpy array.
-
-        Optional-numpy export for vectorized analysis at ladder scale;
-        falls back to a flat ``array('q')`` of 2m ints when numpy is
-        unavailable.
-        """
-        flat_pairs = [x for e in self._c._image for x in e]
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - numpy is in the image
-            from array import array as _array
-
-            return _array("q", flat_pairs)
-        return np.array(flat_pairs, dtype=np.int64).reshape(-1, 2)
 
     def check(self) -> None:
         """Validate every invariant of the structure; raise on violation.
@@ -533,11 +542,46 @@ class FlatForgivingTree:
     # the insertion entry point (churn model, after "The Forgiving Graph")
     # ------------------------------------------------------------------
     def insert(self, nid: int, attach_to: int) -> HealReport:
-        """A new node joins, attached to live ``attach_to`` (wave of one)."""
+        """A new node joins the network, attached to live ``attach_to``.
+
+        The joiner becomes a real leaf child of the attachment point's
+        real position and a fresh slot of its will (see
+        :meth:`SlotTree.add` for the placement rule): reconstruction
+        trees deploy over it like over any original child, so the
+        Theorem 1 degree/diameter machinery is preserved.  Following the
+        Forgiving Graph's *ideal graph* convention, the demanded edge
+        raises both endpoints' baseline degrees — degree *increase*
+        keeps measuring only heal-induced edges.
+
+        Node ids are never reused: inserting an id that ever existed
+        raises :class:`DuplicateNodeError`.
+
+        The synthesized message tally mirrors the distributed INSERT
+        handshake exactly (request, optional leaf-will retraction, ack,
+        O(1) will-portion refreshes, the joiner's leaf-will deposit) so
+        the two runtimes can be cross-checked per insertion.  A single
+        insert *is* a batch wave of one — see :meth:`insert_batch` for
+        the one shared implementation of the join choreography.
+        """
         return self.insert_batch([(nid, attach_to)])
 
     def insert_batch(self, joiners: Iterable[Tuple[int, int]]) -> HealReport:
-        """A wave of nodes joins in one round, amortizing will rebuilds."""
+        """A wave of nodes joins in one round, amortizing will rebuilds.
+
+        ``joiners`` is an ordered sequence of ``(nid, attach_to)`` pairs.
+        Every joiner is placed by exactly the same rule as :meth:`insert`
+        (so the resulting structure is identical to applying the wave
+        sequentially), but will maintenance is amortized per *attachment
+        point*: the portions an attachment point's will must retransmit
+        are computed once for the whole wave — one recomputation pass per
+        touched stand-in, not one per joiner (:meth:`SlotTree.add_batch`).
+        The synthesized message tally mirrors the distributed
+        ``InsertBatch`` handshake exactly, per node.
+
+        Wave semantics: attachment points must be alive *before* the wave
+        (a joiner cannot attach to another joiner of the same wave), and
+        ids are never reused.  The wave counts as a single round.
+        """
         c, w = self._c, self._w
         wave = normalize_wave(joiners, known_ids=self._ever, alive=c)
 
@@ -603,7 +647,12 @@ class FlatForgivingTree:
         return report
 
     def _leaf_will_holder(self, real: int) -> Optional[int]:
-        """Where a tree leaf's leaf will is deposited (None: nowhere)."""
+        """Where a tree leaf's leaf will is deposited (None: nowhere).
+
+        Mirrors the distributed holder rule: the owner of the nearest
+        ancestor position answering as a *different* node, falling back
+        to a surviving sibling under the node's own root helper.
+        """
         c = self._c
         nid = c.ident[real]
         pos = c.parent[real]
@@ -624,8 +673,8 @@ class FlatForgivingTree:
     def _fix_node_deletion(self, real: int) -> None:
         c, w = self._c, self._w
         v = c.ident[real]
-        # Snapshot the will before discarding it (the object engine pops
-        # the SlotTree object and keeps reading it; positions free here).
+        # Snapshot the will before discarding it: a store may free the
+        # will's positions on discard, and the plan is read to the end.
         will_stand_ins = w.stand_ins(v)
         specs = w.internal_specs(v)
         heir = w.heir(v)
@@ -791,8 +840,12 @@ class FlatForgivingTree:
         def free_busy_sim(planned: int) -> bool:
             """Endgame fallback: ``planned`` is stuck simulating a
             redundant one-child helper — bypass that helper so the
-            planned simulator can take up its own duty (see the object
-            engine for the full why)."""
+            planned simulator can take up its own duty.  Donor stealing
+            can never free ``planned`` itself (pending duties are
+            excluded from every donor search), so without this move the
+            rebuild-mode b > 2 endgame exhausts donors when the only
+            busy helper left is the one directly above the dying node
+            (its single child being the dying node itself)."""
             busy = c.role_of(planned)
             if busy == NIL or c.nchild[busy] != 1:
                 return False
@@ -853,8 +906,10 @@ class FlatForgivingTree:
 
         def subrt_root() -> int:
             # Late-bound on purpose: donor stealing (steal_from_anchors)
-            # may still replace a one-child anchor by its child between
-            # here and the top attachment.
+            # may still replace a one-child anchor by its child — and
+            # destroy the anchor helper — between here and the top
+            # attachment.  A snapshot taken now could re-attach that
+            # destroyed helper.
             return (
                 new_helpers[will_root_sim]
                 if new_helpers
@@ -1059,8 +1114,12 @@ class FlatForgivingTree:
                     c.destroy_helper(parent_pos)
                     if cascade_to != NIL and c.is_real(cascade_to):
                         # A real grandparent's slot loss is pure will
-                        # bookkeeping (no splicing), so absorb it now (see
-                        # the object engine for the endgame why).
+                        # bookkeeping (no splicing), so absorb it now:
+                        # deferring would leave the dissolved slot's
+                        # stand-in — the freed simulator itself — in the
+                        # will, and the collision/donor checks below
+                        # would reject every live candidate (spurious
+                        # donor exhaustion in the b > 2 endgame).
                         self._absorb_child_loss(
                             cascade_to, lost_stand_in=cascade_standin
                         )
@@ -1070,11 +1129,14 @@ class FlatForgivingTree:
                     # its simulator to inherit the leaf will.
                     if self._splice_helper(parent_pos) is not None:
                         freed = c.sim[parent_pos]
-            # Does anything real remain below the role?  (b > 2 endgame:
-            # the dying leaf may have been the only real node under a
-            # chain of helpers hanging off the role — the remaining
-            # subtree routes nothing and vanishes instead of being
-            # inherited; the role's own slot loss cascades upward.)
+            # Does anything real remain below the role?  The dissolved
+            # parent helper may have been the role's only child, or —
+            # b > 2 endgame — the dying leaf may have been the only real
+            # node under a whole chain of one-child helpers hanging off
+            # the role.  Either way the remaining subtree routes nothing:
+            # it vanishes instead of being inherited, and the role's own
+            # slot loss cascades upward (the deferred cascade target, if
+            # any, is inside the dissolved subtree and needs no visit).
             doomed: List[int] = []
             stack: List[int] = [role]
             while stack:
@@ -1112,9 +1174,10 @@ class FlatForgivingTree:
             self._tally.send(freed, c.nchild[role] + 1)
             self._notify_standin_change(role, old, freed)
             # Cascade only after the inheritance settled: the cascade may
-            # legitimately splice the very helper just inherited, and the
-            # donor search may already have absorbed the loss by stealing
-            # (splicing) the cascade target.
+            # legitimately splice the very helper just inherited.  The
+            # donor search above may itself have stolen (spliced) the
+            # cascade target to free a simulator — the slot loss is then
+            # already absorbed and the helper must not be touched again.
             if (
                 not c.is_real(parent_pos)
                 and cascade_to != NIL
@@ -1128,7 +1191,12 @@ class FlatForgivingTree:
     # cascading slot loss ("short-circuit" of redundant virtual nodes)
     # ------------------------------------------------------------------
     def _absorb_child_loss(self, node: int, lost_stand_in: int) -> None:
-        """``node`` lost one child slot entirely (see the object engine)."""
+        """``node`` lost one child slot entirely.
+
+        Real parents update their wills; helper parents left with a single
+        child are redundant and short-circuited; helpers left childless
+        vanish and the loss cascades upward.
+        """
         c = self._c
         if c.is_real(node):
             self._will_remove(c.ident[node], lost_stand_in)
@@ -1211,7 +1279,13 @@ class FlatForgivingTree:
         self, parent: int, old: int, slot_node: int, exclude: Set[int]
     ) -> None:
         """Rename a slot of ``parent``'s will from ``old`` to the owner of
-        its new occupant, resolving name collisions at use time."""
+        its new occupant, resolving name collisions at use time.
+
+        Generalized-b only ever needs the resolution: a collision means the
+        occupant's owner already answers for another slot of the same will
+        (or is the will's owner itself), so either the occupant helper or
+        the competing role is re-donated first.
+        """
         c, w = self._c, self._w
         parent_nid = c.ident[parent]
         if not w.has(parent_nid):
@@ -1246,7 +1320,10 @@ class FlatForgivingTree:
         self._will_replace(parent_nid, old, new)
 
     def _donor_exclusions(self, helper: int) -> Set[int]:
-        """Stand-ins a donor for ``helper`` must avoid (see object engine)."""
+        """Stand-ins a donor for ``helper`` must avoid: if the helper is a
+        will slot of a real parent, renaming the slot's stand-in to an
+        existing sibling stand-in would collide — and the will's owner can
+        never stand in for its own will."""
         c, w = self._c, self._w
         parent = c.parent[helper]
         if parent != NIL and c.is_real(parent):
@@ -1260,8 +1337,9 @@ class FlatForgivingTree:
     def _splice_helper(self, helper: int) -> Optional[int]:
         """Short-circuit a one-child helper with full will bookkeeping.
 
-        Returns the moved-up child slot, or ``None`` when the splice must
-        be skipped (generalized-b stand-in collision — the redundant
+        Returns the moved-up child, or ``None`` when the splice must be
+        skipped (generalized-b: the moved-up occupant's owner would collide
+        with a sibling stand-in of a real parent's will — the redundant
         helper is then simply kept, which is always legal).
         """
         c, w = self._c, self._w
@@ -1302,7 +1380,8 @@ class FlatForgivingTree:
 
     def _notify_standin_change(self, helper: int, old: int, new: int) -> None:
         """A helper's simulator changed: if the helper occupies a slot of a
-        real parent's will, the will's stand-in must follow."""
+        real parent's will, the will's stand-in must follow (the paper's
+        "p detects this and sets its flags accordingly")."""
         c = self._c
         parent = c.parent[helper]
         if parent != NIL and c.is_real(parent):
@@ -1321,9 +1400,21 @@ class FlatForgivingTree:
         exclude: Set[int],
         pinned: Tuple[int, ...] = (),
     ) -> int:
-        """A live real node able to take on helper duties (object-engine
-        search order: local BFS, global id-ascending scan, hid-ascending
-        steal)."""
+        """A live real node able to take on helper duties.
+
+        Only the generalized (branching > 2) tree ever needs this — the
+        binary protocol's inheritance rules always free the right simulator
+        locally, which the tests assert.  Search order:
+
+        1. nearest role-free real by BFS from ``start`` (locality),
+        2. any role-free real (global id-ascending scan),
+        3. *steal*: splice some one-child helper, hid-ascending — always
+           legal, it only shortens paths — and reuse its freed simulator.
+
+        A counting argument makes the chain total: if every live real held
+        a role and every helper had >= 2 children, the virtual tree would
+        need more edges than a tree can have.
+        """
         c = self._c
 
         queue: deque = deque([start])

@@ -1,14 +1,27 @@
-"""The Forgiving Tree healing engine (sequential reference implementation).
+"""The Forgiving Tree on the explicit object model (the readable reference).
 
-This is the canonical implementation of the paper's algorithm, operating on
-the explicit virtual tree (:mod:`repro.core.virtual_tree`).  It performs the
-paper's healing steps — ``FixNodeDeletion`` / ``FixLeafDeletion`` with RT
-deployment, ``bypass``, short-circuiting, heir inheritance, and leaf wills —
-as structured mutations whose image graph is maintained incrementally.
+The paper states its algorithm once, and so does this package: the healing
+steps — ``FixNodeDeletion`` / ``FixLeafDeletion`` with RT deployment,
+``bypass``, short-circuiting, heir inheritance, leaf wills, the churn
+model's joins — are the methods of
+:class:`~repro.core.flat_tree.FlatForgivingTree`.  :class:`ForgivingTree`
+runs *those same function objects* over a different store: one
+:class:`~repro.core.virtual_tree.VirtualTree` of node objects and one
+:class:`~repro.core.slot_tree.SlotTree` per will, the shapes the paper
+draws.  The two private adapters at the bottom of this module present
+that storage through the handle/column surface the algorithm is written
+against (handles are the ``VTNode`` objects themselves, ``NIL`` plays
+``None``).
 
-The message-level distributed protocol in :mod:`repro.distributed` is a
-refinement of this engine; integration tests assert both produce the same
-image graph after every deletion.
+What differs between the two engines is therefore storage only — ordered
+Python child lists vs intrusive linked lists, object identity vs recycled
+integer slots, recomputed vs maintained degree counters, ``SlotTree``
+positions vs ``FlatWills`` arena arithmetic — and that is what driving
+both with one event stream (``tests/test_flatcore.py``, the soak
+service's resume cross-validation) checks.  The message-level distributed
+protocol in :mod:`repro.distributed` is an independently written
+refinement of the algorithm; integration tests assert it produces the same
+image graph after every event.
 
 Usage::
 
@@ -31,46 +44,33 @@ study.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import (
+    DuplicateNodeError,
     InvariantViolationError,
     NodeNotFoundError,
     NotATreeError,
-    SimulationOverError,
 )
-from .events import (
-    EdgeAdded,
-    EdgeRemoved,
-    HealReport,
-    HelperCreated,
-    HelperDestroyed,
-    HelperTransferred,
-    LeafWillSent,
-    NodeInserted,
-    WillPortionSent,
-    normalize_wave,
+from .flat import NIL
+from .flat_tree import (
+    WILL_REBUILD,
+    WILL_SPLICE,
+    FlatForgivingTree,
+    TreeInput,
+    _Tally,
+    as_adjacency,
+    check_is_tree,
 )
-from .slot_tree import SlotTree
+from .slot_tree import (
+    AddBatchDelta,
+    InternalSpec,
+    RemovalDelta,
+    ReplaceDelta,
+    SlotTree,
+)
 from .state import HelperState, NodeState
-from .virtual_tree import VirtualTree, VTHelper, VTNode, VTReal
-
-TreeInput = Union[Mapping[int, Iterable[int]], Iterable[Tuple[int, int]], object]
-
-#: Will-maintenance modes.
-WILL_SPLICE = "splice"
-WILL_REBUILD = "rebuild"
-
-
-class _Tally:
-    """Per-round synthesized message accounting (mirrors the distributed
-    layer's counting rules so Theorem 1.3 can be sanity-checked cheaply)."""
-
-    def __init__(self) -> None:
-        self.sent: Dict[int, int] = {}
-
-    def send(self, node: int, count: int = 1) -> None:
-        self.sent[node] = self.sent.get(node, 0) + count
+from .virtual_tree import VirtualTree, VTHelper, VTNode, VTReal, owner_of
 
 
 class ForgivingTree:
@@ -110,17 +110,16 @@ class ForgivingTree:
         self.will_mode = will_mode
         self.strict = strict
 
-        adjacency = _as_adjacency(tree)
+        adjacency = as_adjacency(tree)
         if not adjacency:
             raise NotATreeError("empty tree")
         self.root_id = min(adjacency) if root is None else root
         if self.root_id not in adjacency:
             raise NodeNotFoundError(self.root_id, "root")
-        _check_is_tree(adjacency)
+        check_is_tree(adjacency)
 
         self._events: List[object] = []
-        self._vt = VirtualTree(recorder=self._events.append)
-        self._wills: Dict[int, SlotTree] = {}
+        self._mount(VirtualTree(recorder=self._events.append), {})
         self.original_degree: Dict[int, int] = {
             nid: len(neigh) for nid, neigh in adjacency.items()
         }
@@ -133,6 +132,13 @@ class ForgivingTree:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
+    def _mount(self, vt: VirtualTree, wills: Dict[int, SlotTree]) -> None:
+        """Adopt the storage, and present it to the healing algorithm."""
+        self._vt = vt
+        self._wills = wills
+        self._c = _ObjectCore(vt)
+        self._w = _ObjectWills(wills, self.branching)
+
     def _build(self, adjacency: Mapping[int, Sequence[int]]) -> None:
         vt = self._vt
         for nid in adjacency:
@@ -249,983 +255,197 @@ class ForgivingTree:
                         )
 
     # ------------------------------------------------------------------
-    # the healing entry point
+    # the healing algorithm: FlatForgivingTree's text, verbatim, reading
+    # and writing this engine's storage through ``self._c`` / ``self._w``
     # ------------------------------------------------------------------
-    def delete(self, nid: int) -> HealReport:
-        """Adversary deletes ``nid``; heal and report (Algorithm 3.1)."""
-        if not self._vt:
-            raise SimulationOverError("all nodes already deleted")
-        real = self._vt.real(nid)
-        self._events = []
-        self._vt.recorder = self._events.append
-        self._tally = _Tally()
-
-        was_internal = bool(real.children)
-        if was_internal:
-            self._fix_node_deletion(real)
-        else:
-            self._fix_leaf_deletion(real)
-        self.rounds += 1
-
-        added = frozenset(e.key() for e in self._events if isinstance(e, EdgeAdded))
-        removed = frozenset(e.key() for e in self._events if isinstance(e, EdgeRemoved))
-        report = HealReport(
-            deleted=nid,
-            was_internal=was_internal,
-            edges_added=added - removed,
-            edges_removed=removed - added,
-            events=tuple(self._events),
-            messages_per_node=dict(self._tally.sent),
-        )
-        if self.strict:
-            self.check()
-        return report
-
-    # ------------------------------------------------------------------
-    # the insertion entry point (churn model, after "The Forgiving Graph")
-    # ------------------------------------------------------------------
-    def insert(self, nid: int, attach_to: int) -> HealReport:
-        """A new node joins the network, attached to live ``attach_to``.
-
-        The joiner becomes a real leaf child of the attachment point's
-        real position and a fresh slot of its will (see
-        :meth:`SlotTree.add` for the placement rule): reconstruction
-        trees deploy over it like over any original child, so the
-        Theorem 1 degree/diameter machinery is preserved.  Following the
-        Forgiving Graph's *ideal graph* convention, the demanded edge
-        raises both endpoints' baseline degrees — degree *increase*
-        keeps measuring only heal-induced edges.
-
-        Node ids are never reused: inserting an id that ever existed
-        raises :class:`DuplicateNodeError`.
-
-        The synthesized message tally mirrors the distributed INSERT
-        handshake exactly (request, optional leaf-will retraction, ack,
-        O(1) will-portion refreshes, the joiner's leaf-will deposit) so
-        the two runtimes can be cross-checked per insertion.  A single
-        insert *is* a batch wave of one — see :meth:`insert_batch` for
-        the one shared implementation of the join choreography.
-        """
-        return self.insert_batch([(nid, attach_to)])
-
-    def insert_batch(self, joiners: Iterable[Tuple[int, int]]) -> HealReport:
-        """A wave of nodes joins in one round, amortizing will rebuilds.
-
-        ``joiners`` is an ordered sequence of ``(nid, attach_to)`` pairs.
-        Every joiner is placed by exactly the same rule as :meth:`insert`
-        (so the resulting structure is identical to applying the wave
-        sequentially), but will maintenance is amortized per *attachment
-        point*: the portions an attachment point's will must retransmit
-        are computed once for the whole wave — one recomputation pass per
-        touched stand-in, not one per joiner (:meth:`SlotTree.add_batch`).
-        The synthesized message tally mirrors the distributed
-        ``InsertBatch`` handshake exactly, per node.
-
-        Wave semantics: attachment points must be alive *before* the wave
-        (a joiner cannot attach to another joiner of the same wave), and
-        ids are never reused.  The wave counts as a single round.
-        """
-        wave = normalize_wave(joiners, known_ids=self._ever, alive=self._vt)
-
-        self._events = []
-        self._vt.recorder = self._events.append
-        self._tally = _Tally()
-
-        groups: Dict[int, List[int]] = {}
-        for nid, attach_to in wave:
-            groups.setdefault(attach_to, []).append(nid)
-
-        for attach_to, group in groups.items():
-            parent = self._vt.real(attach_to)
-            for nid in group:
-                self._tally.send(nid, 1)  # join request to the attachment point
-            if not parent.children and self._leaf_will_holder(parent) is not None:
-                # The attachment point stops being a tree leaf: it
-                # retracts its deposited leaf will (once per wave).
-                self._tally.send(attach_to, 1)
-            for nid in group:
-                self._events.append(NodeInserted(nid, attach_to))
-                node = self._vt.add_real(nid)
-                self._vt.attach(node, parent)
-                self._ever.add(nid)
-                self._wills[nid] = SlotTree([], branching=self.branching)
-                self._tally.send(attach_to, 1)  # join ack (parent-link handshake)
-                self.original_degree[nid] = 1
-                self.original_degree[attach_to] += 1
-            will = self._wills[attach_to]
-            delta = will.add_batch(group)
-            # One portion pass for the whole group: the union of touched
-            # slots, plus the heir and the SubRT root (their portions
-            # embed cross-refs) — each retransmitted exactly once.
-            targets = set(delta.touched)
-            if will.heir is not None:
-                targets.add(will.heir)
-            targets.add(will.root_sim())
-            for t in sorted(s for s in targets if s in will):
-                self._events.append(WillPortionSent(attach_to, t))
-                self._tally.send(attach_to, 1)
-            for nid in group:
-                # Each joiner is a tree leaf: it deposits its leaf will.
-                self._events.append(LeafWillSent(nid, attach_to))
-                self._tally.send(nid, 1)
-        self.rounds += 1
-
-        added = frozenset(e.key() for e in self._events if isinstance(e, EdgeAdded))
-        report = HealReport(
-            deleted=-1,
-            was_internal=False,
-            edges_added=added,
-            edges_removed=frozenset(),
-            events=tuple(self._events),
-            messages_per_node=dict(self._tally.sent),
-            inserted=wave[0][0] if len(wave) == 1 else None,
-            attached_to=wave[0][1] if len(wave) == 1 else None,
-            inserted_batch=tuple(wave),
-        )
-        if self.strict:
-            self.check()
-        return report
-
-    def _leaf_will_holder(self, real: VTReal) -> Optional[int]:
-        """Where a tree leaf's leaf will is deposited (None: nowhere).
-
-        Mirrors the distributed holder rule: the owner of the nearest
-        ancestor position answering as a *different* node, falling back
-        to a surviving sibling under the node's own root helper.
-        """
-        vt = self._vt
-        pos = real.parent
-        while pos is not None and vt.owner(pos) == real.nid:
-            pos = pos.parent
-        if pos is not None:
-            return vt.owner(pos)
-        role = vt.role_of(real.nid)
-        if role is not None:
-            for child in role.children:
-                if vt.owner(child) != real.nid:
-                    return vt.owner(child)
-        return None
-
-    # ------------------------------------------------------------------
-    # FixNodeDeletion (Algorithm 3.3 + makeRT 3.8 + MakeHelper 3.9)
-    # ------------------------------------------------------------------
-    def _fix_node_deletion(self, real: VTReal) -> None:
-        vt = self._vt
-        v = real.nid
-        will = self._wills.pop(v)
-
-        # A vacuous ready heir directly above v (its only child is v itself)
-        # is bookkeeping fiction equivalent to holding no role: drop it.
-        role = vt.role_of(v)
-        if role is not None and len(role.children) == 1 and role.children[0] is real:
-            self._record_destroy(role)
-            vt.splice(role)
-            role = None
-
-        parent_pos = real.parent
-
-        # --- anchor resolution (makeRT): bypass ready-heir slots ---------
-        anchors: Dict[int, VTNode] = {}
-        for child in list(real.children):
-            stand_in = vt.owner(child)
-            if child.is_real:
-                assert isinstance(child, VTReal)
-                child_role = vt.role_of(child.nid)
-                if child_role is not None and self.branching == 2:
-                    # The binary protocol never reaches this (invariant I4).
-                    raise InvariantViolationError(
-                        "I4-plain-child-role",
-                        f"child {child.nid} of dying {v} holds a role",
-                    )
-                vt.detach(child)
-                anchors[stand_in] = child
-            elif len(child.children) == 1:
-                assert isinstance(child, VTHelper)
-                sub = child.children[0]
-                vt.detach(sub)
-                vt.detach(child)
-                self._record_destroy(child)
-                vt.destroy_helper(child)  # frees its simulator (= stand_in)
-                anchors[stand_in] = sub
-                self._tally.send(stand_in, 2)  # bypass brokerage intros
-            else:
-                # Generalized-b only: a wide helper slot stays in place as
-                # the anchor; its simulator remains busy simulating it and
-                # is excluded from new duties by ``resolve_sim`` below.
-                if self.branching == 2:
-                    raise InvariantViolationError(
-                        "I3-ready-heir-slot",
-                        f"slot helper under dying {v} has {len(child.children)} children",
-                    )
-                vt.detach(child)
-                anchors[stand_in] = child
-        if set(anchors) != set(will.stand_ins):
-            raise InvariantViolationError(
-                "will-slots", f"dying {v}: anchors {sorted(anchors)} vs will {sorted(will.stand_ins)}"
-            )
-
-        # Donors must avoid the dying node, the stand-ins with *pending
-        # duties* in this deployment (the planned internal simulators and
-        # the heir — other stand-ins are fair game), and — when the parent
-        # is real — the parent and its stand-ins (a will may never list
-        # its owner or a duplicate).
-        specs = will.internal_specs()
-        heir = will.heir
-        assert heir is not None
-        base_exclude = {v, heir} | {spec.sim for spec in specs}
-        collision_set: Set[int] = set()
-        if parent_pos is not None and parent_pos.is_real:
-            assert isinstance(parent_pos, VTReal)
-            collision_set.add(parent_pos.nid)
-            parent_will = self._wills.get(parent_pos.nid)
-            if parent_will is not None:
-                collision_set |= set(parent_will.stand_ins) - {v}
-            base_exclude |= collision_set
-
-        # Helpers that must survive donor stealing while this repair runs.
-        pinned = tuple(
-            x
-            for x in (parent_pos, role, *anchors.values())
-            if x is not None and x.is_helper
-        )
-
-        # Bypassing slots may have destroyed v's own role (generalized-b:
-        # a donor grant can make v simulate one of its own slot helpers).
-        if role is not None and vt.role_of(v) is None:
-            role = None
-        # A wide slot still simulated by the dying node must move first.
-        if (
-            self.branching > 2
-            and role is not None
-            and any(role is a for a in anchors.values())
-        ):
-            try:
-                donor = self._find_donor(
-                    real, exclude=set(base_exclude), pinned=pinned
-                )
-            except InvariantViolationError as exc:
-                if exc.invariant != "donor" or len(role.children) != 1:
-                    raise
-                # Simulator exhaustion: a one-child anchor helper can be
-                # dropped in place, its child becoming the anchor.
-                sub = role.children[0]
-                vt.detach(sub)
-                for s, a in list(anchors.items()):
-                    if a is role:
-                        anchors[s] = sub
-                self._record_destroy(role)
-                vt.destroy_helper(role)
-                donor = None
-            if donor is not None:
-                old = vt.transfer_role(role, donor)
-                self._events.append(HelperTransferred(role.hid, old, donor))
-                self._tally.send(donor, len(role.children) + 1)
-            role = None
-
-        # --- duty-sim resolution ------------------------------------------
-        # The will plans each helper position's simulator.  In the binary
-        # protocol every planned stand-in is guaranteed free; the
-        # generalized tree substitutes a donor at deployment time when a
-        # planned stand-in is still simulating elsewhere.
-        used_donors: Set[int] = set()
-
-        def steal_from_anchors(extra: Set[int] = frozenset()) -> Optional[int]:
-            """Last-resort simulator source: a one-child helper anchor can
-            be dropped in place (its child becomes the anchor), freeing its
-            simulator.  Keeps the anchors map coherent."""
-            for s in sorted(anchors):
-                a = anchors[s]
-                if (
-                    isinstance(a, VTHelper)
-                    and len(a.children) == 1
-                    and a.sim not in base_exclude
-                    and a.sim not in used_donors
-                    and a.sim not in extra
-                ):
-                    sub = a.children[0]
-                    vt.detach(sub)
-                    anchors[s] = sub
-                    freed = a.sim
-                    self._record_destroy(a)
-                    vt.destroy_helper(a)
-                    self._tally.send(freed, 2)
-                    return freed
-            return None
-
-        def find_duty_donor() -> int:
-            try:
-                return self._find_donor(
-                    real, exclude=base_exclude | used_donors, pinned=pinned
-                )
-            except InvariantViolationError as exc:
-                if exc.invariant != "donor":
-                    raise
-                stolen = steal_from_anchors()
-                if stolen is None:
-                    raise
-                return stolen
-
-        def rebind_parent() -> None:
-            nonlocal parent_pos, pinned
-            parent_pos = real.parent
-            pinned = tuple(
-                x
-                for x in (parent_pos, role, *anchors.values())
-                if x is not None and x.is_helper
-            )
-
-        def free_busy_sim(planned: int) -> bool:
-            """Endgame fallback: ``planned`` is stuck simulating a
-            redundant one-child helper — bypass that helper so the
-            planned simulator can take up its own duty.  Donor stealing
-            can never free ``planned`` itself (pending duties are
-            excluded from every donor search), so without this move the
-            rebuild-mode b > 2 endgame exhausts donors when the only
-            busy helper left is the one directly above the dying node
-            (its single child being the dying node itself)."""
-            busy = vt.role_of(planned)
-            if busy is None or len(busy.children) != 1:
-                return False
-            if busy is parent_pos:
-                if self._splice_helper(busy) is None:
-                    return False
-                rebind_parent()
-                return True
-            for s in sorted(anchors):
-                if anchors[s] is busy:
-                    sub = busy.children[0]
-                    vt.detach(sub)
-                    anchors[s] = sub
-                    self._record_destroy(busy)
-                    vt.destroy_helper(busy)
-                    self._tally.send(planned, 2)
-                    return True
-            if any(busy is p for p in pinned):
-                return False
-            return self._splice_helper(busy) is not None
-
-        def resolve_sim(planned: int) -> int:
-            if (
-                vt.role_of(planned) is None
-                and planned not in used_donors
-                and planned not in collision_set
-            ):
-                return planned
-            if self.branching == 2:
-                raise InvariantViolationError(
-                    "I4-plain-child-role", f"planned sim {planned} is busy"
-                )
-            if (
-                planned not in used_donors
-                and planned not in collision_set
-                and free_busy_sim(planned)
-            ):
-                return planned
-            donor = find_duty_donor()
-            used_donors.add(donor)
-            self._tally.send(planned, 1)  # redirects its duty to the donor
-            return donor
-
-        # --- build and wire the SubRT helpers (GenerateSubRT shape) ------
-        new_helpers: Dict[int, VTHelper] = {}
-        for spec in specs:
-            sim = resolve_sim(spec.sim)
-            helper = vt.new_helper(sim)
-            new_helpers[spec.sim] = helper  # keyed by *planned* sim
-            self._events.append(HelperCreated(sim, helper.hid, ready_heir=False))
-            self._tally.send(sim, 1)  # claims its role to neighbors
-        for spec in specs:
-            helper = new_helpers[spec.sim]
-            for ref in spec.children:
-                kind, key = ref
-                node = anchors[key] if kind == "leaf" else new_helpers[key]
-                vt.attach(node, helper)
-
-        def subrt_root() -> VTNode:
-            # Late-bound on purpose: donor stealing (steal_from_anchors)
-            # may still replace a one-child anchor by its child — and
-            # destroy the anchor helper — between here and the top
-            # attachment.  A snapshot taken now could re-attach that
-            # destroyed helper.
-            return (
-                new_helpers[will.root_sim()]
-                if new_helpers
-                else anchors[will.stand_ins[0]]
-            )
-
-        # --- top attachment -----------------------------------------------
-        if role is not None:
-            # v had helper duties: its heir inherits them, and the root of
-            # SubRT(v) takes v's place below v's parent (MakeWill lines 9-12).
-            role_exclusions = self._donor_exclusions(role)
-            inheritor: Optional[int] = None
-            if (
-                vt.role_of(heir) is None
-                and heir not in used_donors
-                and heir not in role_exclusions
-            ):
-                inheritor = heir
-            elif (
-                self.branching > 2
-                and heir not in used_donors
-                and heir not in role_exclusions
-                and free_busy_sim(heir)
-            ):
-                inheritor = heir
-            else:
-                if self.branching == 2:
-                    raise InvariantViolationError(
-                        "I4-plain-child-role", f"heir {heir} cannot inherit from {v}"
-                    )
-                try:
-                    inheritor = self._find_donor(
-                        real,
-                        exclude=base_exclude | used_donors | role_exclusions,
-                        pinned=pinned,
-                    )
-                except InvariantViolationError as exc:
-                    if exc.invariant != "donor":
-                        raise
-                    inheritor = steal_from_anchors(extra=role_exclusions)
-                    # Simulator exhaustion (endgame): a one-child role can
-                    # simply be short-circuited instead of inherited.
-                    if inheritor is None:
-                        if (
-                            len(role.children) == 1
-                            and self._splice_helper(role) is not None
-                        ):
-                            role = None
-                        else:
-                            raise
-                if inheritor is not None:
-                    used_donors.add(inheritor)
-        if role is not None:
-            assert inheritor is not None
-            old_sim = vt.transfer_role(role, inheritor)
-            self._events.append(HelperTransferred(role.hid, old_sim, inheritor))
-            self._tally.send(inheritor, len(role.children) + 1)  # introduces itself
-            rv = subrt_root()
-            if parent_pos is None:
-                # Generalized-b only: a donor-granted role on the root.
-                if self.branching == 2:
-                    raise InvariantViolationError("root-role", "root held a helper role")
-                vt.set_root(None)
-                vt.set_root(rv)
-            else:
-                if parent_pos.is_real and self.branching == 2:
-                    raise InvariantViolationError(
-                        "I4-parent-kind", f"dying {v} holds a role but has a real parent"
-                    )
-                vt.replace_child(parent_pos, real, rv)
-                if parent_pos.is_real:
-                    assert isinstance(parent_pos, VTReal)
-                    self._replace_slot_standin(
-                        parent_pos, v, rv, exclude=base_exclude | used_donors
-                    )
-            # If the inherited helper occupies a slot in a real parent's
-            # will, the stand-in there must follow the new simulator.
-            self._notify_standin_change(role, v, inheritor)
-        if role is None:
-            # v had no helper duties: the heir interposes a fresh one-child
-            # helper — the ready heir (MakeWill lines 13-16).
-            try:
-                ready_sim: Optional[int] = resolve_sim(heir)
-            except InvariantViolationError as exc:
-                if exc.invariant != "donor" or self.branching == 2:
-                    raise
-                # Simulator exhaustion (endgame): the ready heir is a
-                # structural optimization, not a necessity — skip it and
-                # attach the SubRT root directly.
-                ready_sim = None
-            rv = subrt_root()
-            if ready_sim is None:
-                if parent_pos is None:
-                    vt.set_root(None)
-                    vt.set_root(rv)
-                else:
-                    vt.replace_child(parent_pos, real, rv)
-                    if parent_pos.is_real:
-                        assert isinstance(parent_pos, VTReal)
-                        self._replace_slot_standin(
-                            parent_pos, v, rv, exclude=base_exclude | used_donors
-                        )
-                    else:
-                        self._tally.send(vt.owner(parent_pos), 1)
-            else:
-                ready = vt.new_helper(ready_sim)
-                self._events.append(HelperCreated(ready_sim, ready.hid, ready_heir=True))
-                self._tally.send(ready_sim, 2)
-                if parent_pos is None:
-                    # v was the root: the ready heir becomes the virtual root.
-                    vt.set_root(None)  # real is still registered; re-root below
-                    vt.attach(rv, ready)
-                    vt.set_root(ready)
-                else:
-                    vt.replace_child(parent_pos, real, ready)
-                    vt.attach(rv, ready)
-                # The parent must treat the heir as its child (Algorithm 3.3
-                # lines 3-6: "hparent(h) replaces v by h in SubRT(...)").
-                if parent_pos is not None and parent_pos.is_real:
-                    assert isinstance(parent_pos, VTReal)
-                    self._replace_slot_standin(
-                        parent_pos, v, ready, exclude=base_exclude | used_donors
-                    )
-                elif parent_pos is not None:
-                    # Helper parent: its simulator's hchildren field changes.
-                    self._tally.send(vt.owner(parent_pos), 1)
-
-        vt.remove_real(real)
-        self._refresh_leaf_wills(anchors)
-
-    # ------------------------------------------------------------------
-    # FixLeafDeletion (Algorithm 3.4 + MakeLeafWill 3.7)
-    # ------------------------------------------------------------------
-    def _fix_leaf_deletion(self, real: VTReal) -> None:
-        vt = self._vt
-        v = real.nid
-        self._wills.pop(v, None)
-        role = vt.role_of(v)
-        parent_pos = real.parent
-
-        if parent_pos is None:
-            # v is the virtual root and childless: the network empties.
-            if role is not None:
-                raise InvariantViolationError("root-role", "childless root with a role")
-            vt.remove_real(real)
-            return
-
-        vt.detach(real)
-
-        if role is None:
-            self._absorb_child_loss(parent_pos, lost_stand_in=v)
-        elif role is parent_pos:
-            # v's own helper sits directly above it (Algorithm 3.7's special
-            # case).  Image-equivalent resolution: short-circuit it.
-            remaining = len(role.children)
-            if remaining == 0:
-                # vacuous ready heir: vanish and cascade the slot loss.
-                grand = vt.detach(role)
-                self._record_destroy(role)
-                vt.destroy_helper(role)
-                if grand is not None:
-                    self._absorb_child_loss(grand, lost_stand_in=v)
-            else:
-                spliced = None
-                if remaining == 1:
-                    spliced = self._splice_helper(role)
-                if spliced is None:
-                    # branching > 2 only: the helper keeps its children but
-                    # its simulator died; find a donor to take it over.
-                    donor = self._find_donor(
-                        role,
-                        exclude={v} | self._donor_exclusions(role),
-                        pinned=(role, parent_pos),
-                    )
-                    old = vt.transfer_role(role, donor)
-                    self._events.append(HelperTransferred(role.hid, old, donor))
-                    self._tally.send(donor, len(role.children) + 1)
-                    self._notify_standin_change(role, old, donor)
-        else:
-            # Non-adjacent helper duties: the leaf will (Algorithm 3.7) hands
-            # them to the parent, who short-circuits its own helper first
-            # (Algorithm 3.4 lines 7-16).
-            freed: Optional[int] = None
-            cascade_to: Optional[VTNode] = None
-            cascade_standin = 0
-            if parent_pos.is_real:
-                if self.branching == 2:
-                    raise InvariantViolationError(
-                        "I4-leaf-parent",
-                        f"leaf {v} holds a non-adjacent role under a real parent",
-                    )
-                # Generalized-b: a busy plain child died; the parent's will
-                # just loses the slot and the role finds a donor below.
-                assert isinstance(parent_pos, VTReal)
-                self._absorb_child_loss(parent_pos, lost_stand_in=v)
-            else:
-                assert isinstance(parent_pos, VTHelper)
-                remaining = len(parent_pos.children)
-                if remaining == 0:
-                    cascade_to = vt.detach(parent_pos)
-                    freed = parent_pos.sim
-                    cascade_standin = freed
-                    self._record_destroy(parent_pos)
-                    vt.destroy_helper(parent_pos)
-                    if cascade_to is not None and cascade_to.is_real:
-                        # A real grandparent's slot loss is pure will
-                        # bookkeeping (no splicing), so absorb it now:
-                        # deferring would leave the dissolved slot's
-                        # stand-in — the freed simulator itself — in the
-                        # will, and the collision/donor checks below
-                        # would reject every live candidate (spurious
-                        # donor exhaustion in the b > 2 endgame).
-                        self._absorb_child_loss(
-                            cascade_to, lost_stand_in=cascade_standin
-                        )
-                        cascade_to = None
-                elif remaining == 1:
-                    # bypass(z): short-circuit the parent's helper, freeing
-                    # its simulator to inherit the leaf will.
-                    if self._splice_helper(parent_pos) is not None:
-                        freed = parent_pos.sim
-            # Does anything real remain below the role?  The dissolved
-            # parent helper may have been the role's only child, or —
-            # b > 2 endgame — the dying leaf may have been the only real
-            # node under a whole chain of one-child helpers hanging off
-            # the role.  Either way the remaining subtree routes nothing:
-            # it vanishes instead of being inherited, and the role's own
-            # slot loss cascades upward (the deferred cascade target, if
-            # any, is inside the dissolved subtree and needs no visit).
-            doomed: List[VTHelper] = []
-            stack: List[VTNode] = [role]
-            while stack:
-                node = stack.pop()
-                if node.is_real:
-                    doomed.clear()
-                    break
-                assert isinstance(node, VTHelper)
-                doomed.append(node)  # parents precede their children
-                stack.extend(node.children)
-            if doomed:
-                sim = role.sim
-                grand = vt.detach(role)
-                for helper in reversed(doomed):  # children first
-                    if helper.parent is not None:
-                        vt.detach(helper)
-                    self._record_destroy(helper)
-                    vt.destroy_helper(helper)
-                vt.remove_real(real)
-                if grand is not None:
-                    self._absorb_child_loss(grand, lost_stand_in=sim)
-                return
-            if (
-                freed is None
-                or freed == v
-                or vt.role_of(freed) is not None
-                or self._standin_collision(role, freed)
-            ):
-                freed = self._find_donor(
-                    role,
-                    exclude={v} | self._donor_exclusions(role),
-                    pinned=(role, parent_pos),
-                )
-            old = vt.transfer_role(role, freed)
-            self._events.append(HelperTransferred(role.hid, old, freed))
-            self._tally.send(freed, len(role.children) + 1)
-            self._notify_standin_change(role, old, freed)
-            # Cascade only after the inheritance settled: the cascade may
-            # legitimately splice the very helper just inherited.  The
-            # donor search above may itself have stolen (spliced) the
-            # cascade target to free a simulator — the slot loss is then
-            # already absorbed and the helper must not be touched again.
-            if (
-                not parent_pos.is_real
-                and cascade_to is not None
-                and (cascade_to.is_real or vt.helper_alive(cascade_to))
-            ):
-                self._absorb_child_loss(cascade_to, lost_stand_in=cascade_standin)
-
-        vt.remove_real(real)
-
-    # ------------------------------------------------------------------
-    # cascading slot loss ("short-circuit" of redundant virtual nodes)
-    # ------------------------------------------------------------------
-    def _absorb_child_loss(self, node: VTNode, lost_stand_in: int) -> None:
-        """``node`` lost one child slot entirely.
-
-        Real parents update their wills; helper parents left with a single
-        child are redundant and short-circuited; helpers left childless
-        vanish and the loss cascades upward.
-        """
-        vt = self._vt
-        if node.is_real:
-            assert isinstance(node, VTReal)
-            self._will_remove(node.nid, lost_stand_in)
-            return
-        assert isinstance(node, VTHelper)
-        remaining = len(node.children)
-        if remaining == 0:
-            grand = vt.detach(node)
-            sim = node.sim
-            self._record_destroy(node)
-            vt.destroy_helper(node)
-            if grand is not None:
-                self._absorb_child_loss(grand, lost_stand_in=sim)
-        elif remaining == 1:
-            # Helpers never *gain* children, so a helper at one child was at
-            # two: it is a redundant virtual node — short-circuit it.
-            self._splice_helper(node)
-        # else: still >= 2 children: nothing to do.
-
-    # ------------------------------------------------------------------
-    # will maintenance
-    # ------------------------------------------------------------------
-    def _will_remove(self, p: int, stand_in: int) -> None:
-        will = self._wills[p]
-        if self.will_mode == WILL_SPLICE:
-            delta = will.remove(stand_in)
-            for t in delta.touched:
-                self._events.append(WillPortionSent(p, t))
-                self._tally.send(p, 1)
-        else:
-            self._rebuild_will(p)
-        if not self._wills[p] and self._vt.role_of(p) is not None:
-            # p just became a tree leaf with helper duties: deposit LeafWill.
-            self._send_leaf_will(p)
-
-    def _will_replace(self, p: int, old: int, new: int) -> None:
-        will = self._wills[p]
-        if self.will_mode == WILL_SPLICE:
-            delta = will.replace(old, new)
-            for t in delta.touched:
-                self._events.append(WillPortionSent(p, t))
-                self._tally.send(p, 1)
-        else:
-            self._rebuild_will(p)
-
-    def _rebuild_will(self, p: int) -> None:
-        """Literal Algorithm 3.4 behavior: regenerate and retransmit all."""
-        real = self._vt.real(p)
-        stand_ins = [self._vt.owner(c) for c in real.children]
-        self._wills[p] = SlotTree(stand_ins, branching=self.branching)
-        for s in stand_ins:
-            self._events.append(WillPortionSent(p, s))
-            self._tally.send(p, 1)
-
-    def _refresh_leaf_wills(self, anchors: Mapping[int, VTNode]) -> None:
-        """Children that are tree leaves re-deposit their leaf wills
-        (Algorithms 3.3/3.4, trailing loop)."""
-        for stand_in in anchors:
-            if stand_in not in self._vt:
-                continue
-            real = self._vt.real(stand_in)
-            if not real.children and self._vt.role_of(stand_in) is not None:
-                self._send_leaf_will(stand_in)
-
-    def _send_leaf_will(self, nid: int) -> None:
-        real = self._vt.real(nid)
-        parent = real.parent
-        if parent is None:
-            return
-        recipient = self._vt.owner(parent)
-        if recipient != nid:
-            self._events.append(LeafWillSent(nid, recipient))
-            self._tally.send(nid, 1)
-
-    def _replace_slot_standin(
-        self, parent: VTReal, old: int, slot_node: VTNode, exclude: Set[int]
-    ) -> None:
-        """Rename a slot of ``parent``'s will from ``old`` to the owner of
-        its new occupant, resolving name collisions at use time.
-
-        Generalized-b only ever needs the resolution: a collision means the
-        occupant's owner already answers for another slot of the same will
-        (or is the will's owner itself), so either the occupant helper or
-        the competing role is re-donated first.
-        """
-        vt = self._vt
-        will = self._wills.get(parent.nid)
-        if will is None:
-            return
-        new = vt.owner(slot_node)
-        if new == old:
-            return
-        collides = new == parent.nid or new in will
-        if collides:
-            if self.branching == 2:
-                raise InvariantViolationError(
-                    "will-slots", f"stand-in collision at {parent.nid}: {new}"
-                )
-            if isinstance(slot_node, VTHelper) and slot_node.sim == new:
-                donor = self._find_donor(parent, exclude=exclude | {new, parent.nid})
-                old_o = vt.transfer_role(slot_node, donor)
-                self._events.append(HelperTransferred(slot_node.hid, old_o, donor))
-                self._tally.send(donor, len(slot_node.children) + 1)
-                new = donor
-            else:
-                other = vt.role_of(new)
-                if other is None or other.parent is not parent:
-                    raise InvariantViolationError(
-                        "will-slots",
-                        f"unresolvable stand-in collision at {parent.nid}: {new}",
-                    )
-                donor = self._find_donor(parent, exclude=exclude | {new, parent.nid})
-                old_o = vt.transfer_role(other, donor)
-                self._events.append(HelperTransferred(other.hid, old_o, donor))
-                self._tally.send(donor, len(other.children) + 1)
-                self._will_replace(parent.nid, new, donor)
-        self._will_replace(parent.nid, old, new)
-
-    def _donor_exclusions(self, helper: VTHelper) -> Set[int]:
-        """Stand-ins a donor for ``helper`` must avoid: if the helper is a
-        will slot of a real parent, renaming the slot's stand-in to an
-        existing sibling stand-in would collide — and the will's owner can
-        never stand in for its own will."""
-        parent = helper.parent
-        if parent is not None and parent.is_real:
-            assert isinstance(parent, VTReal)
-            out = {parent.nid}
-            will = self._wills.get(parent.nid)
-            if will is not None:
-                out |= set(will.stand_ins)
-            return out
-        return set()
-
-    def _splice_helper(self, helper: VTHelper) -> Optional[VTNode]:
-        """Short-circuit a one-child helper with full will bookkeeping.
-
-        Returns the moved-up child, or ``None`` when the splice must be
-        skipped (generalized-b: the moved-up occupant's owner would collide
-        with a sibling stand-in of a real parent's will — the redundant
-        helper is then simply kept, which is always legal).
-        """
-        vt = self._vt
-        moved = helper.children[0]
-        parent = helper.parent
-        sim = helper.sim
-        will_fix: Optional[Tuple[int, int, int]] = None
-        if parent is not None and parent.is_real:
-            assert isinstance(parent, VTReal)
-            will = self._wills.get(parent.nid)
-            if will is not None and sim in will:
-                new_standin = vt.owner(moved)
-                if new_standin != sim and (
-                    new_standin in will or new_standin == parent.nid
-                ):
-                    return None  # collision: keep the redundant helper
-                if new_standin != sim:
-                    will_fix = (parent.nid, sim, new_standin)
-        self._record_destroy(helper)
-        vt.splice(helper)
-        self._tally.send(sim, 2)
-        if will_fix is not None:
-            self._will_replace(*will_fix)
-        return moved
-
-    def _standin_collision(self, helper: VTHelper, candidate: int) -> bool:
-        """Would renaming ``helper``'s will-slot stand-in to ``candidate``
-        collide — with a sibling stand-in, or with the will's own owner?"""
-        parent = helper.parent
-        if parent is None or not parent.is_real:
-            return False
-        assert isinstance(parent, VTReal)
-        if candidate == parent.nid:
-            return True  # a will may never list its owner as a stand-in
-        will = self._wills.get(parent.nid)
-        if will is None:
-            return False
-        return candidate in will and candidate != helper.sim
-
-    def _notify_standin_change(self, helper: VTHelper, old: int, new: int) -> None:
-        """A helper's simulator changed: if the helper occupies a slot of a
-        real parent's will, the will's stand-in must follow (the paper's
-        "p detects this and sets its flags accordingly")."""
-        parent = helper.parent
-        if parent is not None and parent.is_real:
-            assert isinstance(parent, VTReal)
-            if old in self._wills[parent.nid]:
-                self._will_replace(parent.nid, old, new)
-
-    # ------------------------------------------------------------------
-    # misc
-    # ------------------------------------------------------------------
-    def _find_donor(
-        self,
-        start: VTNode,
-        exclude: Set[int],
-        pinned: Tuple[VTNode, ...] = (),
-    ) -> int:
-        """A live real node able to take on helper duties.
-
-        Only the generalized (branching > 2) tree ever needs this — the
-        binary protocol's inheritance rules always free the right simulator
-        locally, which the tests assert.  Search order:
-
-        1. nearest role-free real by BFS from ``start`` (locality),
-        2. any role-free real (global scan),
-        3. *steal*: splice some one-child helper — always legal, it only
-           shortens paths — and reuse its freed simulator.
-
-        A counting argument makes the chain total: if every live real held
-        a role and every helper had >= 2 children, the virtual tree would
-        need more edges than a tree can have.
-        """
-        vt = self._vt
-
-        queue: deque[VTNode] = deque([start])
-        seen_nodes: Set[int] = set()
-        while queue:
-            node = queue.popleft()
-            if id(node) in seen_nodes:
-                continue
-            seen_nodes.add(id(node))
-            if (
-                isinstance(node, VTReal)
-                and node.nid not in exclude
-                and vt.role_of(node.nid) is None
-            ):
-                return node.nid
-            if node.parent is not None:
-                queue.append(node.parent)
-            queue.extend(node.children)
-
-        for nid in sorted(vt.alive):
-            if nid not in exclude and vt.role_of(nid) is None:
-                return nid
-
-        for helper in sorted(vt.helpers(), key=lambda h: h.hid):
-            if len(helper.children) != 1 or helper.sim in exclude:
-                continue
-            if any(helper is p for p in pinned):
-                continue  # load-bearing for the ongoing repair
-            if helper.parent is not None and helper.parent.is_real:
-                assert isinstance(helper.parent, VTReal)
-                if helper.parent.nid not in self._wills:
-                    continue  # slot of a node mid-deletion: leave it alone
-            sim = helper.sim
-            if self._splice_helper(helper) is not None:
-                return sim
-
-        raise InvariantViolationError("donor", "no role-free node available")
-
-    def _record_destroy(self, helper: VTHelper) -> None:
-        self._events.append(HelperDestroyed(helper.sim, helper.hid))
+    delete = FlatForgivingTree.delete
+    insert = FlatForgivingTree.insert
+    insert_batch = FlatForgivingTree.insert_batch
+    sample_alive = FlatForgivingTree.sample_alive
+    _leaf_will_holder = FlatForgivingTree._leaf_will_holder
+    _fix_node_deletion = FlatForgivingTree._fix_node_deletion
+    _fix_leaf_deletion = FlatForgivingTree._fix_leaf_deletion
+    _absorb_child_loss = FlatForgivingTree._absorb_child_loss
+    _will_remove = FlatForgivingTree._will_remove
+    _will_replace = FlatForgivingTree._will_replace
+    _rebuild_will = FlatForgivingTree._rebuild_will
+    _refresh_leaf_wills = FlatForgivingTree._refresh_leaf_wills
+    _send_leaf_will = FlatForgivingTree._send_leaf_will
+    _replace_slot_standin = FlatForgivingTree._replace_slot_standin
+    _donor_exclusions = FlatForgivingTree._donor_exclusions
+    _splice_helper = FlatForgivingTree._splice_helper
+    _standin_collision = FlatForgivingTree._standin_collision
+    _notify_standin_change = FlatForgivingTree._notify_standin_change
+    _find_donor = FlatForgivingTree._find_donor
+    _record_destroy = FlatForgivingTree._record_destroy
 
 
 # ----------------------------------------------------------------------
-# input normalization
+# the object store behind the algorithm's handle/column surface
 # ----------------------------------------------------------------------
-def _as_adjacency(tree: TreeInput) -> Dict[int, List[int]]:
-    """Normalize tree input to a symmetric adjacency dict."""
-    if hasattr(tree, "adj") and hasattr(tree, "nodes"):  # networkx.Graph
-        return {int(n): sorted(int(m) for m in tree.adj[n]) for n in tree.nodes}
-    if isinstance(tree, Mapping):
-        adj: Dict[int, Set[int]] = {int(n): set() for n in tree}
-        for n, neighbors in tree.items():
-            for m in neighbors:
-                adj.setdefault(int(n), set()).add(int(m))
-                adj.setdefault(int(m), set()).add(int(n))
-        return {n: sorted(s) for n, s in adj.items()}
-    adj = {}
-    for u, v in tree:  # type: ignore[union-attr]
-        adj.setdefault(int(u), set()).add(int(v))
-        adj.setdefault(int(v), set()).add(int(u))
-    return {n: sorted(s) for n, s in adj.items()}
+class _Column:
+    """One :class:`~repro.core.flat.FlatCore` column, computed:
+    ``column[node]`` reads the field off the node object."""
+
+    __slots__ = ("_read",)
+
+    def __init__(self, read: Callable[[VTNode], object]) -> None:
+        self._read = read
+
+    def __getitem__(self, node: VTNode):
+        return self._read(node)
 
 
-def _check_is_tree(adjacency: Mapping[int, Sequence[int]]) -> None:
-    n = len(adjacency)
-    m = sum(len(v) for v in adjacency.values()) // 2
-    if m != n - 1:
-        raise NotATreeError(f"{n} nodes but {m} edges")
-    start = next(iter(adjacency))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for nxt in adjacency[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    if len(seen) != n:
-        raise NotATreeError("graph is not connected")
+class _ObjectCore:
+    """A :class:`VirtualTree` spoken to the way the healing algorithm
+    speaks to :class:`~repro.core.flat.FlatCore`.
+
+    Handles are the ``VTNode`` objects (hashable, equal only to
+    themselves, never equal to ``NIL``); ``NIL`` stands wherever the tree
+    itself says ``None``.  Nothing here decides anything: every method is
+    the tree's own operation, or a field read.
+    """
+
+    ident = _Column(lambda x: x.nid if x.is_real else x.hid)
+    nchild = _Column(lambda x: len(x.children))
+    parent = _Column(lambda x: NIL if x.parent is None else x.parent)
+    sim = _Column(lambda x: x.sim)
+    head = _Column(lambda x: x.children[0] if x.children else NIL)
+
+    def __init__(self, vt: VirtualTree) -> None:
+        self.vt = vt
+        self.role = _Column(lambda x: self.role_of(x.nid))
+
+    @property
+    def _reals(self) -> Dict[int, VTReal]:
+        return self.vt._reals  # the live id map
+
+    @property
+    def recorder(self) -> Optional[Callable[[object], None]]:
+        return self.vt.recorder
+
+    @recorder.setter
+    def recorder(self, recorder: Optional[Callable[[object], None]]) -> None:
+        self.vt.recorder = recorder
+
+    def __len__(self) -> int:
+        return len(self.vt)
+
+    def __contains__(self, nid: int) -> bool:
+        return nid in self.vt
+
+    # -- queries -------------------------------------------------------
+    def real(self, nid: int) -> VTReal:
+        return self.vt.real(nid)
+
+    def is_real(self, node: VTNode) -> bool:
+        return node.is_real
+
+    def is_helper(self, node: VTNode) -> bool:
+        return node.is_helper
+
+    def owner(self, node: VTNode) -> int:
+        return owner_of(node)
+
+    def role_of(self, nid: int):
+        return self.vt._role.get(nid, NIL)
+
+    def children(self, node: VTNode) -> List[VTNode]:
+        return list(node.children)  # fresh: callers mutate the tree under it
+
+    def helper_slots(self) -> List[VTHelper]:
+        return self.vt.helpers()  # creation order == hid-ascending
+
+    def helper_alive(self, helper: VTHelper) -> bool:
+        return self.vt.helper_alive(helper)
+
+    def sample_alive(self, rng) -> int:
+        """Uniform surviving node id: a sorted draw (O(n log n) — the
+        object model keeps no sampling index)."""
+        return rng.choice(sorted(self._reals))
+
+    # -- flat-only bookkeeping the object model has no use for ----------
+    def begin_event(self) -> None:
+        """Handles are objects: nothing is recycled between events."""
+
+    def bump_original_degree(self, nid: int) -> None:
+        """Degrees are recomputed from the image graph, not maintained."""
+
+    # -- mutations -----------------------------------------------------
+    def add_real(self, nid: int, original_degree: int = 0) -> VTReal:
+        return self.vt.add_real(nid)  # baseline degrees: a maintained counter
+
+    def new_helper(self, sim: int) -> VTHelper:
+        return self.vt.new_helper(sim)
+
+    def set_root(self, node) -> None:
+        self.vt.set_root(None if node == NIL else node)
+
+    def attach(self, child: VTNode, parent: VTNode) -> None:
+        self.vt.attach(child, parent)
+
+    def detach(self, child: VTNode):
+        parent = self.vt.detach(child)
+        return NIL if parent is None else parent
+
+    def replace_child(self, parent: VTNode, old: VTNode, new: VTNode) -> None:
+        self.vt.replace_child(parent, old, new)
+
+    def splice(self, helper: VTHelper) -> Optional[VTNode]:
+        return self.vt.splice(helper)
+
+    def transfer_role(self, helper: VTHelper, new_sim: int) -> int:
+        return self.vt.transfer_role(helper, new_sim)
+
+    def destroy_helper(self, helper: VTHelper) -> None:
+        self.vt.destroy_helper(helper)
+
+    def remove_real(self, real: VTReal) -> None:
+        self.vt.remove_real(real)
+
+
+class _ObjectWills:
+    """The per-node :class:`SlotTree` dict spoken to owner-first, the way
+    the healing algorithm speaks to :class:`~repro.core.flat.FlatWills`."""
+
+    def __init__(self, trees: Dict[int, SlotTree], branching: int) -> None:
+        self.trees = trees
+        self.branching = branching
+
+    def has(self, owner: int) -> bool:
+        return owner in self.trees
+
+    def contains(self, owner: int, stand_in: int) -> bool:
+        return stand_in in self.trees[owner]
+
+    def empty(self, owner: int) -> bool:
+        return not self.trees[owner]
+
+    def stand_ins(self, owner: int) -> List[int]:
+        return self.trees[owner].stand_ins
+
+    def heir(self, owner: int) -> Optional[int]:
+        return self.trees[owner].heir
+
+    def root_sim(self, owner: int) -> int:
+        return self.trees[owner].root_sim()
+
+    def internal_specs(self, owner: int) -> List[InternalSpec]:
+        return self.trees[owner].internal_specs()
+
+    def build(self, owner: int, stand_ins: Sequence[int]) -> None:
+        if owner in self.trees:
+            raise DuplicateNodeError(owner)
+        self.trees[owner] = SlotTree(stand_ins, branching=self.branching)
+
+    def discard(self, owner: int) -> None:
+        del self.trees[owner]
+
+    def remove(self, owner: int, stand_in: int) -> RemovalDelta:
+        return self.trees[owner].remove(stand_in)
+
+    def replace(self, owner: int, old: int, new: int) -> ReplaceDelta:
+        return self.trees[owner].replace(old, new)
+
+    def add_batch(self, owner: int, stand_ins: Sequence[int]) -> AddBatchDelta:
+        return self.trees[owner].add_batch(stand_ins)

@@ -12,13 +12,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+from ..core import as_adjacency, check_is_tree
 from ..core.errors import (
     NodeNotFoundError,
     ProtocolError,
     SimulationOverError,
 )
 from ..core.events import normalize_wave
-from ..core.forgiving_tree import _as_adjacency, _check_is_tree
 from ..core.slot_tree import SlotTree
 from .messages import REAL, Deleted, InsertRequest
 from .network import Network, RoundStats
@@ -37,8 +37,8 @@ class DistributedForgivingTree:
     def __init__(
         self, tree, root: Optional[int] = None, network: Optional[Network] = None
     ):
-        adjacency = _as_adjacency(tree)
-        _check_is_tree(adjacency)
+        adjacency = as_adjacency(tree)
+        check_is_tree(adjacency)
         self.root_id = min(adjacency) if root is None else root
         if self.root_id not in adjacency:
             raise NodeNotFoundError(self.root_id, "root")

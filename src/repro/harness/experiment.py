@@ -692,8 +692,9 @@ def run_churn_campaign(
     constructing one from the healer's graph — the checkpoint-resume
     path, where the restored overlay may already carry heal chords that
     the fresh-start tree gate would reject.  The caller owns making the
-    tracker match the healer's overlay (the soak service rebuilds it
-    from the snapshot's ``parent_state``).
+    tracker match the healer's overlay (the soak service checkpoints
+    the tracker's own ``DynamicTreeMetrics.parent_state()`` next to the
+    engine snapshot and rebuilds the tracker from that).
 
     ``faults`` attaches a hostile-network plan (loss, duplication,
     crash-during-heal) to the mirrored transport — see

@@ -54,6 +54,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from ..core import WILL_SPLICE
 from ..core.errors import ProtocolError, ReproError
 from ..core.events import HealReport
 from ..distributed.network import Network
@@ -369,7 +370,6 @@ class TransportMirror:
         also names the mirrored protocol (:attr:`protocol`: ``"ft"`` or
         ``"fg"``), which selects the audit certificates' budgets."""
         from ..baselines.forgiving import ForgivingTreeHealer
-        from ..core.forgiving_tree import WILL_SPLICE
         from ..fgraph.healer import ForgivingGraphHealer
 
         if isinstance(healer, ForgivingTreeHealer):

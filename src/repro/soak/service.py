@@ -55,9 +55,9 @@ from ..churn import (
     Outage,
     TraceGenerator,
 )
+from ..core import WILL_REBUILD, WILL_SPLICE
 from ..core.errors import ReproError
 from ..core.flat_tree import FlatForgivingTree
-from ..core.forgiving_tree import WILL_REBUILD, WILL_SPLICE
 from ..graphs.incremental import DynamicTreeMetrics
 from ..harness.experiment import _stream_round, run_churn_campaign
 from ..obs import (

@@ -13,14 +13,24 @@ Also covered: the free-list id recycling that keeps the arena bounded,
 ``from_parents`` O(n) construction, the healer over either engine and fast
 paths (``fast_stats`` / ``sample_alive``), the harness's streaming
 ``keep_rounds=False`` mode, and the benchmark table's numeric coercion.
+
+Since the object engine runs the flat engine's algorithm text over its own
+storage, the wall above checks the two *storages*; the algorithm itself is
+pinned by ``TestGoldenDigests`` — report-stream digests frozen from the
+last object engine that carried its own copy of the text.
 """
 
+import ast
+import hashlib
 import importlib.util
+import json
 import os
+import pathlib
 import random
 
 import pytest
 
+import repro
 from repro import FlatForgivingTree, ForgivingTree
 from repro.adversaries import RandomChurnAdversary
 from repro.baselines import ForgivingTreeHealer
@@ -78,6 +88,21 @@ def assert_twins(obj, flat):
     assert flat.render() == obj.render()
 
 
+def draw_step(rng, alive, next_id, p_insert=0.40, p_batch=0.12):
+    """One drawn churn step over sorted ``alive``: ``(method, args, next_id)``
+    — a batch wave, a single insert, or a delete."""
+    roll = rng.random()
+    if roll < p_batch and len(alive) > 2:
+        wave = []
+        for _ in range(rng.randint(2, 4)):
+            wave.append((next_id, rng.choice(alive)))
+            next_id += 1
+        return "insert_batch", (wave,), next_id
+    if roll < p_batch + p_insert:
+        return "insert", (next_id, rng.choice(alive)), next_id + 1
+    return "delete", (rng.choice(alive),), next_id
+
+
 def play_twins(n0, events, branching, will_mode, seed, check_every=1,
                p_insert=0.40, p_batch=0.12, drain=False):
     """Drive both engines with one shared drawn event stream."""
@@ -92,23 +117,9 @@ def play_twins(n0, events, branching, will_mode, seed, check_every=1,
         alive = sorted(obj.alive)
         if not alive:
             break
-        roll = rng.random()
-        if roll < p_batch and len(alive) > 2:
-            wave = []
-            for _ in range(rng.randint(2, 4)):
-                wave.append((next_id, rng.choice(alive)))
-                next_id += 1
-            r_obj = obj.insert_batch(wave)
-            r_flat = flat.insert_batch(wave)
-        elif roll < p_batch + p_insert:
-            attach = rng.choice(alive)
-            r_obj = obj.insert(next_id, attach)
-            r_flat = flat.insert(next_id, attach)
-            next_id += 1
-        else:
-            victim = rng.choice(alive)
-            r_obj = obj.delete(victim)
-            r_flat = flat.delete(victim)
+        step, args, next_id = draw_step(rng, alive, next_id, p_insert, p_batch)
+        r_obj = getattr(obj, step)(*args)
+        r_flat = getattr(flat, step)(*args)
         assert report_key(r_flat) == report_key(r_obj), f"diverged at event {t}"
         if t % check_every == 0:
             assert_twins(obj, flat)
@@ -152,6 +163,106 @@ class TestStructuralIdentity:
         flat.delete(0)
         with pytest.raises(SimulationOverError):
             flat.delete(0)
+
+
+#: Frozen at the last commit whose object engine carried its own copy of
+#: the healing algorithm (PR 13, e129ac7): ``golden_stream_digest`` of
+#: that ``ForgivingTree`` per "b<branching>-<will_mode>-s<seed>" key.
+GOLDEN_PATH = os.path.join(
+    os.path.dirname(__file__), "data", "golden_object_engine.json"
+)
+GOLDEN_MATRIX = [
+    (branching, will_mode, seed)
+    for branching in (2, 3, 5)
+    for will_mode in ("splice", "rebuild")
+    for seed in (1, 2, 3)
+]
+
+
+def golden_stream_digest(engine_cls, branching, will_mode, seed):
+    """sha256 over the ``report_key`` stream of one fixed script:
+    ``random_tree(60)``, 250 mixed events, then a drain to empty."""
+    tree = generators.random_tree(60, seed=seed)
+    engine = engine_cls(tree, branching=branching, will_mode=will_mode)
+    rng = random.Random(seed * 31 + 7)
+    next_id = max(tree) + 1
+    digest = hashlib.sha256()
+
+    def feed(rep):
+        key = report_key(rep)
+        # dict order is not part of the contract: hash the sorted tally
+        canon = key[:5] + (sorted(key[5].items()),) + key[6:]
+        digest.update(repr(canon).encode())
+
+    for _ in range(250):
+        step, args, next_id = draw_step(rng, sorted(engine.alive), next_id)
+        feed(getattr(engine, step)(*args))
+    while engine.alive:
+        feed(engine.delete(rng.choice(sorted(engine.alive))))
+    return digest.hexdigest()
+
+
+class TestGoldenDigests:
+    """Both engines still say what the independent object engine said."""
+
+    @pytest.mark.parametrize("branching,will_mode,seed", GOLDEN_MATRIX)
+    def test_both_engines_reproduce_the_frozen_stream(
+        self, branching, will_mode, seed
+    ):
+        with open(GOLDEN_PATH) as fh:
+            golden = json.load(fh)["digests"]
+        want = golden[f"b{branching}-{will_mode}-s{seed}"]
+        for engine_cls in (ForgivingTree, FlatForgivingTree):
+            got = golden_stream_digest(engine_cls, branching, will_mode, seed)
+            assert got == want, engine_cls.__name__
+
+
+#: The healing algorithm's methods: one definition each, package-wide.
+ALGORITHM_METHODS = (
+    "delete", "insert_batch", "_fix_node_deletion", "_fix_leaf_deletion",
+    "_absorb_child_loss", "_find_donor", "_splice_helper",
+    "_replace_slot_standin", "_rebuild_will", "_refresh_leaf_wills",
+)
+
+
+class TestOneAlgorithmText:
+    """A second copy of the algorithm is a red test, not a review comment."""
+
+    SRC = pathlib.Path(repro.__file__).parent
+
+    def test_each_healing_method_is_defined_once_under_core(self):
+        defs = {name: [] for name in ALGORITHM_METHODS}
+        for path in sorted((self.SRC / "core").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef) and node.name in defs:
+                    defs[node.name].append(f"{path.name}:{node.lineno}")
+        for name, sites in defs.items():
+            assert len(sites) == 1, f"{name} defined at {sites}"
+
+    def test_both_engines_run_the_same_function_objects(self):
+        for name in ALGORITHM_METHODS:
+            assert getattr(ForgivingTree, name) is getattr(
+                FlatForgivingTree, name
+            ), name
+
+    def test_nothing_outside_core_imports_its_private_names(self):
+        for path in sorted(self.SRC.rglob("*.py")):
+            rel = path.relative_to(self.SRC)
+            if rel.parts[0] == "core":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.ImportFrom):
+                    continue
+                mod = node.module or ""
+                from_core = (
+                    mod == "repro.core" or mod.startswith("repro.core.")
+                    if node.level == 0
+                    else mod == "core" or mod.startswith("core.")
+                )
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not (from_core and private), (
+                    f"{rel}:{node.lineno} imports {private} from {mod}"
+                )
 
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -416,6 +527,16 @@ class TestHealerOverEitherEngine:
         rng = random.Random(14)
         assert all(healer.sample_alive(rng) in healer.alive
                    for _ in range(50))
+
+    def test_healer_sample_alive_over_the_object_store(self):
+        # No capability fork: the healer asks whichever engine it wraps;
+        # the object store answers with the classic sorted draw.
+        tree = generators.random_tree(20, seed=14)
+        healer = ForgivingTreeHealer.from_engine(ForgivingTree(tree))
+        healer.delete(3)
+        draws = [healer.sample_alive(random.Random(s)) for s in range(50)]
+        assert draws == [random.Random(s).choice(sorted(healer.alive))
+                         for s in range(50)]
 
 
 class TestHarnessStreaming:
