@@ -1,5 +1,6 @@
 """Graph substrates: plain-dict graphs, generators, metrics, spanning trees,
-and incremental (O(depth)-per-edit) tree-metric maintenance."""
+and incremental tree-metric maintenance (O(changed ancestors) per edit,
+worst case O(depth))."""
 
 from . import adjacency, generators, incremental, metrics, spanning
 from .adjacency import Graph

@@ -74,7 +74,8 @@ def diameter(graph: Graph, exact: bool = True, seed: int = 0) -> int:
     seed-dependent lower bound — see :func:`diameter_double_sweep`.  For
     per-round measurement over churn campaigns prefer the incremental
     engine (:class:`repro.graphs.incremental.DynamicTreeMetrics`), which
-    is exact on trees at O(depth) per round instead of O(m).
+    is exact on trees at O(changed ancestors) per round (worst case
+    O(depth)) instead of O(m).
     """
     return diameter_exact(graph) if exact else diameter_double_sweep(graph, seed)
 

@@ -83,7 +83,8 @@ class _DiameterMeter:
     """Per-round connectivity + diameter measurement for campaigns.
 
     Wraps the mode resolution: incremental maintenance via
-    :class:`DynamicTreeMetrics` (O(depth)/round) with BFS fallback.
+    :class:`DynamicTreeMetrics` (O(changed ancestors)/round, worst case
+    O(depth)) with BFS fallback.
     While the tracker is live, connectivity is implied by the maintained
     spanning-tree invariant — no per-round BFS at all.
 
@@ -586,7 +587,8 @@ def run_campaign(
         One of :data:`METRICS_MODES`.  The deletion game keeps its
         historical default (the double sweep — a lower bracket on cyclic
         healed overlays, exact on trees); pass ``"auto"`` or
-        ``"incremental"`` to opt into O(depth)-per-round maintenance
+        ``"incremental"`` to opt into incremental maintenance — O(changed
+        ancestors) per round, worst case O(depth)
         (churn campaigns default to it, see :func:`run_churn_campaign`).
     seed:
         Campaign seed threaded into the double sweep's start-node choice,
@@ -669,12 +671,13 @@ def run_churn_campaign(
 
     ``metrics`` selects the diameter measurement (:data:`METRICS_MODES`);
     churn campaigns default to ``"auto"``: the diameter is maintained
-    incrementally in O(depth) per round — exact on tree overlays, the
-    tree-overlay upper bracket when heals keep chords — which is cheap
-    enough that per-round diameter/stretch stays on by default at
-    n = 10k+.  Campaigns over non-tree inputs (or that disconnect) fall
-    back to the BFS double sweep.  ``seed`` threads the campaign seed
-    into the fallback sweep for end-to-end reproducibility.
+    incrementally in O(changed ancestors) per round (worst case O(depth))
+    — exact on tree overlays, the tree-overlay upper bracket when heals
+    keep chords — which is cheap enough that per-round diameter/stretch
+    stays on by default at n = 10k+.  Campaigns over non-tree inputs (or
+    that disconnect) fall back to the BFS double sweep.  ``seed`` threads
+    the campaign seed into the fallback sweep for end-to-end
+    reproducibility.
 
     ``transport`` mirrors the campaign onto the matching distributed
     runtime (``"sync"`` per-event, ``"async"`` with concurrent in-flight

@@ -29,6 +29,7 @@ from repro.core.errors import (
     NotATreeError,
 )
 from repro.graphs import generators
+from repro.graphs.adjacency import from_edges
 from repro.graphs.incremental import DynamicTreeMetrics
 from repro.graphs.metrics import diameter_exact
 from repro.harness import run_churn_campaign
@@ -561,3 +562,288 @@ class TestOddToggleRawEventReplay:
         added, removed = report.net_edge_deltas()
         assert added == {(2, 9), (7, 8)}
         assert removed == {(5, 6)}
+
+
+# ----------------------------------------------------------------------
+# The tracker pays for the change, not the depth
+# ----------------------------------------------------------------------
+class _ReadCountingDict(dict):
+    """``_parent`` stand-in recording every key whose pointer is read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = []
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads.append(key)
+        return super().get(key, default)
+
+
+def _spine_with_branches(length):
+    """Path ``0..length-1`` (0 is the orientation root); spine node ``i``
+    carries the side branch ``i -> a -> {b, c}`` with ``a, b, c =
+    _branch(length, i)``."""
+    edges = [(i, i + 1) for i in range(length - 1)]
+    for i in range(length):
+        a, b, c = _branch(length, i)
+        edges += [(i, a), (a, b), (a, c)]
+    return from_edges(edges)
+
+
+def _branch(length, i):
+    return length + 3 * i, length + 3 * i + 1, length + 3 * i + 2
+
+
+def _counted(tracker, operation):
+    """Run ``operation``; return ``(recompute calls, parent keys read)``."""
+    recomputed = []
+    original = tracker._recompute
+    tracker._recompute = lambda nid: (recomputed.append(nid), original(nid))[1]
+    tracker._parent = counting = _ReadCountingDict(tracker._parent)
+    try:
+        operation()
+    finally:
+        del tracker._recompute
+        tracker._parent = dict(counting)
+    tracker.check()
+    return recomputed, counting.reads
+
+
+class TestWorkBound:
+    """Counts, never timing: an update's work follows what the heal
+    changed.  Every bound here fails when bubbling walks to the root or
+    an anchored endpoint is classified by walking up."""
+
+    SPINE = 2000
+
+    def test_leaf_insert_off_the_longest_path(self):
+        length = self.SPINE
+        tracker = DynamicTreeMetrics(_spine_with_branches(length))
+        mid = length // 2
+        a, b, _ = _branch(length, mid)
+        recomputed, _ = _counted(tracker, lambda: tracker.insert_leaf(10 * length, b))
+        # the branch, the spine node (its through-path grew), and the one
+        # above, whose pair comes out as it was: stop
+        assert recomputed == [b, a, mid, mid - 1]
+
+    def test_side_leaf_delete_never_steps_above_the_cut_parent(self):
+        length = self.SPINE
+        tracker = DynamicTreeMetrics(_spine_with_branches(length))
+        cut_parent, victim, _ = _branch(length, length // 2)
+        recomputed, reads = _counted(
+            tracker,
+            lambda: tracker.apply_delete(victim, (), ((cut_parent, victim),)),
+        )
+        assert len(recomputed) <= 6
+        assert set(reads) <= {victim, cut_parent}  # not one step further up
+
+    @pytest.mark.parametrize("length", [500, 2000])
+    def test_small_fragment_rehang_is_independent_of_depth(self, length):
+        """Spine node ``k`` dies 12 from the bottom; its side branch takes
+        its place and the 44-node tail re-hangs under it.  Same bound at
+        both spine lengths."""
+        tracker = DynamicTreeMetrics(_spine_with_branches(length))
+        k = length - 12
+        side = _branch(length, k)[0]
+        recomputed, reads = _counted(
+            tracker,
+            lambda: tracker.apply_delete(
+                k,
+                added=((k - 1, side), (side, k + 1)),
+                removed=((k - 1, k), (k, k + 1), (k, side)),
+            ),
+        )
+        assert tracker.is_exact and tracker.height_of(side) == length - k + 1
+        assert len(recomputed) <= 8
+        assert len(reads) <= 16
+        assert not set(reads) & set(range(k - 1))  # nothing above the cut parent
+
+
+class _RootBubbling(DynamicTreeMetrics):
+    """The propagation this tracker replaced: every seed to the root."""
+
+    def _bubble(self, nid):
+        cur = nid
+        while cur is not None:
+            self._recompute(cur)
+            cur = self._parent[cur]
+
+
+def _assert_same_tracker(new, old):
+    assert new.parent_state() == old.parent_state()
+    assert new.diameter == old.diameter
+    assert new.n_chords == old.n_chords and new.is_exact == old.is_exact
+    assert new._height == old._height and new._diam == old._diam
+
+
+def _deep_shape(kind, n, seed):
+    if kind == 0:
+        return generators.path(n)
+    if kind == 1:
+        return generators.caterpillar((n + 1) // 2, 1)
+    rng = random.Random(seed)  # window-2 tree: depth ~ 2n/3
+    graph = {i: set() for i in range(n)}
+    for i in range(1, n):
+        parent = i - 1 - rng.randrange(min(i, 2))
+        graph[i].add(parent)
+        graph[parent].add(i)
+    return graph
+
+
+def _drive_both(tree, picks, seen=None):
+    """Feed one ForgivingTreeHealer campaign to the production tracker and
+    to :class:`_RootBubbling`; they must agree after every event.  ``seen``
+    collects which branches of ``apply_delete`` the campaign reached."""
+    healer = ForgivingTreeHealer({k: set(v) for k, v in tree.items()})
+    new = DynamicTreeMetrics(healer.graph())
+    old = _RootBubbling(healer.graph())
+    if seen is not None:
+        enumerate_fragments = new._fragment_members
+
+        def spy(detached):
+            members = enumerate_fragments(detached)
+            seen["multi_fragment"] |= len(detached) >= 2
+            seen["over_cap"] |= members is None
+            seen["listed"] |= bool(members)
+            seen["chords"] |= new.n_chords > 0
+            return members
+
+        new._fragment_members = spy
+    nxt = 10_000
+    for is_insert, pick in picks:
+        alive = sorted(healer.alive)
+        if len(alive) <= 1:
+            is_insert = True
+        target = alive[pick % len(alive)]
+        if is_insert:
+            report = healer.insert(nxt, target)
+            nxt += 1
+        else:
+            if seen is not None:
+                seen["root_deleted"] |= target == new.root
+            report = healer.delete(target)
+        new.apply_report(report)
+        old.apply_report(report)
+        _assert_same_tracker(new, old)
+        new.check()
+
+
+class TestEarlyStopDifferential:
+    """The early-terminating tracker against root-walking propagation."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.integers(min_value=0, max_value=2),
+        n=st.integers(min_value=2, max_value=200),
+        seed=st.integers(min_value=0, max_value=10**6),
+        script=st.lists(
+            st.tuples(st.booleans(), st.integers(min_value=0, max_value=10**6)),
+            min_size=1,
+            max_size=60,
+        ),
+    )
+    def test_agrees_with_root_bubbling_on_deep_shapes(self, kind, n, seed, script):
+        _drive_both(_deep_shape(kind, n, seed), script)
+
+    def test_pinned_campaigns_reach_every_branch(self):
+        """Seeded runs of the same driver in which chords, multi-fragment
+        heals, root deletions and over-cap fragments all demonstrably
+        occur (the odd-toggle case has its own pinned campaign below)."""
+        seen = dict.fromkeys(
+            ("root_deleted", "chords", "multi_fragment", "over_cap", "listed"), False
+        )
+        for kind in range(3):
+            rng = random.Random(kind)
+            picks = [(rng.random() < 0.35, rng.randrange(10**6)) for _ in range(150)]
+            # low picks hit low ids: the root end of every deep shape
+            picks[::10] = [(False, rng.randrange(3)) for _ in picks[::10]]
+            _drive_both(_deep_shape(kind, 200, seed=kind), picks, seen)
+        assert all(seen.values()), seen
+
+    def test_odd_toggle_campaign_agrees(self):
+        pinned = TestOddToggleRawEventReplay()
+        tree = generators.random_tree(pinned.N, seed=pinned.TREE_SEED)
+        new, old = DynamicTreeMetrics(tree), _RootBubbling(tree)
+        for _healer, report in pinned._reports(pinned.TOGGLE_EVENT + 10):
+            new.apply_report(report)
+            old.apply_report(report)
+            _assert_same_tracker(new, old)
+        new.check()
+
+    # Two dirty seeds, one the other's ancestor.  Seeds run lowest stored
+    # height first, so which of the two goes first is the scenario's choice:
+    #
+    # descendant first — 0-1-10-5-11(victim), 5-12-13 keeps 5's pair fixed;
+    #   the heal also moves 1-20-21-22-23-24 under 30, so 1 (tall) and its
+    #   descendant 5 (short) are both cut parents.
+    # ancestor first — victim 9 under 0 has children 20 (a chain 20-21-22-23)
+    #   and 40 (a chain 40-41-42); the heal hangs 20 under the *leaf* 1 and 40
+    #   under 22, so 1 (stored height 0) runs before its new descendant 22.
+    @pytest.mark.parametrize(
+        "edges, victim, added, removed, ancestor, descendant, ancestor_first",
+        [
+            (
+                [(0, 1), (1, 10), (10, 5), (5, 11), (5, 12), (12, 13), (1, 20),
+                 (20, 21), (21, 22), (22, 23), (23, 24), (0, 30)],
+                11, [(20, 30)], [(5, 11), (1, 20)], 1, 5, False,
+            ),
+            (
+                [(0, 1), (0, 9), (9, 20), (20, 21), (21, 22), (22, 23),
+                 (9, 40), (40, 41), (41, 42)],
+                9, [(1, 20), (22, 40)], [(0, 9), (9, 20), (9, 40)], 1, 22, True,
+            ),
+        ],
+        ids=["descendant-first", "ancestor-first"],
+    )
+    def test_two_seeds_one_the_ancestor_of_the_other(
+        self, edges, victim, added, removed, ancestor, descendant, ancestor_first
+    ):
+        graph = from_edges(edges)
+        new, old = DynamicTreeMetrics(graph, root=0), _RootBubbling(graph, root=0)
+        order = []
+        bubble = new._bubble
+        new._bubble = lambda nid: (order.append(nid), bubble(nid))[1]
+        for tracker in (new, old):
+            tracker.apply_delete(victim, added=added, removed=removed)
+        assert (order.index(ancestor) < order.index(descendant)) == ancestor_first
+        path = [descendant]
+        while path[-1] is not None:
+            path.append(new._parent[path[-1]])
+        assert ancestor in path
+        _assert_same_tracker(new, old)
+        new.check()
+        assert new.diameter == diameter_exact(new._adj)
+
+    def test_diam_changes_under_an_unchanged_height(self):
+        """Lengthening the *second* tallest branch of node 1 moves its
+        ``diam`` but not its ``height``; the root's ``diam`` must follow
+        (comparing heights alone would stop at node 1)."""
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),  # tall arm
+                 (1, 10), (10, 11)]  # short arm
+        tracker = DynamicTreeMetrics(from_edges(edges), root=0)
+        before = tracker.height_of(1), tracker.diameter
+        tracker.insert_leaf(12, 11)
+        assert tracker.height_of(1) == before[0] == 5
+        assert tracker.diameter == before[1] + 1 == 8
+        tracker.check()
+
+    def test_spanning_choice_is_the_same_on_both_sides_of_the_cap(self):
+        """A 139-node fragment outgrows the bare cap (64) but not the cap
+        raised by 20 seeded both-anchored chords (144): the enumerated and
+        the walked classification promote the same chord."""
+        n, cut = 150, 10
+        parents = [-1] + list(range(n - 1))  # the path 0 - 1 - ... - 149
+        idle = [(u, v) for u in range(cut) for v in range(u + 2, cut)][:20]
+        walked = DynamicTreeMetrics.from_parents(parents, chords=[(5, 100)])
+        listed = DynamicTreeMetrics.from_parents(parents, chords=[(5, 100)] + idle)
+        for tracker in (walked, listed):
+            tracker.apply_delete(cut, added=(), removed=())
+            tracker.check()
+        assert walked.n_chords == 0 and listed.n_chords == len(idle) == 20
+        assert walked.parent_state()["parents"] == listed.parent_state()["parents"]
+        assert walked._parent[100] == 5 and walked._parent[11] == 12
+        assert walked.diameter == listed.diameter
