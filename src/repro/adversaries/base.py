@@ -14,7 +14,10 @@ class Adversary(abc.ABC):
 
     The adversary is *omniscient* (Section 1): it sees the current healed
     graph — and, for the white-box strategies, the healer object itself —
-    before every choice.
+    before every choice.  It looks through ``healer.view()``: the
+    healer's own maintained adjacency, read in place and never mutated
+    or kept across a round (:meth:`Healer.graph` is the O(n) copy for
+    callers that need one of their own).
     """
 
     name: str = "abstract"

@@ -39,6 +39,7 @@ from ..baselines.base import Healer
 from ..churn.events import ChurnEvent, Delete, Insert, InsertWave
 from ..churn.traces import ChurnTrace
 from ..core.errors import ReproError, SimulationOverError
+from ..graphs.view import max_degree_nodes, min_degree_nodes
 from .base import Adversary
 from .simple import MaxDegreeAdversary
 
@@ -105,27 +106,26 @@ def _pick_attachment(
     rng: random.Random,
     prefer: str,
     alive: Optional[list] = None,
-    graph=None,
 ) -> int:
     """Choose a live attachment point: uniform, hub-seeking, or leaf.
 
-    ``alive`` (sorted) and ``graph`` may be passed in when the caller
-    already has them — a wave adversary picks many attachment points per
-    event and should not re-sort or re-copy per joiner.
+    ``alive`` (sorted) may be passed in when the caller already has it —
+    a wave adversary picks many attachment points per event and should
+    not re-sort per joiner.  Hub and leaf are read off the healer's
+    view: the smallest id among the nodes of maximum / minimum degree.
     """
-    if alive is None:
-        alive = sorted(healer.alive)
-    if not alive:
-        raise SimulationOverError("no live node to attach to")
     if prefer == "random":
+        if alive is None:
+            alive = sorted(healer.alive)
+        if not alive:
+            raise SimulationOverError("no live node to attach to")
         return rng.choice(alive)
-    if graph is None:
-        graph = healer.graph()
-    if prefer == "hub":
-        return max(alive, key=lambda x: (len(graph[x]), -x))
-    if prefer == "leaf":
-        return min(alive, key=lambda x: (len(graph[x]), x))
-    raise ValueError(f"unknown attachment preference {prefer!r}")
+    if prefer not in ("hub", "leaf"):
+        raise ValueError(f"unknown attachment preference {prefer!r}")
+    graph = healer.view()
+    if not graph:
+        raise SimulationOverError("no live node to attach to")
+    return min(max_degree_nodes(graph) if prefer == "hub" else min_degree_nodes(graph))
 
 
 class RandomChurnAdversary(ChurnAdversary):
@@ -222,14 +222,11 @@ class WaveChurnAdversary(ChurnAdversary):
             raise SimulationOverError("network is empty")
         if len(alive) <= 1 or self._rng.random() < self.p_wave:
             # Attachment points are chosen against the pre-wave state
-            # (wave semantics), so alive/graph are computed once per wave.
-            graph = healer.graph() if self.attach in ("hub", "leaf") else None
+            # (wave semantics), so alive is computed once per wave.
             joiners = tuple(
                 (
                     self._fresh_id(healer),
-                    _pick_attachment(
-                        healer, self._rng, self.attach, alive=alive, graph=graph
-                    ),
+                    _pick_attachment(healer, self._rng, self.attach, alive=alive),
                 )
                 for _ in range(self.wave)
             )
@@ -276,7 +273,7 @@ class ScatterChurnAdversary(ChurnAdversary):
         self._recent: list = []
 
     def _scattered_pick(self, healer: Healer, alive: list) -> int:
-        hot = region_ball(healer.graph(), self._recent, self.radius)
+        hot = region_ball(healer.view(), self._recent, self.radius)
         cold = [x for x in alive if x not in hot]
         choice = self._rng.choice(cold if cold else alive)
         self._recent.append(choice)
@@ -371,7 +368,7 @@ class OverlapChurnAdversary(ChurnAdversary):
         return [a for group in self._recent for a in group]
 
     def _overlapping_pick(self, healer: Healer, alive: list) -> int:
-        graph = healer.graph()
+        graph = healer.view()
         hot = sorted(region_ball(graph, self._anchors(), self.radius) & set(alive))
         choice = self._rng.choice(hot if hot else alive)
         self._remember(choice, graph)
@@ -379,7 +376,7 @@ class OverlapChurnAdversary(ChurnAdversary):
 
     def _uniform_pick(self, healer: Healer, alive: list) -> int:
         choice = self._rng.choice(alive)
-        self._remember(choice, healer.graph())
+        self._remember(choice, healer.view())
         return choice
 
     def next_event(self, healer: Healer) -> ChurnEvent:
@@ -397,7 +394,7 @@ class OverlapChurnAdversary(ChurnAdversary):
             live_coords = [c for c in self._coordinators if c in healer.alive]
             if live_coords:
                 victim = self._rng.choice(sorted(set(live_coords)))
-                self._remember(victim, healer.graph())
+                self._remember(victim, healer.view())
                 return Delete(victim)
         if self._rng.random() < self.p_overlap:
             return Delete(self._overlapping_pick(healer, alive))
@@ -457,7 +454,7 @@ class HostileChurnAdversary(ChurnAdversary):
             self._recent.pop(0)
 
     def _pick(self, healer: Healer, alive: list) -> int:
-        graph = healer.graph()
+        graph = healer.view()
         if self._rng.random() < self.p_hot and self._recent:
             anchors = [a for group in self._recent for a in group]
             hot = sorted(region_ball(graph, anchors, self.radius) & set(alive))

@@ -14,6 +14,7 @@ import copy
 from typing import Callable, Iterable, Optional
 
 from ..baselines.base import Healer
+from ..core.errors import DisconnectedGraphError
 from ..graphs.metrics import diameter_double_sweep
 from .base import Adversary
 
@@ -62,14 +63,13 @@ class DiameterGreedyAdversary(_LookaheadAdversary):
         self.max_candidates = max_candidates
 
     def _score(self, healer: Healer) -> float:
-        graph = healer.graph()
+        graph = healer.view()
         if len(graph) <= 1:
             return 0.0
-        from ..graphs.adjacency import is_connected
-
-        if not is_connected(graph):
+        try:
+            return float(diameter_double_sweep(graph))
+        except DisconnectedGraphError:
             return float("inf")  # a disconnection is the ultimate stretch
-        return float(diameter_double_sweep(graph))
 
 
 class DegreeGreedyAdversary(_LookaheadAdversary):

@@ -7,6 +7,7 @@ from typing import Optional
 
 from ..baselines.base import Healer
 from ..graphs.metrics import center
+from ..graphs.view import max_degree_nodes, min_degree_nodes
 from .base import Adversary
 
 
@@ -37,8 +38,10 @@ class MaxDegreeAdversary(Adversary):
     name = "max-degree"
 
     def choose(self, healer: Healer) -> int:
-        graph = healer.graph()
-        return max(sorted(graph), key=lambda n: len(graph[n]))
+        # Smallest id among the nodes of maximum degree — the draw
+        # ``max(sorted(graph), key=degree)`` makes, read off the view's
+        # degree index instead of a sort and a scan.
+        return min(max_degree_nodes(healer.view()))
 
 
 class MinDegreeAdversary(Adversary):
@@ -51,8 +54,7 @@ class MinDegreeAdversary(Adversary):
     name = "min-degree"
 
     def choose(self, healer: Healer) -> int:
-        graph = healer.graph()
-        return min(sorted(graph), key=lambda n: len(graph[n]))
+        return min(min_degree_nodes(healer.view()))
 
 
 class CenterAdversary(Adversary):
@@ -65,7 +67,7 @@ class CenterAdversary(Adversary):
     name = "center"
 
     def choose(self, healer: Healer) -> int:
-        graph = healer.graph()
+        graph = healer.view()
         if len(graph) == 1:
             return next(iter(graph))
         return min(center(graph))

@@ -15,6 +15,7 @@ the very same attack (benchmark EXP-BASE-DEG).
 from __future__ import annotations
 
 from ..baselines.base import Healer
+from ..graphs.view import max_degree_nodes
 from .base import Adversary
 
 
@@ -26,11 +27,10 @@ class SurrogateKillerAdversary(Adversary):
     name = "surrogate-killer"
 
     def choose(self, healer: Healer) -> int:
-        graph = healer.graph()
+        graph = healer.view()
         if len(graph) == 1:
             return next(iter(graph))
-        max_deg = max(len(s) for s in graph.values())
-        hubs = sorted(n for n, s in graph.items() if len(s) == max_deg)
+        hubs = max_degree_nodes(graph)
 
         def surrogate_pain(victim: int) -> int:
             neighbors = graph[victim]
@@ -38,7 +38,7 @@ class SurrogateKillerAdversary(Adversary):
                 return -1
             surrogate = min(neighbors)
             # Edges the surrogate would absorb beyond what it already has.
-            absorbed = len(neighbors - graph[surrogate] - {surrogate})
-            return absorbed
+            taken = graph[surrogate]
+            return sum(1 for m in neighbors if m != surrogate and m not in taken)
 
         return max(hubs, key=lambda h: (surrogate_pain(h), -h))

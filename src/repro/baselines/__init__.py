@@ -1,6 +1,6 @@
 """Healer strategies: the Forgiving Tree and the baselines it outperforms."""
 
-from .base import Healer, edge_delta_report
+from .base import Healer
 from .forgiving import ForgivingTreeHealer
 from .naive import (
     BinaryTreeHealer,
@@ -30,6 +30,5 @@ __all__ = [
     "LineHealer",
     "NoRepairHealer",
     "SurrogateHealer",
-    "edge_delta_report",
     "healer_catalog",
 ]

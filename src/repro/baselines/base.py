@@ -7,14 +7,24 @@ general connected graphs and expose the same success metrics so the harness
 can compare them head-to-head:
 
 * ``max_degree_increase()`` — Model 2.1 metric 1,
-* the current :meth:`graph` for diameter stretch — metric 2,
+* the current healed graph for diameter stretch — metric 2,
 * per-round :class:`~repro.core.events.HealReport` for communication.
+
+The healed graph ``G_t`` has two accessors.  :meth:`Healer.view` is what
+everything that *looks* once per round reads — adversaries, the degree
+metric, the diameter sweep, the transport mirror's footprints: a live,
+read-only adjacency the catalog healers keep up in O(|delta|) per event
+(:class:`~repro.graphs.view.OverlayView`), built the first time anyone
+looks and never if nobody does.  :meth:`Healer.graph` is the copying
+accessor: a fresh, caller-owned adjacency, O(n) per call.  The rule:
+**read** ``view()``, **never mutate it**, and do not hold it across an
+event; call ``graph()`` when you need your own copy.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, Set
+from typing import Collection, Dict, Mapping, Set
 
 from ..core.errors import DuplicateNodeError, NodeNotFoundError, SimulationOverError
 from ..core.events import HealReport, normalize_wave
@@ -80,7 +90,18 @@ class Healer(abc.ABC):
 
     @abc.abstractmethod
     def graph(self) -> Graph:
-        """Current healed network (adjacency)."""
+        """Current healed network: a fresh adjacency the caller owns."""
+
+    def view(self) -> Mapping[int, Collection[int]]:
+        """Current healed network, to be read and not kept.
+
+        ``node -> neighbours`` of exactly what :meth:`graph` would
+        return, without the copy: the catalog healers answer with their
+        own maintained adjacency, which the next event changes in place.
+        A healer that maintains none inherits this default: a fresh
+        :meth:`graph` per look, O(n).
+        """
+        return self.graph()
 
     @property
     @abc.abstractmethod
@@ -104,13 +125,13 @@ class Healer(abc.ABC):
         return self._original_degree[nid]
 
     def degree_increase(self, nid: int) -> int:
-        g = self.graph()
+        g = self.view()
         if nid not in g:
             raise NodeNotFoundError(nid, "degree_increase")
         return len(g[nid]) - self._original_degree[nid]
 
     def max_degree_increase(self) -> int:
-        g = self.graph()
+        g = self.view()
         if not g:
             return 0
         return max(len(s) - self._original_degree[n] for n, s in g.items())
@@ -128,18 +149,3 @@ class Healer(abc.ABC):
         if attach_to not in self.alive:
             raise NodeNotFoundError(attach_to, "insert attach point")
         self.rounds += 1
-
-
-def edge_delta_report(
-    deleted: int, before: Graph, after: Graph, was_internal: bool = False
-) -> HealReport:
-    """Build a HealReport from a before/after graph pair (baseline helper)."""
-    from ..graphs.adjacency import edges
-
-    b, a = edges(before), edges(after)
-    return HealReport(
-        deleted=deleted,
-        was_internal=was_internal,
-        edges_added=frozenset(a - b),
-        edges_removed=frozenset(b - a),
-    )

@@ -14,19 +14,29 @@ runs the same healing algorithm — the same function objects — over the
 readable per-node object storage, so it produces bit-identical
 :class:`~repro.core.events.HealReport` streams and stays as the storage
 oracle (``tests/test_flatcore.py`` wraps it with :meth:`from_engine`).
+
+What the healer hands out per round is :meth:`ForgivingTreeHealer.view`
+(tree image + surviving extras) and :meth:`~ForgivingTreeHealer.tree_view`
+(the image alone): two :class:`~repro.graphs.view.OverlayView` objects —
+one, when the input was a tree — each built by its own first look and
+from then on carried over every :class:`~repro.core.events.HealReport`'s
+net edge deltas.  A campaign that never looks never builds them.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ..core import WILL_SPLICE
+from ..core.errors import InvariantViolationError
 from ..core.events import HealReport, edge_key
 from ..core.flat_tree import FlatForgivingTree
-from ..graphs.adjacency import Graph, require_connected
+from ..graphs.adjacency import Graph, from_edges, require_connected
 from ..graphs.spanning import bfs_tree, non_tree_edges
+from ..graphs.view import OverlayView
 from .base import Healer
+
 
 class ForgivingTreeHealer(Healer):
     """Forgiving Tree self-healing over a general connected graph.
@@ -55,10 +65,19 @@ class ForgivingTreeHealer(Healer):
             will_mode=will_mode,
             strict=strict,
         )
-        self._extra: Set[Tuple[int, int]] = non_tree_edges(graph, tree)
+        self._mount(non_tree_edges(graph, tree))
+
+    def _mount(self, extras: Iterable[Tuple[int, int]]) -> None:
+        """State both constructors share, given ``self.engine``."""
+        # The surviving non-tree edges of G_0, as an adjacency: indexed by
+        # endpoint, so a victim's extras are dropped in O(deg).
+        self._extra: Graph = from_edges(extras)
         # When the input was already a tree, the overlay *is* the engine's
         # image for the whole campaign — O(1) metric fast paths apply.
         self._pure_tree = not self._extra
+        # Built by the first look (see view()), None until then.
+        self._view: Optional[OverlayView] = None
+        self._tree_view: Optional[OverlayView] = None
 
     @classmethod
     def from_engine(
@@ -79,25 +98,27 @@ class ForgivingTreeHealer(Healer):
         caller (the soak manifest does).
         """
         self = cls.__new__(cls)
-        adjacency = engine.adjacency()
-        for u, v in extras:
-            adjacency.setdefault(u, set()).add(v)
-            adjacency.setdefault(v, set()).add(u)
-        self._initial = adjacency
+        self.engine = engine
+        self._mount(extras)
+        self._initial = self._with_extras(engine.adjacency())
         self._original_degree = dict(engine.original_degree)
         self.rounds = engine.rounds
-        self.engine = engine
-        self._extra = set(extras)
-        self._pure_tree = not self._extra
         return self
 
     def delete(self, nid: int) -> HealReport:
         self._pre_delete(nid)
         report = self.engine.delete(nid)
-        dropped = {e for e in self._extra if nid in e}
-        self._extra -= dropped
+        dropped = self._extra.pop(nid, ())
+        for m in dropped:
+            row = self._extra[m]
+            row.discard(nid)
+            if not row:
+                del self._extra[m]
+        self._advance_views(report, gone=nid)
         if dropped:
-            report.edges_removed = frozenset(set(report.edges_removed) | dropped)
+            report.edges_removed = report.edges_removed.union(
+                edge_key(nid, m) for m in dropped
+            )
         return report
 
     def insert(self, nid: int, attach_to: int) -> HealReport:
@@ -106,6 +127,7 @@ class ForgivingTreeHealer(Healer):
         report = self.engine.insert(nid, attach_to)
         self._original_degree[nid] = 1
         self._original_degree[attach_to] += 1
+        self._advance_views(report)
         return report
 
     def insert_batch(self, joiners) -> HealReport:
@@ -116,14 +138,86 @@ class ForgivingTreeHealer(Healer):
             self._original_degree[nid] = 1
             self._original_degree[attach_to] += 1
         self.rounds += 1
+        self._advance_views(report)
         return report
 
     def graph(self) -> Graph:
-        adjacency = self.engine.adjacency()
-        for u, v in self._extra:
-            adjacency.setdefault(u, set()).add(v)
-            adjacency.setdefault(v, set()).add(u)
+        return self._with_extras(self.engine.adjacency())
+
+    def _with_extras(self, adjacency: Graph) -> Graph:
+        """Lay the surviving extras over a caller-owned image adjacency."""
+        for u, row in self._extra.items():
+            adjacency[u] |= row
         return adjacency
+
+    # -- the maintained views ---------------------------------------------
+    def view(self) -> OverlayView:
+        """The healed overlay (tree image + surviving extras), maintained.
+
+        Equal to :meth:`graph` after every event; built by the first
+        call, O(|delta|) per event from then on.  On a pure-tree input
+        it is the :meth:`tree_view` object itself."""
+        if self._view is None:
+            self._view = (
+                self.tree_view()
+                if self._pure_tree
+                else OverlayView(self._with_extras(self.engine.adjacency()))
+            )
+        return self._view
+
+    def tree_view(self) -> OverlayView:
+        """The healed spanning-tree image alone, maintained — equal to
+        :meth:`tree_overlay` after every event (what the transport
+        mirror's per-event footprints read)."""
+        if self._tree_view is None:
+            self._tree_view = OverlayView(self.engine.adjacency())
+        return self._tree_view
+
+    def _advance_views(self, report: HealReport, gone: Optional[int] = None) -> None:
+        """Carry whichever views exist over one engine report (image
+        deltas only: call before the dropped extras join
+        ``edges_removed``, after they left ``_extra``)."""
+        tree, merged = self._tree_view, self._view
+        if tree is None and merged is None:
+            return
+        added, removed = report.net_edge_deltas()
+        # An image edge lying on top of a surviving extra leaves the
+        # merged overlay only when the extra goes too.
+        views = [(tree, {})]
+        if merged is not tree:
+            views.append((merged, self._extra))
+        for view, kept in views:
+            if view is None:
+                continue
+            for u, v in removed:
+                if v not in kept.get(u, ()):
+                    view.unlink(u, v)
+            for u, v in added:
+                view.link(u, v)
+            if gone is not None:
+                view.drop_node(gone)
+        if self.engine.strict:
+            self._check_views()
+
+    def _check_views(self) -> None:
+        """``strict`` engines: a built view must equal a fresh
+        materialisation after every event."""
+        for name, kept, fresh in (
+            ("tree_view", self._tree_view, self.engine.adjacency),
+            ("view", self._view, self.graph),
+        ):
+            if kept is None:
+                continue
+            fresh = fresh()
+            if kept != fresh:
+                stale = sorted(
+                    n for n in kept.keys() | fresh.keys() if kept.get(n) != fresh.get(n)
+                )
+                raise InvariantViolationError(
+                    "overlay-view",
+                    f"round {self.rounds}: {name}() differs from the engine's "
+                    f"materialised image at nodes {stale[:6]}",
+                )
 
     @property
     def alive(self) -> Set[int]:

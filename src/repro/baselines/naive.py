@@ -26,46 +26,57 @@ claimed failure modes head-to-head with the Forgiving Tree:
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import AbstractSet, Iterable, List, Optional, Tuple
 
-from ..core.errors import NodeNotFoundError
 from ..core.events import EdgeAdded, HealReport, NodeInserted, edge_key
-from ..graphs.adjacency import (
-    Graph,
-    add_edge,
-    copy as copy_graph,
-    remove_node,
-)
-from .base import Healer, edge_delta_report
+from ..graphs.adjacency import Graph, copy as copy_graph
+from ..graphs.view import OverlayView
+from .base import Healer
 
 
 class _GraphHealer(Healer):
-    """Shared plumbing: keeps a mutable current graph."""
+    """Shared plumbing: keeps the current graph, edited in place.
+
+    A strategy is its :meth:`_repair`: the edges it wants among the
+    victim's former neighbours.  The current graph is itself the
+    maintained :meth:`view`, and a deletion's report is built from the
+    neighbourhood it touched — nothing here copies or diffs the world.
+    """
 
     def __init__(self, graph: Graph):
         super().__init__(graph)
-        self._graph = copy_graph(graph)
+        self._graph = OverlayView(copy_graph(graph))
 
     def graph(self) -> Graph:
         return copy_graph(self._graph)
 
+    def view(self) -> OverlayView:
+        return self._graph
+
     @property
-    def alive(self) -> Set[int]:
-        return set(self._graph)
+    def alive(self) -> AbstractSet[int]:
+        """Surviving node ids: a live, read-only view of the graph's keys."""
+        return self._graph.keys()
 
     def delete(self, nid: int) -> HealReport:
         self._pre_delete(nid)
-        before = copy_graph(self._graph)
-        neighbors = sorted(remove_node(self._graph, nid))
-        self._repair(nid, neighbors)
-        return edge_delta_report(
-            nid, before, self._graph, was_internal=len(neighbors) > 1
+        neighbors = sorted(self._graph.drop_node(nid))
+        added = [
+            edge_key(a, b)
+            for a, b in self._repair(nid, neighbors)
+            if self._graph.link(a, b)  # False: the two were adjacent already
+        ]
+        return HealReport(
+            deleted=nid,
+            was_internal=len(neighbors) > 1,
+            edges_added=frozenset(added),
+            edges_removed=frozenset(edge_key(nid, m) for m in neighbors),
         )
 
     def insert(self, nid: int, attach_to: int) -> HealReport:
         nid = int(nid)
         self._pre_insert(nid, attach_to)
-        add_edge(self._graph, nid, attach_to)
+        self._graph.link(nid, attach_to)
         self._original_degree[nid] = 1
         self._original_degree[attach_to] += 1
         return HealReport(
@@ -79,7 +90,9 @@ class _GraphHealer(Healer):
             attached_to=attach_to,
         )
 
-    def _repair(self, deleted: int, neighbors: List[int]) -> None:
+    def _repair(self, deleted: int, neighbors: List[int]) -> Iterable[Tuple[int, int]]:
+        """The edges to add after ``deleted`` left (``neighbors`` sorted);
+        decided before any of them is added."""
         raise NotImplementedError
 
 
@@ -88,8 +101,8 @@ class NoRepairHealer(_GraphHealer):
 
     name = "no-repair"
 
-    def _repair(self, deleted: int, neighbors: List[int]) -> None:
-        return
+    def _repair(self, deleted: int, neighbors: List[int]) -> Iterable[Tuple[int, int]]:
+        return ()
 
 
 class SurrogateHealer(_GraphHealer):
@@ -108,18 +121,16 @@ class SurrogateHealer(_GraphHealer):
         self._choose_max_degree = choose_max_degree
         self.last_surrogate: Optional[int] = None
 
-    def _repair(self, deleted: int, neighbors: List[int]) -> None:
+    def _repair(self, deleted: int, neighbors: List[int]) -> Iterable[Tuple[int, int]]:
         if len(neighbors) <= 1:
             self.last_surrogate = neighbors[0] if neighbors else None
-            return
+            return ()
         if self._choose_max_degree:
             surrogate = max(neighbors, key=lambda x: (len(self._graph[x]), -x))
         else:
             surrogate = neighbors[0]
         self.last_surrogate = surrogate
-        for other in neighbors:
-            if other != surrogate:
-                add_edge(self._graph, surrogate, other)
+        return [(surrogate, other) for other in neighbors if other != surrogate]
 
 
 class LineHealer(_GraphHealer):
@@ -132,9 +143,8 @@ class LineHealer(_GraphHealer):
 
     name = "line"
 
-    def _repair(self, deleted: int, neighbors: List[int]) -> None:
-        for a, b in zip(neighbors, neighbors[1:]):
-            add_edge(self._graph, a, b)
+    def _repair(self, deleted: int, neighbors: List[int]) -> Iterable[Tuple[int, int]]:
+        return zip(neighbors, neighbors[1:])
 
 
 class BinaryTreeHealer(_GraphHealer):
@@ -148,15 +158,13 @@ class BinaryTreeHealer(_GraphHealer):
 
     name = "binary-tree"
 
-    def _repair(self, deleted: int, neighbors: List[int]) -> None:
-        if len(neighbors) <= 1:
-            return
+    def _repair(self, deleted: int, neighbors: List[int]) -> Iterable[Tuple[int, int]]:
         # neighbors sorted; neighbors[0] becomes the root of a balanced
-        # binary tree, wired breadth-first: parent i -> children 2i+1, 2i+2.
-        for i in range(len(neighbors)):
-            for child in (2 * i + 1, 2 * i + 2):
-                if child < len(neighbors):
-                    add_edge(self._graph, neighbors[i], neighbors[child])
+        # binary tree, wired breadth-first: parent i -> children 2i+1, 2i+2,
+        # i.e. every node but the root hangs under (i - 1) // 2.
+        return [
+            (neighbors[(i - 1) // 2], neighbors[i]) for i in range(1, len(neighbors))
+        ]
 
 
 class DegreeCappedSurrogateHealer(_GraphHealer):
@@ -176,21 +184,20 @@ class DegreeCappedSurrogateHealer(_GraphHealer):
             raise ValueError("cap must allow at least 2 extra edges")
         self.cap = cap
 
-    def _repair(self, deleted: int, neighbors: List[int]) -> None:
-        if len(neighbors) <= 1:
-            return
+    def _repair(self, deleted: int, neighbors: List[int]) -> Iterable[Tuple[int, int]]:
         # Chain surrogates: each absorbs up to `cap` neighbors, then hands
         # off to the next absorber.
+        edges = []
         absorber_idx = 0
         absorbed = 0
         for i in range(1, len(neighbors)):
+            edges.append((neighbors[absorber_idx], neighbors[i]))
             if absorbed >= self.cap:
-                add_edge(self._graph, neighbors[absorber_idx], neighbors[i])
                 absorber_idx = i
                 absorbed = 1
-                continue
-            add_edge(self._graph, neighbors[absorber_idx], neighbors[i])
-            absorbed += 1
+            else:
+                absorbed += 1
+        return edges
 
 
 def healer_catalog():

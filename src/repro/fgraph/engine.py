@@ -137,6 +137,12 @@ class ForgivingGraph:
     def adjacency(self) -> Graph:
         return self.graph()
 
+    def view(self) -> Mapping[int, Mapping[int, int]]:
+        """The live image ``node -> {neighbour: multiplicity}``: what
+        :meth:`graph` copies.  Read it, never mutate it, and do not hold
+        it across an event."""
+        return self._img
+
     def ideal_graph(self, include_dead: bool = False) -> Graph:
         """The churn baseline: every insertion applied, nothing healed.
 

@@ -10,7 +10,7 @@ are first-class ideal edges with their own ports when an endpoint dies.
 
 from __future__ import annotations
 
-from typing import Set
+from typing import Collection, Mapping, Set
 
 from ..core.events import HealReport
 from ..graphs.adjacency import Graph, require_connected
@@ -52,6 +52,11 @@ class ForgivingGraphHealer(Healer):
 
     def graph(self) -> Graph:
         return self.engine.graph()
+
+    def view(self) -> Mapping[int, Collection[int]]:
+        """The engine's own image (rows are ``{neighbour: multiplicity}``
+        dicts — iterate, ``len`` and ``in`` as with neighbour sets)."""
+        return self.engine.view()
 
     @property
     def alive(self) -> Set[int]:

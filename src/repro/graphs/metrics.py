@@ -61,7 +61,9 @@ def diameter_double_sweep(graph: Graph, seed: int = 0) -> int:
     dist = bfs_distances(graph, start)
     if len(dist) != len(graph):
         raise DisconnectedGraphError("double sweep on disconnected graph")
-    far = max(dist, key=lambda n: (dist[n], n))
+    # The farthest node, largest id among ties.
+    reach = max(dist.values())
+    far = max(n for n, d in dist.items() if d == reach)
     dist2 = bfs_distances(graph, far)
     return max(dist2.values())
 

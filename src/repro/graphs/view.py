@@ -1,0 +1,112 @@
+"""A maintained adjacency: the graph the omniscient adversary looks at.
+
+The paper's adversary sees the current healed graph ``G_t`` before every
+move, and the healer answers in O(1) messages.  Handing out a fresh
+``Dict[int, Set[int]]`` copy for every look would make the *looking*
+O(n) per round; an :class:`OverlayView` is instead built once and then
+carried forward edge by edge (:meth:`~OverlayView.link`,
+:meth:`~OverlayView.unlink`, :meth:`~OverlayView.drop_node`), so a round
+costs what the heal changed.  It *is* a ``dict`` of neighbour sets, so
+every reader of a :data:`~repro.graphs.adjacency.Graph` — BFS, the
+double sweep, ``region_ball`` — takes it unchanged and at the same speed.
+
+The rule for readers: **read a view, never mutate it** (it is the
+owner's live bookkeeping, valid until the owner's next event); call the
+healer's ``graph()`` when you need a copy of your own.
+
+"Who has the most / fewest neighbours" is asked through
+:func:`max_degree_nodes` / :func:`min_degree_nodes`, which take any
+adjacency mapping: a view answers from a degree index (``degree ->
+nodes``) that is built on the first such question and only then kept up,
+so a reader that never asks never pays for it; a plain mapping is
+scanned.
+"""
+
+from __future__ import annotations
+
+from typing import Collection, Dict, Mapping, Optional, Set
+
+from .adjacency import Graph
+
+
+class OverlayView(dict):
+    """``node -> set of neighbours``, updated in place in O(|delta|)."""
+
+    def __init__(self, graph: Graph):
+        """Adopt ``graph``'s neighbour sets (pass a copy to keep yours)."""
+        super().__init__(graph)
+        self._by_degree: Optional[Dict[int, Set[int]]] = None
+
+    # -- edits (the owner's side) -----------------------------------------
+    def link(self, u: int, v: int) -> bool:
+        """Add edge ``{u, v}``, creating endpoints; True if it was new."""
+        if u == v or v in self.get(u, ()):
+            return False
+        for a, b in ((u, v), (v, u)):
+            row = self.setdefault(a, set())
+            self._moved(a, len(row), len(row) + 1)
+            row.add(b)
+        return True
+
+    def unlink(self, u: int, v: int) -> bool:
+        """Remove edge ``{u, v}`` (the endpoints stay); True if it existed."""
+        if v not in self.get(u, ()):
+            return False
+        for a, b in ((u, v), (v, u)):
+            row = self[a]
+            self._moved(a, len(row), len(row) - 1)
+            row.discard(b)
+        return True
+
+    def drop_node(self, nid: int) -> Collection[int]:
+        """Remove ``nid`` and its edges; returns its former neighbours."""
+        row = self.pop(nid, None)
+        if row is None:
+            return ()
+        self._moved(nid, len(row), None)
+        for m in row:
+            other = self[m]
+            self._moved(m, len(other), len(other) - 1)
+            other.discard(nid)
+        return row
+
+    def _moved(self, node: int, old: int, new: Optional[int]) -> None:
+        index = self._by_degree
+        if index is None:
+            return
+        bucket = index.get(old)
+        if bucket is not None:
+            bucket.discard(node)
+            if not bucket:
+                del index[old]
+        if new is not None:
+            index.setdefault(new, set()).add(node)
+
+    # -- the degree index (the reader's side) -------------------------------
+    def _index(self) -> Dict[int, Set[int]]:
+        if self._by_degree is None:
+            index: Dict[int, Set[int]] = {}
+            for node, row in self.items():
+                index.setdefault(len(row), set()).add(node)
+            self._by_degree = index
+        return self._by_degree
+
+
+def max_degree_nodes(graph: Mapping[int, Collection[int]]) -> Collection[int]:
+    """Every node of maximum degree in any adjacency mapping
+    (``ValueError`` on an empty one)."""
+    if isinstance(graph, OverlayView):
+        index = graph._index()
+        return index[max(index)]
+    top = max(map(len, graph.values()))
+    return [n for n, row in graph.items() if len(row) == top]
+
+
+def min_degree_nodes(graph: Mapping[int, Collection[int]]) -> Collection[int]:
+    """Every node of minimum degree in any adjacency mapping
+    (``ValueError`` on an empty one)."""
+    if isinstance(graph, OverlayView):
+        index = graph._index()
+        return index[min(index)]
+    low = min(map(len, graph.values()))
+    return [n for n, row in graph.items() if len(row) == low]

@@ -24,7 +24,12 @@ from ..audit.certify import AuditInputs, AuditReport
 from ..audit.schema import HealDelta, normalize_edges
 from ..baselines.base import Healer
 from ..churn.events import Insert, InsertWave
-from ..core.errors import NotATreeError, ReproError, SimulationOverError
+from ..core.errors import (
+    DisconnectedGraphError,
+    NotATreeError,
+    ReproError,
+    SimulationOverError,
+)
 from ..core.events import HealReport
 from ..faults.plan import FaultInput, FaultSummary, resolve_faults
 from ..graphs.adjacency import Graph, is_connected, max_degree
@@ -134,17 +139,22 @@ class _DiameterMeter:
     def measure(self, report, graph_fn: Callable[[], Graph], fast_stats=None):
         """Return ``(connected, diameter, alive_count)`` for this round.
 
-        ``graph_fn`` is only called when the incremental tracker is not
-        (or no longer) usable — the measurement itself never materializes
-        the graph on the fast path.  (The campaign loop's *degree* metric
-        still does; see the runner docstrings.)
+        ``graph_fn`` hands out the overlay to read (the campaign loop
+        passes the healer's maintained ``view``); it is only called when
+        the incremental tracker is not (or no longer) usable.
 
         ``fast_stats`` is the healer's O(1) ``(connected, alive_count)``
         capability (when it has one): with ``metrics="none"`` those two
-        are the *only* values this round needs, so the graph is never
-        materialized at all — the difference between O(1) and O(n) per
-        event on the n = 10k..1M churn ladder.  Healers that maintain a
-        spanning overlay report exactly what the BFS would.
+        are the *only* values this round needs, so the overlay is never
+        looked at — and a view nobody else reads is never built.
+        Healers that maintain a spanning overlay report exactly what the
+        BFS would.
+
+        In the BFS modes connectivity is the sweep's own reachability
+        check: its first BFS (for ``"exact"``, the first source's) either
+        reaches every node or raises
+        :class:`~repro.core.errors.DisconnectedGraphError` — a separate
+        ``is_connected`` pass would run the same BFS a second time.
         """
         if self.tracker is not None:
             try:
@@ -164,9 +174,12 @@ class _DiameterMeter:
             connected, alive = fast_stats()
             return connected, None, alive
         graph = graph_fn()
-        connected = is_connected(graph)
-        diameter: Optional[int] = None
-        if self.mode != "none" and connected and len(graph) > 1:
+        n = len(graph)
+        if self.mode == "none":
+            return is_connected(graph), None, n
+        if n <= 1:
+            return True, None, n
+        try:
             # The double sweep is exact on trees (all Forgiving Tree
             # overlays); on baselines' general graphs it is a lower bound.
             diameter = (
@@ -174,7 +187,9 @@ class _DiameterMeter:
                 if self.mode == "exact"
                 else diameter_double_sweep(graph, seed=self.seed)
             )
-        return connected, diameter, len(graph)
+        except DisconnectedGraphError:
+            return False, None, n
+        return True, diameter, n
 
 
 @dataclass
@@ -477,7 +492,7 @@ def _play(
         if audit_deltas is not None:
             audit_deltas.append(HealDelta.from_report(report))
         connected, diameter, alive = meter.measure(
-            report, healer.graph, fast_stats=fast_stats
+            report, healer.view, fast_stats=fast_stats
         )
         record = RoundRecord(
             round=t + 1,

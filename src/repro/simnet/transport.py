@@ -387,8 +387,10 @@ class TransportMirror:
             )
             # The FT healer carries surviving non-tree edges alongside the
             # protocol's tree overlay; the mirror validates the overlay.
+            # Footprints read the maintained tree view every event; the
+            # parity closure materialises the image afresh from the engine.
             self.protocol = "ft"
-            self._oracle_graph = healer.tree_overlay
+            self._oracle_graph = healer.tree_view
             return driver, lambda: _edge_set(healer.tree_overlay())
         if isinstance(healer, ForgivingGraphHealer):
             from ..fgraph.distributed import DistributedForgivingGraph
@@ -397,7 +399,7 @@ class TransportMirror:
                 healer.initial_graph, network=network
             )
             self.protocol = "fg"
-            self._oracle_graph = healer.graph
+            self._oracle_graph = healer.view
             return driver, lambda: _edge_set(healer.graph())
         raise ValueError(
             f"transport mirroring supports the forgiving-tree and "

@@ -6,10 +6,22 @@ import random
 from typing import Dict, Iterable, List, Optional
 
 import pytest
+from hypothesis import settings
 
 from repro import ForgivingTree
 from repro.core.invariants import check_full
 from repro.graphs import generators, metrics
+
+# The tier-1 wall draws the same Hypothesis examples on every run (and
+# ignores the local ``.hypothesis/`` example database), so its verdict is
+# a property of the code, not of the draw (ROADMAP item 1b).  A fuzzing
+# run names its own profile with ``--hypothesis-profile``.
+settings.register_profile("tier1", derandomize=True)
+
+
+def pytest_configure(config):
+    if config.getoption("hypothesis_profile", default=None) is None:
+        settings.load_profile("tier1")
 
 
 def run_full_campaign(

@@ -17,7 +17,7 @@ from repro.baselines import (
 )
 from repro.core.errors import NodeNotFoundError, SimulationOverError
 from repro.graphs import generators, metrics
-from repro.graphs.adjacency import is_connected
+from repro.graphs.adjacency import edges, is_connected
 from repro.harness import run_campaign
 
 
@@ -115,9 +115,11 @@ class TestForgivingTreeHealer:
     def test_non_tree_edges_die_with_endpoints(self):
         g = generators.cycle(6)
         healer = ForgivingTreeHealer(g)
-        extra = next(iter(healer._extra))
-        healer.delete(extra[0])
-        assert extra not in healer._extra
+        (extra,) = edges(g) - edges(healer.tree_overlay())
+        report = healer.delete(extra[0])
+        assert extra in report.edges_removed
+        assert extra[1] not in healer._extra  # the endpoint index is emptied
+        assert extra not in edges(healer.graph())
 
     def test_general_graph_campaign(self):
         g = generators.random_connected_gnp(40, 0.1, seed=6)

@@ -3,9 +3,11 @@ for random trees under arbitrary deletion orders."""
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import ForgivingTree
+from repro.core.errors import InvariantViolationError
 from repro.core.invariants import check_full
 from repro.graphs import generators, metrics
 
@@ -52,6 +54,19 @@ def test_generalized_campaign_invariants(n, tree_seed, order_seed, branching):
     for nid in order:
         ft.delete(nid)
     assert len(ft) == 0
+
+
+@pytest.mark.xfail(strict=True, raises=InvariantViolationError)
+def test_generalized_campaign_known_donor_falsifier():
+    """ROADMAP item 1(a), open: the example Hypothesis found for
+    :func:`test_generalized_campaign_invariants` — at step 37 of 41 the
+    b-ary endgame's donor search finds no role-free node.  Pinned so the
+    bug is visible on every run instead of depending on the draw; the
+    strict xfail turns into a failure the day the donor search is fixed,
+    which is when this becomes an ``@example`` of the property above."""
+    test_generalized_campaign_invariants.hypothesis.inner_test(
+        n=41, tree_seed=6, order_seed=5218, branching=3
+    )
 
 
 @CAMPAIGN_SETTINGS
