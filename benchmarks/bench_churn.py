@@ -191,30 +191,19 @@ def run_metrics_scaling():
     rows = []
     for n in METRICS_SIZES:
         tree = generators.random_tree(n, seed=2)
-        engine = ForgivingTreeHealer({k: set(v) for k, v in tree.items()}).engine
+        healer = ForgivingTreeHealer({k: set(v) for k, v in tree.items()})
         tracker = DynamicTreeMetrics(tree)
         adversary = RandomChurnAdversary(p_insert=0.5, seed=2)
         adversary.reset()
-
-        class _Shim:
-            """Just enough healer surface for the adversary."""
-
-            alive = property(lambda self: engine.alive)
-            known_ids = property(lambda self: set(engine.original_degree))
-
-            def graph(self):
-                return engine.adjacency()
-
-        shim = _Shim()
         t_sweep = t_inc = 0.0
         agree = brackets = 0
         for _ in range(METRICS_ROUNDS):
-            event = adversary.next_event(shim)
+            event = adversary.next_event(healer)
             if isinstance(event, Insert):
-                rep = engine.insert(event.nid, event.attach_to)
+                rep = healer.insert(event.nid, event.attach_to)
             else:
-                rep = engine.delete(event.nid)
-            image = engine.adjacency()
+                rep = healer.delete(event.nid)
+            image = healer.engine.adjacency()
 
             t0 = time.perf_counter()
             d_sweep = diameter_double_sweep(image, seed=2)

@@ -18,10 +18,12 @@ handoff transitions, quiesce barriers):
 **EXP-AUDIT-OVERHEAD** rides the same file: certificate checking
 (``obs="audit"``) is one linear pass over the exported log at
 quiescence, so its cost is measured directly — re-certification wall
-against campaign wall on the same audited run — and must stay under
-the same **< 5%** bar.  A linear scan of a few hundred records vs a
-whole discrete-event campaign makes this assertion as stable as the
-hook count.
+on the same audited run — and must stay **under 3 µs per log record**
+(≈ 1.5 measured at either size).  The bar is stated per record, not as
+a share of the campaign's wall (the ``fraction`` column, still
+reported): the pass is linear in the log whatever the campaign cost to
+run, so the share moves every time the simulator gets faster or slower
+while the per-record cost moves only when the pass does.
 
 Results go to ``benchmarks/out/BENCH_obs.json``.  Quick mode:
 ``CHURN_BENCH_QUICK=1``.
@@ -126,11 +128,12 @@ def measure_hook_cost():
 
 
 def run_audit_overhead():
-    """EXP-AUDIT-OVERHEAD: certification wall vs campaign wall.
+    """EXP-AUDIT-OVERHEAD: certification wall, per log record and
+    against the campaign wall.
 
     The harness certifies once at quiescence; re-running
     ``audit_inputs.certify()`` here times exactly that pass in
-    isolation, against the audited campaign's total wall."""
+    isolation."""
     rows = []
     for n in SIZES:
         result, campaign_s = _campaign(n, "audit")
@@ -149,6 +152,7 @@ def run_audit_overhead():
                 f"{1e3 * campaign_s:.1f}",
                 f"{1e3 * certify_s:.2f}",
                 round(certify_s / campaign_s, 4),
+                round(1e6 * certify_s / result.audit.records, 2),
             ]
         )
     return rows
@@ -161,7 +165,7 @@ OVERHEAD_HEADERS = [
 
 AUDIT_HEADERS = [
     "n", "events", "log records", "heals", "campaign ms", "certify ms",
-    "fraction",
+    "fraction", "us/record",
 ]
 
 
@@ -171,8 +175,8 @@ def _check(rows, hook, audit_rows):
     # The acceptance bar: the disabled stack costs < 5% of an event.
     assert hook["disabled_overhead_fraction"] < 0.05, hook
     for row in audit_rows:
-        # Same bar for the auditor: one linear log scan per campaign.
-        assert row[6] < 0.05, row
+        # The auditor: one linear log scan, held per record (docstring).
+        assert row[7] < 3, row
 
 
 def test_obs_overhead(benchmark, capsys):

@@ -39,7 +39,7 @@ from ..baselines.base import Healer
 from ..churn.events import ChurnEvent, Delete, Insert, InsertWave
 from ..churn.traces import ChurnTrace
 from ..core.errors import ReproError, SimulationOverError
-from ..graphs.view import max_degree_nodes, min_degree_nodes
+from ..graphs.view import max_degree_nodes, min_degree_nodes, sorted_nodes
 from .base import Adversary
 from .simple import MaxDegreeAdversary
 
@@ -109,14 +109,13 @@ def _pick_attachment(
 ) -> int:
     """Choose a live attachment point: uniform, hub-seeking, or leaf.
 
-    ``alive`` (sorted) may be passed in when the caller already has it —
-    a wave adversary picks many attachment points per event and should
-    not re-sort per joiner.  Hub and leaf are read off the healer's
-    view: the smallest id among the nodes of maximum / minimum degree.
+    ``alive`` (the view's sorted roster) may be passed in when the
+    caller already has it.  Hub and leaf are read off the healer's view:
+    the smallest id among the nodes of maximum / minimum degree.
     """
     if prefer == "random":
         if alive is None:
-            alive = sorted(healer.alive)
+            alive = sorted_nodes(healer.view())
         if not alive:
             raise SimulationOverError("no live node to attach to")
         return rng.choice(alive)
@@ -134,13 +133,14 @@ class RandomChurnAdversary(ChurnAdversary):
     of any length stay playable.
 
     ``fast_sample=True`` opts into the healer's O(1) ``sample_alive``
-    capability for uniform picks instead of the classic
-    ``sorted(alive)`` draw — same uniform distribution, but a *different*
-    (still seed-deterministic) random stream, so it is opt-in: committed
-    baselines and regression traces keep the classic stream.  Without
-    the capability (or with ``attach != "random"``) it falls back to the
-    classic path.  The sorted draw is O(n log n) per event — the single
-    largest harness cost at ladder scale (n = 10k..1M)."""
+    capability for uniform picks instead of the classic draw by index
+    into the sorted alive ids — same uniform distribution, but a
+    *different* (still seed-deterministic) random stream, so it is
+    opt-in: committed baselines and regression traces keep the classic
+    stream.  Without the capability (or with ``attach != "random"``) it
+    falls back to the classic path, which reads the view's maintained
+    roster (:func:`~repro.graphs.view.sorted_nodes`) and so makes the
+    healer build and keep up a view; the fast path never looks."""
 
     name = "random-churn"
 
@@ -173,7 +173,7 @@ class RandomChurnAdversary(ChurnAdversary):
             if n_alive <= 1 or self._rng.random() < self.p_insert:
                 return Insert(self._fresh_id(healer), sampler(self._rng))
             return Delete(sampler(self._rng))
-        alive = sorted(healer.alive)
+        alive = sorted_nodes(healer.view())
         if not alive:
             raise SimulationOverError("network is empty")
         if len(alive) <= 1 or self._rng.random() < self.p_insert:
@@ -217,7 +217,7 @@ class WaveChurnAdversary(ChurnAdversary):
         self._rng = random.Random(seed)
 
     def next_event(self, healer: Healer) -> ChurnEvent:
-        alive = sorted(healer.alive)
+        alive = sorted_nodes(healer.view())
         if not alive:
             raise SimulationOverError("network is empty")
         if len(alive) <= 1 or self._rng.random() < self.p_wave:
@@ -282,7 +282,7 @@ class ScatterChurnAdversary(ChurnAdversary):
         return choice
 
     def next_event(self, healer: Healer) -> ChurnEvent:
-        alive = sorted(healer.alive)
+        alive = sorted_nodes(healer.view())
         if not alive:
             raise SimulationOverError("network is empty")
         if len(alive) <= 1 or self._rng.random() < self.p_insert:
@@ -369,7 +369,7 @@ class OverlapChurnAdversary(ChurnAdversary):
 
     def _overlapping_pick(self, healer: Healer, alive: list) -> int:
         graph = healer.view()
-        hot = sorted(region_ball(graph, self._anchors(), self.radius) & set(alive))
+        hot = sorted(region_ball(graph, self._anchors(), self.radius))
         choice = self._rng.choice(hot if hot else alive)
         self._remember(choice, graph)
         return choice
@@ -380,7 +380,7 @@ class OverlapChurnAdversary(ChurnAdversary):
         return choice
 
     def next_event(self, healer: Healer) -> ChurnEvent:
-        alive = sorted(healer.alive)
+        alive = sorted_nodes(healer.view())
         if not alive:
             raise SimulationOverError("network is empty")
         if len(alive) <= 1 or self._rng.random() < self.p_insert:
@@ -457,7 +457,7 @@ class HostileChurnAdversary(ChurnAdversary):
         graph = healer.view()
         if self._rng.random() < self.p_hot and self._recent:
             anchors = [a for group in self._recent for a in group]
-            hot = sorted(region_ball(graph, anchors, self.radius) & set(alive))
+            hot = sorted(region_ball(graph, anchors, self.radius))
             choice = self._rng.choice(hot if hot else alive)
         else:
             choice = self._rng.choice(alive)
@@ -465,7 +465,7 @@ class HostileChurnAdversary(ChurnAdversary):
         return choice
 
     def next_event(self, healer: Healer) -> ChurnEvent:
-        alive = sorted(healer.alive)
+        alive = sorted_nodes(healer.view())
         if not alive:
             raise SimulationOverError("network is empty")
         if len(alive) <= 1 or self._rng.random() < self.p_insert:
@@ -538,7 +538,7 @@ class OscillatingChurnAdversary(ChurnAdversary):
     def next_event(self, healer: Healer) -> ChurnEvent:
         phase_join = (self._tick // self.period) % 2 == 0
         self._tick += 1
-        alive = sorted(healer.alive)
+        alive = sorted_nodes(healer.view())
         if not alive:
             raise SimulationOverError("network is empty")
         if phase_join or len(alive) <= 1:

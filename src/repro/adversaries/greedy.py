@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Optional
 from ..baselines.base import Healer
 from ..core.errors import DisconnectedGraphError
 from ..graphs.metrics import diameter_double_sweep
+from ..graphs.view import sorted_nodes
 from .base import Adversary
 
 
@@ -29,7 +30,7 @@ class _LookaheadAdversary(Adversary):
         raise NotImplementedError
 
     def _candidates(self, healer: Healer) -> Iterable[int]:
-        alive = sorted(healer.alive)
+        alive = sorted_nodes(healer.view())
         if self.max_candidates and len(alive) > self.max_candidates:
             # Deterministic thinning: evenly spaced candidates.
             step = len(alive) / self.max_candidates

@@ -7,7 +7,7 @@ from typing import Optional
 
 from ..baselines.base import Healer
 from ..graphs.metrics import center
-from ..graphs.view import max_degree_nodes, min_degree_nodes
+from ..graphs.view import max_degree_nodes, min_degree_nodes, sorted_nodes
 from .base import Adversary
 
 
@@ -21,7 +21,7 @@ class RandomAdversary(Adversary):
         self._rng = random.Random(seed)
 
     def choose(self, healer: Healer) -> int:
-        return self._rng.choice(sorted(healer.alive))
+        return self._rng.choice(sorted_nodes(healer.view()))
 
     def reset(self) -> None:
         self._rng = random.Random(self.seed)

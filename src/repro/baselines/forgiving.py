@@ -201,7 +201,8 @@ class ForgivingTreeHealer(Healer):
 
     def _check_views(self) -> None:
         """``strict`` engines: a built view must equal a fresh
-        materialisation after every event."""
+        materialisation after every event, and its roster (if a reader
+        asked for one) must list exactly its nodes, sorted."""
         for name, kept, fresh in (
             ("tree_view", self._tree_view, self.engine.adjacency),
             ("view", self._view, self.graph),
@@ -217,6 +218,12 @@ class ForgivingTreeHealer(Healer):
                     "overlay-view",
                     f"round {self.rounds}: {name}() differs from the engine's "
                     f"materialised image at nodes {stale[:6]}",
+                )
+            if kept.roster_is_stale():
+                raise InvariantViolationError(
+                    "overlay-view",
+                    f"round {self.rounds}: {name}()'s roster is not its "
+                    "sorted node ids",
                 )
 
     @property

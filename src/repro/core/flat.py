@@ -55,7 +55,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Set as AbstractSet
 from array import array
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Collection, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
     DuplicateNodeError,
@@ -115,7 +115,9 @@ class AliveView(AbstractSet):
 
     __slots__ = ("_reals",)
 
-    def __init__(self, reals: Dict[int, int]):
+    def __init__(self, reals: Collection[int]):
+        """``reals``: the owner's live container of ids — the flat
+        core's ``id -> slot`` dict, the Forgiving Graph's alive set."""
         self._reals = reals
 
     def __contains__(self, nid: object) -> bool:

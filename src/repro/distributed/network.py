@@ -16,9 +16,9 @@ of Model 2.1.
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from ..core.errors import ProtocolError
 from .messages import Message
@@ -68,15 +68,35 @@ class Network:
         self.stats_history: List[RoundStats] = []
         self._current: Optional[RoundStats] = None
         self._id_bits = 1
+        # The image as of the last image_edges(), each node's claims as
+        # read then, and the nodes whose local state may have moved
+        # since (see image_edges).
+        self._image: Set[Tuple[int, int]] = set()
+        self._claims: Dict[int, Set[int]] = {}
+        self._touched: Set[int] = set()
 
     # -- membership -------------------------------------------------------
     def register(self, node: "ProtocolNode") -> None:
         self.nodes[node.nid] = node
         node.network = self
+        self._touched.add(node.nid)
         self._id_bits = max(1, math.ceil(math.log2(max(len(self.nodes), 2))))
 
     def remove(self, nid: int) -> "ProtocolNode":
+        self._departed(nid)
         return self.nodes.pop(nid)
+
+    def _departed(self, nid: int) -> None:
+        """``nid`` is leaving: the claims kept for it are re-decided by
+        the next image.  With none kept (it joined after the last image,
+        or nobody ever asked for one) there is nothing of it to re-read,
+        so a network churned between images — or never imaged — does not
+        collect its dead: ``_touched`` stays within the nodes alive now
+        plus those alive at the last image."""
+        if nid in self._claims:
+            self._touched.add(nid)
+        else:
+            self._touched.discard(nid)
 
     def __contains__(self, nid: int) -> bool:
         return nid in self.nodes
@@ -125,6 +145,7 @@ class Network:
                 stats.received[message.recipient] = (
                     stats.received.get(message.recipient, 0) + 1
                 )
+                self._touched.add(message.recipient)
                 node.handle(message)
         self._current = None
         self.stats_history.append(stats)
@@ -135,25 +156,58 @@ class Network:
         self._current = RoundStats(round=round_no)
 
     # -- derived global views (used by tests and validation only) ---------
-    def image_edges(self) -> set:
+    def image_edges(self) -> Set[Tuple[int, int]]:
         """Edge set derived from both endpoints' local state.
 
         Strict symmetry: an edge counts only if *both* sides claim it; an
         edge claimed by a single side raises, catching protocol bugs.
+
+        The image is kept between calls.  In this model a node's local
+        state moves only when the node joins, leaves, or is handed a
+        message, and the network sees all three; it marks those nodes
+        *touched*, and a call re-reads the claims of the touched nodes
+        only, re-deciding — by the rule above — every edge that either
+        their old or their new claims name.  The first call, and the
+        first after :meth:`forget_image`, finds every node marked: that
+        *is* the from-scratch derivation, by the same code.  An
+        asymmetric edge leaves both its ends marked, so the next call
+        raises again.  The returned set is the caller's own: one
+        C-level O(|E|) copy per call, next to O(touched) Python-level
+        reads.
         """
-        claims: Dict[tuple, set] = defaultdict(set)
-        for nid, node in self.nodes.items():
-            for other in node.neighbor_claims():
-                if other == nid:
-                    continue
-                key = (min(nid, other), max(nid, other))
-                claims[key].add(nid)
-        edges = set()
-        for key, claimants in claims.items():
-            if len(claimants) != 2:
-                one = next(iter(claimants))
-                raise ProtocolError(
-                    f"asymmetric edge {key}: only {one} claims it"
-                )
-            edges.add(key)
-        return edges
+        claims, image, nodes = self._claims, self._image, self.nodes
+        keys = set()
+        for nid in self._touched:
+            named = claims.pop(nid, ())
+            node = nodes.get(nid)
+            if node is not None:
+                now = claims[nid] = node.neighbor_claims()
+                now.discard(nid)
+                named = now.union(named)
+            for other in named:
+                keys.add((nid, other) if nid < other else (other, nid))
+        self._touched.clear()
+        lone = []
+        for key in keys:
+            u, v = key
+            ends = (v in claims.get(u, ())) + (u in claims.get(v, ()))
+            if ends == 2:
+                image.add(key)
+            else:
+                image.discard(key)
+                if ends:
+                    lone.append(key)
+                    self._touched.update(key)
+        if lone:
+            u, v = key = min(lone)
+            one = u if v in claims.get(u, ()) else v
+            raise ProtocolError(f"asymmetric edge {key}: only {one} claims it")
+        return set(image)
+
+    def forget_image(self) -> None:
+        """Drop the kept image: the next :meth:`image_edges` re-reads
+        every node (a membership transplant; the mirror's end-of-campaign
+        check that keeping the image changed nothing)."""
+        self._image.clear()
+        self._claims.clear()
+        self._touched = set(self.nodes)

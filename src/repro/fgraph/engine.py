@@ -61,6 +61,7 @@ from ..core.events import (
     edge_key,
     normalize_wave,
 )
+from ..core.flat import AliveView
 from ..graphs.adjacency import Graph, copy as copy_graph, from_adjacency
 from ..guarantees import degree_increase_bound
 from .rtree import ReconstructionTree
@@ -121,8 +122,10 @@ class ForgivingGraph:
     # queries
     # ------------------------------------------------------------------
     @property
-    def alive(self) -> Set[int]:
-        return set(self._alive)
+    def alive(self) -> AliveView:
+        """Surviving node ids: a zero-copy read-only view (the type the
+        flat Forgiving Tree core hands out)."""
+        return AliveView(self._alive)
 
     def __len__(self) -> int:
         return len(self._alive)

@@ -19,23 +19,36 @@ healer's ``graph()`` when you need a copy of your own.
 adjacency mapping: a view answers from a degree index (``degree ->
 nodes``) that is built on the first such question and only then kept up,
 so a reader that never asks never pays for it; a plain mapping is
-scanned.
+scanned.  "Who is there, in id order" — what a seeded uniform draw
+indexes into — is :func:`sorted_nodes`, under the same rule: a view
+answers from a roster sorted once by the first question and from then
+on kept sorted through every join and departure; a plain mapping is
+sorted.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Dict, Mapping, Optional, Set
+from bisect import bisect_left, insort
+from typing import Collection, Dict, List, Mapping, Optional, Sequence, Set
 
 from .adjacency import Graph
 
 
 class OverlayView(dict):
-    """``node -> set of neighbours``, updated in place in O(|delta|)."""
+    """``node -> set of neighbours``, updated in place in O(|delta|).
+
+    Readers go through the module's functions — :func:`max_degree_nodes`,
+    :func:`min_degree_nodes`, :func:`sorted_nodes` — whose answers (a
+    degree bucket, the roster) are the view's own bookkeeping: read
+    them, never mutate them or hold them across an event.
+    """
 
     def __init__(self, graph: Graph):
         """Adopt ``graph``'s neighbour sets (pass a copy to keep yours)."""
         super().__init__(graph)
+        # Both built by the first reader to ask, None until then.
         self._by_degree: Optional[Dict[int, Set[int]]] = None
+        self._roster: Optional[List[int]] = None
 
     # -- edits (the owner's side) -----------------------------------------
     def link(self, u: int, v: int) -> bool:
@@ -43,7 +56,11 @@ class OverlayView(dict):
         if u == v or v in self.get(u, ()):
             return False
         for a, b in ((u, v), (v, u)):
-            row = self.setdefault(a, set())
+            row = self.get(a)
+            if row is None:
+                row = self[a] = set()
+                if self._roster is not None:
+                    insort(self._roster, a)  # fresh ids grow: an append
             self._moved(a, len(row), len(row) + 1)
             row.add(b)
         return True
@@ -64,6 +81,8 @@ class OverlayView(dict):
         if row is None:
             return ()
         self._moved(nid, len(row), None)
+        if self._roster is not None:
+            del self._roster[bisect_left(self._roster, nid)]
         for m in row:
             other = self[m]
             self._moved(m, len(other), len(other) - 1)
@@ -81,6 +100,11 @@ class OverlayView(dict):
                 del index[old]
         if new is not None:
             index.setdefault(new, set()).add(node)
+
+    def roster_is_stale(self) -> bool:
+        """Whether a built roster has stopped being the sorted node ids
+        (``strict`` healers ask after every event)."""
+        return self._roster is not None and self._roster != sorted(self)
 
     # -- the degree index (the reader's side) -------------------------------
     def _index(self) -> Dict[int, Set[int]]:
@@ -110,3 +134,15 @@ def min_degree_nodes(graph: Mapping[int, Collection[int]]) -> Collection[int]:
         return index[min(index)]
     low = min(map(len, graph.values()))
     return [n for n, row in graph.items() if len(row) == low]
+
+
+def sorted_nodes(graph: Mapping[int, Collection[int]]) -> Sequence[int]:
+    """Every node of any adjacency mapping, in ascending id order.
+
+    A view hands out its own roster: read it, never mutate it, and do
+    not hold it across an event."""
+    if isinstance(graph, OverlayView):
+        if graph._roster is None:
+            graph._roster = sorted(graph)
+        return graph._roster
+    return sorted(graph)

@@ -37,6 +37,21 @@ Concurrency semantics (documented at length in ``docs/ASYNC.md``):
   (including the adversarial one) picks which lands next — the legal
   interleavings of the model.
 
+The event queue.  A heal's layers are stored as per-recipient FIFOs, and
+the only envelopes that can ever be deliverable are the **frontier**:
+the FIFO head of every recipient in the front (shallowest non-empty)
+layer of every open heal.  The frontier changes at exactly three
+moments — a send that starts a recipient's FIFO in the front layer, a
+delivery (the recipient's next envelope surfaces, or, when it emptied
+the layer, every head of the next one), and a heal's quiescence — so it
+is kept, not recomputed.  An *ordered* policy (one that states its order
+as :meth:`~repro.simnet.scheduler.SchedulerPolicy.key`) is served from
+two heaps: frontier heads by arrival time, and — once the horizon
+reaches them — arrived heads by policy key; a delivery costs
+O(log frontier).  A *positional* policy (``random``, or any subclass
+that overrides ``pick``) is handed the arrived heads as a list ordered
+by (heal id, send order), built from the front layers alone.
+
 Determinism: given the construction seed, the whole run — clock values,
 delivery order, the per-message :attr:`event_log` — is a pure function
 of the injected events.  Tests pin this by comparing event logs.
@@ -47,9 +62,11 @@ from __future__ import annotations
 import math
 import random
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from heapq import heappop, heappush
+from operator import attrgetter
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from ..audit.schema import (
     ControlRecord,
@@ -70,7 +87,9 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.profile import PhaseProfiler
 from ..obs.trace import CONTROL_TRACK, NO_TRACE, PID_PROTOCOL
 from .latency import LatencySpec, resolve_latency
-from .scheduler import SchedulerSpec, resolve_scheduler
+from .scheduler import SchedulerPolicy, SchedulerSpec, resolve_scheduler
+
+_send_order = attrgetter("seq")
 
 
 @dataclass(eq=False)
@@ -154,7 +173,10 @@ class AsyncNetwork(Network):
     latency:
         Per-link delay model (name, instance, or ``(name, kwargs)``).
     scheduler:
-        Delivery-order policy among legally deliverable messages.
+        Delivery-order policy among legally deliverable messages.  Fixed
+        at construction (a read-only attribute): whether it is ordered
+        or positional — decided here, from the ``pick`` this very
+        object answers with — is how the frontier is indexed.
     seed:
         Master seed; the latency and scheduler RNG streams are derived
         from it (disjointly), so one seed fixes the whole run.
@@ -217,7 +239,7 @@ class AsyncNetwork(Network):
             else 2 * seed + 3
         )
         self.latency = resolve_latency(latency, seed=2 * seed + 1)
-        self.scheduler = resolve_scheduler(scheduler, seed=2 * seed + 2)
+        self._scheduler = resolve_scheduler(scheduler, seed=2 * seed + 2)
         self.clock = 0.0
         self.delivered = 0
         self.event_log: List[LogRecord] = []
@@ -228,8 +250,21 @@ class AsyncNetwork(Network):
         self.peak_queue_depth = 0
         self._seq = 0
         self._next_hid = 0
-        self._buckets: Dict[int, Dict[int, List[Envelope]]] = {}
+        # The event queue (module docstring): heal -> depth -> recipient
+        # -> FIFO of envelopes in send order; a heal's front layer is
+        # ``min`` of its (at most two) non-empty depths.  ``_waiting``
+        # and ``_ready`` hold each frontier head exactly once, and only
+        # for ordered policies; ``_queued``/``_open`` count what
+        # ``_pending`` (per heal) would sum to.
+        self._layers: Dict[int, Dict[int, Dict[int, Deque[Envelope]]]] = {}
         self._pending: Dict[int, int] = {}
+        self._queued = 0
+        self._open = 0
+        self._ordered = (
+            getattr(self._scheduler.pick, "__func__", None) is SchedulerPolicy.pick
+        )
+        self._waiting: List[Tuple[float, int, Envelope]] = []
+        self._ready: List[Tuple[object, int, int, Envelope]] = []
         self._depth_seen: Dict[int, int] = {}
         self._heal_stats: Dict[int, HealStats] = {}
         self._ctx: Optional[Tuple[int, int]] = None
@@ -252,6 +287,11 @@ class AsyncNetwork(Network):
         self._crash_armed: Optional[Tuple[int, int, int]] = None
         self._crashed_heals: Set[int] = set()
         self.crashed: List[Tuple[int, int]] = []
+
+    @property
+    def scheduler(self) -> SchedulerPolicy:
+        """The delivery-order policy (fixed at construction)."""
+        return self._scheduler
 
     # -- heal lifecycle ----------------------------------------------------
     def open_heal(
@@ -279,7 +319,7 @@ class AsyncNetwork(Network):
             label=label,
             requested_at=requested_at,
         )
-        self._buckets[hid] = {}
+        self._layers[hid] = {}
         self._pending[hid] = 0
         self._depth_seen[hid] = -1
         self._ctx = (hid, -1)
@@ -327,7 +367,7 @@ class AsyncNetwork(Network):
         stats = self._heal_stats[hid]
         stats.quiesced_at = self.clock
         stats.sub_rounds = self._depth_seen.pop(hid) + 1
-        del self._buckets[hid]
+        del self._layers[hid]
         del self._pending[hid]
         self.stats_history.append(stats)
         if self.tracer.enabled:
@@ -367,6 +407,15 @@ class AsyncNetwork(Network):
             raise ProtocolError(
                 f"heal {hid}: no quiescence after {self.max_sub_rounds} layers"
             )
+        layers = self._layers[hid]
+        if layers and depth < min(layers):
+            # Only an injection interleaved with deliveries gets here: the
+            # heal's deeper messages have started landing, so queueing a
+            # shallower one now would reorder across the layering rule.
+            raise ProtocolError(
+                f"heal {hid}: depth-{depth} send while its front layer is "
+                f"{min(layers)} (deliveries ran inside the injection window)"
+            )
         stats = self._heal_stats[hid]
         stats.sent[message.sender] = stats.sent.get(message.sender, 0) + 1
         stats.bits += message.id_count() * self._id_bits + 8
@@ -388,8 +437,7 @@ class AsyncNetwork(Network):
             send_seq=send_seq,
         )
         self._seq += 1
-        self._buckets[hid].setdefault(depth, []).append(env)
-        self._pending[hid] += 1
+        self._enqueue(env)
         if self.record_log:
             # One typed record per logical event, all stamped with the
             # envelope sequence numbers delivery records echo back — the
@@ -487,8 +535,7 @@ class AsyncNetwork(Network):
             )
             dup_seq = dup.seq
             self._seq += 1
-            self._buckets[hid].setdefault(depth, []).append(dup)
-            self._pending[hid] += 1
+            self._enqueue(dup)
             if self.tracer.enabled:
                 self.tracer.instant(
                     "fault:dup",
@@ -501,39 +548,109 @@ class AsyncNetwork(Network):
                 self.metrics.counter("faults.duplicates").inc()
         return extra_delay, send_seq, lost, dup_seq
 
-    def _deliverable(self, horizon: float) -> List[Envelope]:
-        """Messages legal to deliver now: front layer per heal, arrived
-        within the horizon, and — within the layer — per-recipient FIFO.
+    # -- the event queue ----------------------------------------------------
+    def _enqueue(self, env: Envelope) -> None:
+        """File ``env`` under (heal, depth, recipient); it joins the
+        frontier iff it starts a FIFO in its heal's front layer."""
+        hid = env.heal
+        layers = self._layers[hid]
+        layer = layers.get(env.depth)
+        if layer is None:
+            layer = layers[env.depth] = {}
+        recipient = env.message.recipient
+        fifo = layer.get(recipient)
+        if fifo is None:
+            fifo = layer[recipient] = deque()
+        fifo.append(env)
+        if len(fifo) == 1 and env.depth == min(layers):
+            self._expose(env)
+        queued = self._pending[hid]
+        self._pending[hid] = queued + 1
+        self._queued += 1
+        if not queued:
+            self._open += 1
 
-        The last rule mirrors the synchronous model, which hands each
-        node its sub-round messages as one send-ordered sequence; the
-        Forgiving Tree handlers rely on that per-inbox order (e.g. a
-        bypass brokerage intro and the matching hello must land in
-        order), so a reordering across it is not a *legal* interleaving.
-        Everything else — across recipients, across heals — is fair
-        game for the scheduler.
-        """
+    def _expose(self, env: Envelope) -> None:
+        """``env`` just became a frontier head."""
+        if self._ordered:
+            heappush(self._waiting, (env.deliver_at, env.seq, env))
+
+    def _arrived_heads(self, horizon: float) -> List[Envelope]:
+        """The legal set as a list, for positional policies: front layer
+        per heal, per-recipient FIFO head, arrived within the horizon —
+        ordered by (heal id, send order)."""
         out: List[Envelope] = []
-        for depths in self._buckets.values():
-            if not depths:
-                continue
-            best: Dict[int, Envelope] = {}
-            for e in depths[min(depths)]:
-                cur = best.get(e.message.recipient)
-                if cur is None or e.seq < cur.seq:
-                    best[e.message.recipient] = e
-            # FIFO blocking: a recipient's later messages wait for its
-            # first, even if a latency draw made them arrive earlier.
-            out.extend(e for e in best.values() if e.deliver_at <= horizon)
+        for layers in self._layers.values():  # opened, so keyed, in heal-id order
+            if layers:
+                heads = [fifo[0] for fifo in layers[min(layers)].values()]
+                heads.sort(key=_send_order)
+                out.extend(e for e in heads if e.deliver_at <= horizon)
         return out
 
+    def _next(self, horizon: float) -> Optional[Envelope]:
+        """The envelope the policy lands next among those legal to
+        deliver by ``horizon`` (``None``: nothing is).
+
+        Legal means: front layer of its heal, head of its recipient's
+        FIFO within that layer, arrived within the horizon.  The second
+        rule mirrors the synchronous model, which hands each node its
+        sub-round messages as one send-ordered sequence; the Forgiving
+        Tree handlers rely on that per-inbox order (e.g. a bypass
+        brokerage intro and the matching hello must land in order), so a
+        reordering across it is not a *legal* interleaving.  Everything
+        else — across recipients, across heals — is fair game for the
+        scheduler.
+        """
+        if not self._ordered:
+            heads = self._arrived_heads(horizon)
+            return self._scheduler.pick(heads) if heads else None
+        waiting, ready, key = self._waiting, self._ready, self._scheduler.key
+        while True:
+            while waiting and waiting[0][0] <= horizon:
+                env = heappop(waiting)[2]
+                # Ties in a policy's key fall to (heal id, send order),
+                # as ``min`` over the positional list would break them.
+                heappush(ready, (key(env), env.heal, env.seq, env))
+            if not ready:
+                return None
+            env = heappop(ready)[3]
+            if env.deliver_at <= horizon:
+                return env
+            # Readied by an unbounded drain that stopped early; this
+            # (finite) horizon does not reach it yet.
+            heappush(waiting, (env.deliver_at, env.seq, env))
+
     def _deliver(self, env: Envelope) -> None:
-        depths = self._buckets[env.heal]
-        front = depths[env.depth]
-        front.remove(env)
-        if not front:
-            del depths[env.depth]
-        self._pending[env.heal] -= 1
+        hid = env.heal
+        recipient = env.message.recipient
+        try:
+            layers = self._layers[hid]
+            layer = layers[env.depth]
+            fifo = layer[recipient]
+        except KeyError:  # a closed heal, an emptied layer or inbox
+            fifo = None
+        if not fifo or fifo[0] is not env or env.depth != min(layers):
+            # Checked before anything is popped or counted: a bad pick
+            # leaves the queue exactly as it was.
+            raise ProtocolError(
+                f"scheduler {self.scheduler.name!r} picked an envelope "
+                "outside the deliverable set"
+            )
+        fifo.popleft()
+        if fifo:
+            self._expose(fifo[0])
+        else:
+            del layer[recipient]
+            if not layer:
+                del layers[env.depth]
+                if layers:  # the next layer opens: all its heads surface
+                    for opened in layers[min(layers)].values():
+                        self._expose(opened[0])
+        queued = self._pending[hid] - 1
+        self._pending[hid] = queued
+        self._queued -= 1
+        if not queued:
+            self._open -= 1
         self.clock = max(self.clock, env.deliver_at)
         self._depth_seen[env.heal] = max(self._depth_seen[env.heal], env.depth)
         if (
@@ -601,6 +718,7 @@ class AsyncNetwork(Network):
                 )
             prev = self._ctx
             self._ctx = (env.heal, env.depth)
+            self._touched.add(msg.recipient)
             try:
                 if self.profiler is None:
                     node.handle(msg)
@@ -698,6 +816,7 @@ class AsyncNetwork(Network):
         assert self._crash_armed is not None
         hid, _layer, victim = self._crash_armed
         self._crash_armed = None
+        self._departed(victim)
         self.nodes.pop(victim, None)
         # The victim's seen-window outlives it on purpose: a duplicate
         # racing the crash must still find its original's key, keeping
@@ -723,24 +842,23 @@ class AsyncNetwork(Network):
     def adopt(self, nodes) -> None:
         """Replace the membership wholesale (the repair pass's node
         transplant): the kernel must be fully drained — no envelope may
-        reference a node about to be discarded.  Seen-windows reset with
-        the nodes; sequence numbers keep counting (stale-window dups are
-        impossible across a reset, duplicate seqnos would not be)."""
-        if any(self._pending.values()):
+        reference a node about to be discarded.  Seen-windows and the
+        kept image reset with the nodes; sequence numbers keep counting
+        (stale-window dups are impossible across a reset, duplicate
+        seqnos would not be)."""
+        if self._queued:
             raise ProtocolError("adopt on a kernel with messages in flight")
         self.nodes.clear()
         self._seen.clear()
+        self.forget_image()
         for node in nodes:
             self.register(node)
 
     def run_until(self, horizon: float) -> None:
         """Deliver every message that can legally land by ``horizon``
         (new sends included, as long as they arrive in time)."""
-        while True:
-            deliverable = self._deliverable(horizon)
-            if not deliverable:
-                break
-            self._deliver(self.scheduler.pick(deliverable))
+        while (env := self._next(horizon)) is not None:
+            self._deliver(env)
         if horizon != math.inf:
             self.clock = max(self.clock, horizon)
 
@@ -759,14 +877,16 @@ class AsyncNetwork(Network):
         messages — stopping early narrows the drain, never the legality
         of the interleaving.
         """
-        targets = [h for h in hids if self._pending.get(h, 0) > 0]
-        while any(self._pending.get(h, 0) > 0 for h in targets):
-            deliverable = self._deliverable(math.inf)
-            if not deliverable:  # pragma: no cover - defensive
+        targets = {h for h in hids if self._pending.get(h, 0) > 0}
+        while targets:
+            env = self._next(math.inf)
+            if env is None:  # pragma: no cover - defensive
                 raise ProtocolError(
-                    f"heals {targets} pending but nothing deliverable"
+                    f"heals {sorted(targets)} pending but nothing deliverable"
                 )
-            self._deliver(self.scheduler.pick(deliverable))
+            self._deliver(env)
+            if not self._pending.get(env.heal):  # it quiesced just now
+                targets.discard(env.heal)
 
     def log_control(self, tag: str, ref: int) -> None:
         """Record a control transition (lease grant/release, handoff,
@@ -807,8 +927,7 @@ class AsyncNetwork(Network):
 
     # -- instrumentation ---------------------------------------------------
     def _sample(self) -> None:
-        open_heals = sum(1 for c in self._pending.values() if c > 0)
-        queued = sum(self._pending.values())
+        open_heals, queued = self._open, self._queued
         if open_heals > self.peak_open_heals:
             self.peak_open_heals = open_heals
         if queued > self.peak_queue_depth:
@@ -824,10 +943,7 @@ class AsyncNetwork(Network):
 
     def in_flight(self) -> Tuple[int, int]:
         """Current ``(open heals, queued messages)``."""
-        return (
-            sum(1 for c in self._pending.values() if c > 0),
-            sum(self._pending.values()),
-        )
+        return self._open, self._queued
 
     # -- synchronous-Network compatibility ---------------------------------
     # The drivers' own delete()/insert()/setup paths call

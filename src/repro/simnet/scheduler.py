@@ -20,6 +20,18 @@ policies here let tests and benchmarks actually quantify over them.
   synchronous network ever exhibited.  The deterministic worst case.
 * :class:`RandomScheduler` — seeded uniform choice among the deliverable
   set; the Hypothesis fuzzing hook (each seed is one legal interleaving).
+
+A policy is **ordered** when it states a total order once, as
+:meth:`SchedulerPolicy.key`, and leaves ``pick`` alone: the kernel then
+keeps the deliverable set in a heap under that key and never builds the
+list (the first three above).  A policy that overrides ``pick`` is
+**positional**: it is handed the deliverable set as a list ordered by
+(heal id, send order) on every delivery and may choose by index
+(:class:`RandomScheduler`).  A kernel decides which kind it was given
+once, when it is built, from the ``pick`` the policy object answers
+with then (a subclass's or an instance's own counts as an override) and
+keeps that policy for life: ``AsyncNetwork.scheduler`` is read-only, and
+a policy must not grow a ``pick`` after a kernel has adopted it.
 """
 
 from __future__ import annotations
@@ -29,7 +41,12 @@ from typing import Dict, Sequence, Type, Union
 
 
 class SchedulerPolicy:
-    """Picks the next envelope among the legally deliverable set."""
+    """Picks the next envelope among the legally deliverable set.
+
+    Subclasses define :meth:`key` (ordered: the smallest key lands
+    next) *or* override :meth:`pick` (positional); see the module
+    docstring for what the kernel does with each.
+    """
 
     name: str = "abstract"
 
@@ -41,13 +58,18 @@ class SchedulerPolicy:
         self.seed = seed
         self._rng = random.Random(seed)
 
-    def pick(self, deliverable: Sequence["object"]) -> "object":
-        """Choose one envelope; ``deliverable`` is never empty.
+    def key(self, envelope: "object"):
+        """This policy's order: the deliverable envelope with the
+        smallest key lands next.  Must depend on the envelope alone.
 
         Envelopes expose ``deliver_at`` (arrival time) and ``seq``
         (global send order) — see :class:`repro.simnet.kernel.Envelope`.
         """
         raise NotImplementedError
+
+    def pick(self, deliverable: Sequence["object"]) -> "object":
+        """Choose one envelope; ``deliverable`` is never empty."""
+        return min(deliverable, key=self.key)
 
 
 class LatencyScheduler(SchedulerPolicy):
@@ -55,8 +77,8 @@ class LatencyScheduler(SchedulerPolicy):
 
     name = "latency"
 
-    def pick(self, deliverable):
-        return min(deliverable, key=lambda e: (e.deliver_at, e.seq))
+    def key(self, envelope):
+        return (envelope.deliver_at, envelope.seq)
 
 
 class FifoScheduler(SchedulerPolicy):
@@ -64,8 +86,8 @@ class FifoScheduler(SchedulerPolicy):
 
     name = "fifo"
 
-    def pick(self, deliverable):
-        return min(deliverable, key=lambda e: e.seq)
+    def key(self, envelope):
+        return envelope.seq
 
 
 class AdversarialScheduler(SchedulerPolicy):
@@ -79,8 +101,8 @@ class AdversarialScheduler(SchedulerPolicy):
 
     name = "adversarial"
 
-    def pick(self, deliverable):
-        return max(deliverable, key=lambda e: e.seq)
+    def key(self, envelope):
+        return -envelope.seq
 
 
 class RandomScheduler(SchedulerPolicy):

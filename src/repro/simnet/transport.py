@@ -43,7 +43,11 @@ At every barrier — conflict-forced or escalated, cadence
 mode: flushes every delegated event in priority order first), asserts
 protocol quiescence, and cross-validates the distributed image against
 the oracle's healed graph node-for-node, raising
-:class:`TransportDivergence` on any mismatch.
+:class:`TransportDivergence` on any mismatch.  The distributed image is
+the one the network keeps from the nodes that moved since the last
+barrier (:meth:`~repro.distributed.network.Network.image_edges`);
+:meth:`TransportMirror.finish` derives it once more from every node and
+requires the same answer.
 """
 
 from __future__ import annotations
@@ -354,6 +358,9 @@ class TransportMirror:
         self.barriers = 0
         self.conflict_barriers = 0
         self._since_barrier = 0
+        # Event count at the network's last from-scratch image (its
+        # first, or the first after a repair pass's node transplant).
+        self._image_scratch_at = 0
         # Region-lease state (overlap="lease" only): the lease table,
         # the per-event handoff ledger, the parked delegated events, and
         # the kernel-heal-id -> event-id map of injected lease heals.
@@ -654,6 +661,7 @@ class TransportMirror:
                 driver.delete(rep.deleted)
         assert self.net is not None
         self.net.adopt(list(fresh_net.nodes.values()))
+        self._image_scratch_at = self.events
         driver.network = self.net
         self.driver = driver
         self._oracle_edges = oracle_edges
@@ -928,6 +936,23 @@ class TransportMirror:
                 f"(missing {missing}, extra {extra})"
             )
 
+    def _check_kept_image(self) -> None:
+        """Every barrier read an image the network kept from the nodes
+        that joined, left or were handed a message
+        (:meth:`~repro.distributed.network.Network.image_edges`); derive
+        it once more from every node and require the same answer."""
+        kept = self.driver.edges()
+        self.driver.network.forget_image()
+        derived = self.driver.edges()
+        if kept != derived:
+            raise TransportDivergence(
+                f"events {self._image_scratch_at}..{self.events}: the image "
+                f"kept across barriers differs from one derived from every "
+                f"node (kept only {sorted(kept - derived)[:6]}, derived only "
+                f"{sorted(derived - kept)[:6]}) - a node's claims moved "
+                "without a join, a leave or a delivery"
+            )
+
     def finish(self) -> TransportSummary:
         """Final barrier + summary (call once, at campaign end)."""
         self.barrier()
@@ -935,6 +960,7 @@ class TransportMirror:
         # against the live healer, not just the accumulated deltas.
         try:
             self.verify(expected=self._oracle_edges())
+            self._check_kept_image()
         except ReproError as exc:
             self._fail(exc)
         spec = self.spec

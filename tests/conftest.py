@@ -6,7 +6,8 @@ import random
 from typing import Dict, Iterable, List, Optional
 
 import pytest
-from hypothesis import settings
+from hypothesis import assume, settings
+from hypothesis.database import DirectoryBasedExampleDatabase
 
 from repro import ForgivingTree
 from repro.core.invariants import check_full
@@ -15,13 +16,46 @@ from repro.graphs import generators, metrics
 # The tier-1 wall draws the same Hypothesis examples on every run (and
 # ignores the local ``.hypothesis/`` example database), so its verdict is
 # a property of the code, not of the draw (ROADMAP item 1b).  A fuzzing
-# run names its own profile with ``--hypothesis-profile``.
+# run names its own profile with ``--hypothesis-profile``; CI's ``fuzz``
+# job uses the one registered here: fresh draws every run, 300 examples
+# per property that sizes itself with :func:`examples`, and a directory
+# example database the job keeps as an artifact, so a falsifier is
+# replayed first on the next run and can be pinned as an ``@example``.
 settings.register_profile("tier1", derandomize=True)
+settings.register_profile(
+    "fuzz",
+    derandomize=False,
+    max_examples=300,
+    deadline=None,
+    database=DirectoryBasedExampleDatabase(".hypothesis/examples"),
+    print_blob=True,
+)
 
 
 def pytest_configure(config):
     if config.getoption("hypothesis_profile", default=None) is None:
         settings.load_profile("tier1")
+
+
+def examples(tier1: int) -> int:
+    """``max_examples`` for one property: its own budget on the
+    derandomized tier-1 wall, at least the active profile's on a fuzzing
+    run (read at import, i.e. after the profile was loaded)."""
+    active = settings.default
+    return tier1 if active.derandomize else max(tier1, active.max_examples)
+
+
+def assume_not_a_known_finding(exc: BaseException) -> None:
+    """Discard the drawn example if ``exc`` is an open protocol finding
+    that is already pinned, so a fuzzing run over whole campaigns stops
+    on new falsifiers only (call it from an ``except``, then re-raise).
+
+    ROADMAP item 2(e): on rare event streams the distributed Forgiving
+    Tree dies of ``unmatched SimChange hchild`` on every transport, the
+    synchronous one included — pinned as ``tests/test_churn.py::
+    TestDistributedInsert::test_known_unmatched_simchange_falsifier``.
+    Delete the entry with the fix."""
+    assume("unmatched SimChange hchild" not in str(exc))
 
 
 def run_full_campaign(

@@ -1,0 +1,74 @@
+"""What ``tests/data/kernel_frontier_pins.json`` pins, and how it was taken.
+
+The file was written by running this module against the commit *before*
+the kernel kept a frontier (when every delivery rebuilt the legal set
+from every queued envelope)::
+
+    PYTHONPATH=<parent>/src python -m tests.kernel_frontier_pins tests/data/kernel_frontier_pins.json
+
+``tests/test_kernel_frontier.py`` recomputes :func:`observe` on the
+current tree and requires equality: which envelope lands next, at what
+virtual time, is a fact about the simulated network under a policy and
+a seed, which a change to how the kernel *finds* the legal set must not
+move.  One lease campaign with drops, duplicates and a crash-during-heal
+per catalog policy; every record of the kernel's event log is digested.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+
+from repro.adversaries import OverlapChurnAdversary
+from repro.baselines import ForgivingTreeHealer
+from repro.faults import CrashDuringHeal, FaultPlan
+from repro.graphs import generators
+from repro.harness import run_churn_campaign
+from repro.simnet import SCHEDULER_CATALOG, TransportSpec
+
+
+def campaign_log(scheduler: str):
+    """The kernel event log of the pinned campaign under ``scheduler``."""
+    result = run_churn_campaign(
+        ForgivingTreeHealer(generators.random_tree(160, 5)),
+        OverlapChurnAdversary(p_insert=0.3, seed=4),
+        events=120,
+        metrics="none",
+        seed=9,
+        transport=TransportSpec(
+            mode="async",
+            overlap="lease",
+            latency="heavy-tail",
+            scheduler=scheduler,
+            gap=0.05,
+            barrier_every=16,
+            record_log=True,
+            faults=FaultPlan(
+                drop=0.05, dup=0.03, crashes=(CrashDuringHeal(event=10, layer=1),)
+            ),
+        ),
+    )
+    return result.transport
+
+
+def observe():
+    out = {}
+    for scheduler in sorted(SCHEDULER_CATALOG):
+        summary = campaign_log(scheduler)
+        rows = [rec.to_dict() for rec in summary.event_log]
+        out[scheduler] = {
+            "records": len(rows),
+            "delivered": summary.messages_delivered,
+            "makespan": summary.makespan,
+            "digest": hashlib.sha256(
+                json.dumps(rows, sort_keys=True).encode()
+            ).hexdigest(),
+        }
+    return out
+
+
+if __name__ == "__main__":
+    with open(sys.argv[1], "w") as fh:
+        json.dump(observe(), fh, indent=1, sort_keys=True)
+        fh.write("\n")

@@ -26,6 +26,7 @@ from repro.churn import ChurnTrace, Delete, Insert, InsertWave, synthetic_skype_
 from repro.core.errors import (
     DuplicateNodeError,
     NodeNotFoundError,
+    ProtocolError,
     ReproError,
     SimulationOverError,
 )
@@ -406,6 +407,36 @@ class TestDistributedInsert:
                 victim = rng.choice(alive)
                 seq.delete(victim)
                 dist.delete(victim)
+            assert seq.edges() == dist.edges()
+
+    @pytest.mark.xfail(strict=True, raises=ProtocolError)
+    def test_known_unmatched_simchange_falsifier(self):
+        """ROADMAP item 2, finding (e), open: a 34-event stream CI's
+        ``fuzz`` profile drew (overlap-seeking churn, seed 524287, on
+        ``random_tree(31, 2)``) on which the distributed runtime — on
+        the plain synchronous network, no concurrency, no faults — ends
+        with ``26: unmatched SimChange hchild 3->38`` while the
+        sequential engine heals every event.  Pinned so the bug shows on
+        every run; the strict xfail fails the day the protocol is fixed,
+        which is when ``tests.conftest.assume_not_a_known_finding``
+        loses its entry."""
+        tree = generators.random_tree(31, 2)
+        seq = ForgivingTree(tree, strict=True)
+        dist = DistributedForgivingTree(tree)
+        stream = [
+            (16,), (24,), (31, 22), (32, 23), (31,), (19,), (5,), (21,),
+            (33, 32), (34, 32), (27,), (25,), (17,), (35, 7), (22,), (7,),
+            (13,), (34,), (23,), (12,), (35,), (18,), (30,), (36, 26),
+            (37, 32), (8,), (1,), (38, 3), (15,), (20,), (32,), (9,), (4,),
+            (3,),
+        ]
+        for event in stream:  # (victim,) or (joiner, attachment point)
+            if len(event) == 2:
+                seq.insert(*event)
+                dist.insert(*event)
+            else:
+                seq.delete(*event)
+                dist.delete(*event)
             assert seq.edges() == dist.edges()
 
 

@@ -1,6 +1,8 @@
 """The maintained overlay view (``Healer.view``): equal to a fresh
 materialisation after every event, invisible to every adversary's draw,
-never built when nobody looks, and O(1) materialisations per campaign.
+never built when nobody looks, and O(1) materialisations per campaign —
+and the same four facts for the sorted roster it keeps for whoever asks
+:func:`~repro.graphs.view.sorted_nodes`.
 
 The simulated facts pinned in ``tests/data/overlay_view_pins.json`` were
 recorded at the commit before the view existed — see
@@ -42,10 +44,11 @@ from repro.faults import CrashDuringHeal, FaultPlan
 from repro.fgraph import ForgivingGraphHealer
 from repro.graphs import OverlayView, generators
 from repro.graphs.adjacency import edges
-from repro.graphs.view import max_degree_nodes, min_degree_nodes
+from repro.graphs.view import max_degree_nodes, min_degree_nodes, sorted_nodes
 from repro.harness import run_campaign, run_churn_campaign
 from repro.simnet import TransportSpec
 from tests import overlay_view_pins as pins
+from tests.conftest import examples
 
 FAMILIES = {
     "pa": lambda n, seed: generators.preferential_attachment(n, 2, seed=seed),
@@ -73,6 +76,11 @@ def assert_views_fresh(healer):
     low = min(len(row) for row in view.values())
     assert set(max_degree_nodes(view)) == {n for n, r in view.items() if len(r) == top}
     assert set(min_degree_nodes(view)) == {n for n, r in view.items() if len(r) == low}
+    # The roster: built by the first of these calls, kept up from then on
+    # (a plain-mapping view — the FG engine's image — is simply sorted).
+    assert list(sorted_nodes(view)) == sorted(healer.alive)
+    if isinstance(view, OverlayView):
+        assert sorted_nodes(view) is sorted_nodes(view) and not view.roster_is_stale()
     if isinstance(healer, ForgivingTreeHealer):
         assert healer.tree_view() == healer.engine.adjacency()
         assert (healer.tree_view() is view) == healer._pure_tree
@@ -80,7 +88,9 @@ def assert_views_fresh(healer):
 
 # -- (a) differential: view == materialisation after every event ------------
 @settings(
-    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    max_examples=examples(120),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
 )
 @given(
     family=st.sampled_from(sorted(FAMILIES)),
@@ -254,6 +264,52 @@ def test_draws_on_the_other_healer_families(healer_cls, name):
     assert production == copying
 
 
+#: Every catalog churn adversary as it comes (``attach="random"``): each
+#: uniform draw indexes the roster.
+ROSTER_READERS = {
+    name: (
+        (lambda cls=cls: cls(growth=150, seed=3, attach="random"))
+        if cls is GrowthThenMassacreAdversary
+        else (lambda cls=cls: cls(seed=3))
+    )
+    for name, cls in CHURN_ADVERSARY_CATALOG.items()
+    if cls is not TraceReplayAdversary
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROSTER_READERS))
+def test_roster_draws_are_the_sorted_alive_draws(name):
+    """300 events against the production healer (a kept roster) and
+    against one whose ``view()`` is a fresh ``graph()`` (sorted on every
+    look, as ``sorted(healer.alive)`` was)."""
+    graph = generators.preferential_attachment(420, 2, seed=9)
+    production_healer = ForgivingTreeHealer(graph)
+    production = _stream(production_healer, ROSTER_READERS[name](), rounds=300)
+    copying = _stream(
+        _copying(ForgivingTreeHealer)(graph), ROSTER_READERS[name](), rounds=300
+    )
+    assert len(production) == 300
+    assert production == copying
+    if name != "growth-then-massacre":  # its massacre phase asks for hubs only
+        assert production_healer.view()._roster is not None
+    assert not production_healer.view().roster_is_stale()
+
+
+def test_roster_follows_out_of_order_ids():
+    """Fresh ids need not grow: a join below the maximum lands in place."""
+    view = OverlayView({5: {9}, 9: {5}})
+    assert sorted_nodes(view) == [5, 9]
+    view.link(7, 5)
+    view.link(2, 9)
+    view.link(11, 2)
+    assert sorted_nodes(view) == [2, 5, 7, 9, 11]
+    view.drop_node(7)
+    view.drop_node(2)  # leaves 11 isolated but present
+    view.drop_node(404)  # never there
+    assert sorted_nodes(view) == [5, 9, 11] == sorted(view)
+    assert sorted_nodes({3: (), 1: ()}) == [1, 3]
+
+
 def test_out_of_catalog_healer_defaults_to_a_fresh_graph():
     """``Healer.view`` without a maintained adjacency is ``graph()``."""
 
@@ -306,7 +362,7 @@ def test_a_campaign_that_never_looks_never_builds_a_view(materialisations):
         keep_rounds=False,
     )
     assert result.n_inserts + result.n_deletes == 300
-    assert healer._view is None and healer._tree_view is None
+    assert healer._view is None and healer._tree_view is None  # so: no roster
     assert materialisations == {"graph": 1, "adjacency": 1}  # the initial snapshot
 
 
@@ -321,6 +377,8 @@ def test_materialisations_per_campaign_are_constant(materialisations):
     assert materialisations["graph"] + materialisations["tree_overlay"] <= 4
     assert materialisations["adjacency"] <= 4
     assert healer._tree_view is None  # the sync mirror takes no footprints
+    # Hub questions build the degree index; nobody asked for a roster.
+    assert healer.view()._by_degree is not None and healer.view()._roster is None
 
 
 # -- (e) + satellite pins: nothing simulated moved ---------------------------
@@ -374,4 +432,15 @@ def test_strict_healer_names_a_corrupted_tree_view():
     healer.insert(100, 0)
     view.link(100, max(n for n in view if n != 100 and 100 not in view[n]))
     with pytest.raises(InvariantViolationError, match=r"round 2: tree_view\(\)"):
+        healer.insert(101, 0)
+
+
+def test_strict_healer_checks_the_roster_after_every_event():
+    healer = ForgivingTreeHealer(generators.random_tree(30, 2), strict=True)
+    roster = sorted_nodes(healer.view())
+    healer.insert(100, 0)
+    healer.delete(7)
+    assert roster == sorted(healer.alive)
+    roster.remove(12)  # what no reader may ever do
+    with pytest.raises(InvariantViolationError, match=r"round 3: tree_view\(\)'s roster"):
         healer.insert(101, 0)

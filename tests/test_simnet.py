@@ -43,6 +43,7 @@ from repro.simnet import (
     resolve_scheduler,
     resolve_transport,
 )
+from tests.conftest import examples
 
 HEALERS = ((ForgivingTreeHealer, "ft"), (ForgivingGraphHealer, "fg"))
 
@@ -429,7 +430,7 @@ class TestConvergence:
 # Hypothesis: fuzz over scheduler interleavings
 # ----------------------------------------------------------------------
 class TestInterleavingFuzz:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     @given(
         sched_seed=st.integers(min_value=0, max_value=10**6),
         adv_seed=st.integers(min_value=0, max_value=10**6),
