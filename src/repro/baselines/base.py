@@ -24,7 +24,7 @@ event; call ``graph()`` when you need your own copy.
 from __future__ import annotations
 
 import abc
-from typing import Collection, Dict, Mapping, Set
+from typing import Collection, Mapping, Set
 
 from ..core.errors import DuplicateNodeError, NodeNotFoundError, SimulationOverError
 from ..core.events import HealReport, normalize_wave
@@ -72,21 +72,7 @@ class Healer(abc.ABC):
         )
         reports = [self.insert(nid, attach_to) for nid, attach_to in wave]
         self.rounds -= len(wave) - 1  # one wave = one round
-        merged_messages: Dict[int, int] = {}
-        for r in reports:
-            for n, c in r.messages_per_node.items():
-                merged_messages[n] = merged_messages.get(n, 0) + c
-        return HealReport(
-            deleted=-1,
-            was_internal=False,
-            edges_added=frozenset().union(*(r.edges_added for r in reports)),
-            edges_removed=frozenset(),
-            events=tuple(e for r in reports for e in r.events),
-            messages_per_node=merged_messages,
-            inserted=wave[0][0] if len(wave) == 1 else None,
-            attached_to=wave[0][1] if len(wave) == 1 else None,
-            inserted_batch=tuple(wave),
-        )
+        return HealReport.of_wave(wave, reports)
 
     @abc.abstractmethod
     def graph(self) -> Graph:

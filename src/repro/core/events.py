@@ -166,6 +166,26 @@ class HealReport:
     attached_to: "int | None" = None
     inserted_batch: Tuple[Tuple[int, int], ...] = ()
 
+    @classmethod
+    def of_wave(
+        cls, wave: List[Tuple[int, int]], reports: List["HealReport"]
+    ) -> "HealReport":
+        """One round's report for a batch insert ``wave`` applied as
+        single inserts: ``reports[i]`` is the report of ``wave[i]``."""
+        messages: dict = {}
+        for r in reports:
+            for n, c in r.messages_per_node.items():
+                messages[n] = messages.get(n, 0) + c
+        return cls(
+            deleted=-1,
+            edges_added=frozenset().union(*(r.edges_added for r in reports)),
+            events=tuple(e for r in reports for e in r.events),
+            messages_per_node=messages,
+            inserted=wave[0][0] if len(wave) == 1 else None,
+            attached_to=wave[0][1] if len(wave) == 1 else None,
+            inserted_batch=tuple(wave),
+        )
+
     @property
     def is_insertion(self) -> bool:
         return self.inserted is not None or bool(self.inserted_batch)

@@ -1,5 +1,7 @@
-"""Distributed runtime: the message-level Forgiving Tree and setup phase."""
+"""Distributed runtime: the driver shell every protocol shares, the
+message-level Forgiving Tree and its setup phase."""
 
+from .driver import ProtocolDriver
 from .messages import (
     Deleted,
     InsertAck,
@@ -26,6 +28,7 @@ __all__ = [
     "Message",
     "Network",
     "Portion",
+    "ProtocolDriver",
     "ProtocolNode",
     "ReplaceChild",
     "Role",

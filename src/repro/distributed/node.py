@@ -157,6 +157,21 @@ class ProtocolNode:
                     out.add(sim)
         return out
 
+    def pointer_refs(self) -> List[Tuple[str, int]]:
+        """Every ``(field, node id)`` this node's local state names —
+        real position, will stand-ins, helper role, deposited leaf wills
+        — for the driver's dangling-pointer scan."""
+        refs: List[Tuple[str, int]] = []
+        if self.parent_ref is not None:
+            refs.append(("parent_ref", self.parent_ref[0]))
+        refs.extend(("will", s) for s in self.will.stand_ins)
+        if self.role is not None:
+            if self.role.hparent is not None:
+                refs.append(("role.hparent", self.role.hparent[0]))
+            refs.extend(("role.hchild", c[0]) for c in self.role.hchildren)
+        refs.extend(("leaf_will", holder) for holder in self.leaf_wills)
+        return refs
+
     # ------------------------------------------------------------------
     # sending helpers
     # ------------------------------------------------------------------

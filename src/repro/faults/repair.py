@@ -12,9 +12,13 @@ nodes with no symmetric path to the rest (**orphaned fragments**).
 :class:`RepairPass` is the self-stabilizing recovery in the Bampas et
 al. sense (PAPERS.md: starting from an *arbitrary* configuration, the
 system re-converges to a legal one): :meth:`scan` detects every
-violation class using the runtimes' own check surfaces (per-node
-``pending`` / ``neighbor_claims``, plus each driver's
-``integrity_violations()``), and :meth:`run` re-converges the image by
+violation class in one pass of two halves — the driver shell's
+``integrity_violations()`` (half-applied heals and dangling pointers,
+read off every node's ``pending`` / ``pointer_refs()``; the one such
+loop in the repo, :class:`~repro.distributed.driver.ProtocolDriver`'s)
+and this module's tolerant claim walk (asymmetric claims and orphaned
+fragments, off ``neighbor_claims()``) — and :meth:`run` re-converges the
+image by
 **reset-replay** — the caller rebuilds a fresh driver from the
 campaign's initial graph and oracle history (the transport mirror owns
 that; see :meth:`TransportMirror.recover_from_crash`), and the pass
@@ -76,13 +80,9 @@ class RepairReport:
 class RepairPass:
     """Scan a distributed driver's overlay for corruption; certify repair.
 
-    Works on any driver exposing the shared runtime surface
-    (``driver.network.nodes`` of objects with ``pending`` and
-    ``neighbor_claims()``) — both the Forgiving Tree's and the Forgiving
-    Graph's.  When the driver additionally implements
-    ``integrity_violations()`` (both do), its protocol-specific findings
-    (helper-pointer checks the generic claim walk can't see) replace the
-    generic pending/dangling scan.
+    Works on any :class:`~repro.distributed.driver.ProtocolDriver` —
+    the Forgiving Tree's and the Forgiving Graph's — through the shell's
+    ``integrity_violations()`` and the nodes' ``neighbor_claims()``.
     """
 
     def __init__(self, driver):
@@ -92,31 +92,8 @@ class RepairPass:
     def scan(self) -> List[Violation]:
         """Every violation in the current overlay (empty = legal state)."""
         nodes = self.driver.network.nodes
-        alive = set(nodes)
-        out: List[Violation] = []
-        specific = getattr(self.driver, "integrity_violations", None)
-        if specific is not None:
-            out.extend(Violation(*v) for v in specific())
-        else:
-            for nid, node in nodes.items():
-                if node.pending:
-                    out.append(
-                        Violation(
-                            "half-applied-heal",
-                            nid,
-                            f"awaiting {sorted(node.pending)}",
-                        )
-                    )
-                for claim in sorted(node.neighbor_claims()):
-                    if claim not in alive:
-                        out.append(
-                            Violation(
-                                "dangling-pointer",
-                                nid,
-                                f"claims dead node {claim}",
-                            )
-                        )
-        out.extend(self._claim_violations(nodes, alive))
+        out = [Violation(*v) for v in self.driver.integrity_violations()]
+        out.extend(self._claim_violations(nodes, set(nodes)))
         return out
 
     def _claim_violations(self, nodes, alive: Set[int]) -> List[Violation]:

@@ -35,21 +35,24 @@ Message sizes are accounted honestly: reports and portions carry a leaf
 manifest, so unlike the FT's O(1)-id messages they are O(L) ids for an
 L-leaf haft — the price of the *freshly balanced* (rebuild-on-merge)
 reading of the 2009 algorithm; see ``docs/FORGIVING_GRAPH.md``.
+
+:class:`DistributedForgivingGraph` keeps only what is protocol — the
+empty setup round, the coordinator-naming fan-out, the handshake wave
+and the cascade-depth guard; everything else (membership, validation,
+the inject/drain wrappers, the integrity scan, the read-outs) is the
+:class:`~repro.distributed.driver.ProtocolDriver` shell it shares with
+the Forgiving Tree runtime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
-from ..core.errors import (
-    NodeNotFoundError,
-    ProtocolError,
-    SimulationOverError,
-)
-from ..core.events import normalize_wave
+from ..core.errors import NodeNotFoundError, ProtocolError
+from ..distributed.driver import ProtocolDriver, Wave
 from ..distributed.messages import Message
-from ..distributed.network import Network, RoundStats
+from ..distributed.network import Network
 from ..graphs.adjacency import Graph
 from .rtree import Ref, ReconstructionTree, fold_manifests
 
@@ -170,6 +173,23 @@ class FGNode:
             claims.add(right[0])
         claims.discard(self.nid)
         return claims
+
+    def pointer_refs(self) -> List[Tuple[str, int]]:
+        """Every ``(field, node id)`` this node's local state names —
+        direct edges, insertion-forest parent, portion-parent sim, RT
+        helper links — for the driver's dangling-pointer scan."""
+        refs: List[Tuple[str, int]] = [("direct", d) for d in sorted(self.direct)]
+        if self.ins_parent is not None:
+            refs.append(("ins_parent", self.ins_parent))
+        if self.port_parent_sim is not None:
+            refs.append(("port_parent_sim", self.port_parent_sim))
+        if self.helper is not None:
+            parent, left, right = self.helper
+            if parent is not None:
+                refs.append(("helper.parent", parent[0]))
+            refs.append(("helper.left", left[0]))
+            refs.append(("helper.right", right[0]))
+        return refs
 
     # -- dispatch ----------------------------------------------------------
     def handle(self, message: Message) -> None:
@@ -311,15 +331,17 @@ class FGNode:
             self._send(FGWeightUpdate(sender=self.nid, recipient=self.ins_parent))
 
 
-class DistributedForgivingGraph:
+class DistributedForgivingGraph(ProtocolDriver):
     """Message-passing Forgiving Graph over an initial general graph.
 
-    The public surface mirrors :class:`DistributedForgivingTree` where it
-    matters for cross-validation: ``alive``, ``delete`` / ``insert`` /
-    ``insert_batch`` returning per-round
-    :class:`~repro.distributed.network.RoundStats`, and the image graph
-    derived strictly from both endpoints' local claims.
+    The public surface is the driver shell it shares with
+    :class:`~repro.distributed.protocol.DistributedForgivingTree`:
+    ``alive``, ``delete`` / ``insert`` / ``insert_batch`` returning
+    per-round :class:`~repro.distributed.network.RoundStats`, and the
+    image graph derived strictly from both endpoints' local claims.
     """
+
+    tag = "fg"
 
     def __init__(self, graph: Graph, network: Optional[Network] = None):
         if not graph:
@@ -327,18 +349,11 @@ class DistributedForgivingGraph:
         # The weight cascade runs one hop per sub-round, so a round's
         # latency is the insertion-forest depth — deeper than the FT's
         # O(1) heals.  Keep a generous livelock guard instead of the
-        # default 64.  ``network`` plugs in an alternative transport
-        # (e.g. the discrete-event :class:`repro.simnet.AsyncNetwork`,
-        # whose ``max_depth`` should be similarly generous); it must be
-        # empty.
-        if network is not None and len(network):
-            raise ProtocolError("provided network already has nodes")
-        self.network = Network(max_sub_rounds=4096) if network is None else network
-        self.original_degree: Dict[int, int] = {
-            n: len(neigh) for n, neigh in graph.items()
-        }
-        self._ever: Set[int] = set(graph)
-        self.rounds = 0
+        # default 64 (a plugged-in ``network``'s ``max_depth`` should be
+        # similarly generous).
+        super().__init__(
+            graph, Network(max_sub_rounds=4096) if network is None else network
+        )
         for nid in graph:
             self.network.register(FGNode(nid))
         for nid, neigh in graph.items():
@@ -351,116 +366,37 @@ class DistributedForgivingGraph:
         self.setup_stats = self.network.run_round(0)
 
     # ------------------------------------------------------------------
-    @property
-    def alive(self) -> Set[int]:
-        return set(self.network.nodes)
-
-    def __len__(self) -> int:
-        return len(self.network)
-
-    def __contains__(self, nid: int) -> bool:
-        return nid in self.network
-
-    def check_delete(self, nid: int) -> None:
-        """Validate a deletion without mutating anything."""
-        if not self.network.nodes:
-            raise SimulationOverError("all nodes already deleted")
-        if nid not in self.network:
-            raise NodeNotFoundError(nid, "delete")
-
-    def heal_coordinator(self, nid: int) -> Optional[int]:
-        """The coordinator the heal of ``nid`` would elect, from live
-        local state: the smallest-id image neighbor — the same node
-        :meth:`inject_delete`'s fan-out names.  Under the region-lease
-        overlap policy this is also the handoff anchor a delegated
-        overlapping event queues on (``docs/LEASES.md``); ``None`` for
-        an isolated victim."""
-        if nid not in self.network:
-            raise NodeNotFoundError(nid, "heal_coordinator")
-        claims = self.network.nodes[nid].neighbor_claims()
-        return min(claims) if claims else None
-
-    def inject_delete(self, nid: int) -> None:
-        """Remove the victim and send the failure fan-out *without*
-        draining the network (async transports overlap heals — and
-        resume delegated events mid-flight under the region-lease
-        policy; the caller must have opened an accounting window)."""
-        self.check_delete(nid)
-        self.rounds += 1
-        victim = self.network.remove(nid)
-        claims = sorted(victim.neighbor_claims())
-        self.network.trace_instant("fg:delete", victim=nid, fanout=len(claims))
-        if claims:
-            coordinator = claims[0]
-            for neighbor in claims:
-                self.network.send(
-                    FGDeleted(
-                        sender=nid,
-                        recipient=neighbor,
-                        victim=nid,
-                        coordinator=coordinator,
-                        n_reports=len(claims),
-                    )
+    def _fan_out(self, victim: int, claims: List[int]) -> None:
+        """The notification names the round's coordinator — the
+        smallest-id image neighbor, :meth:`heal_coordinator`'s answer —
+        and how many reports it should expect."""
+        for neighbor in claims:
+            self.network.send(
+                FGDeleted(
+                    sender=victim,
+                    recipient=neighbor,
+                    victim=victim,
+                    coordinator=claims[0],
+                    n_reports=len(claims),
                 )
-
-    def delete(self, nid: int) -> RoundStats:
-        """Adversary deletes ``nid``; image neighbors detect and heal."""
-        self.check_delete(nid)
-        self.network.begin_round(self.rounds + 1)
-        self.inject_delete(nid)
-        stats = self.network.run_round(self.rounds)
-        self._check_quiescent()
-        return stats
-
-    def insert(self, nid: int, attach_to: int) -> RoundStats:
-        """A new node joins under live ``attach_to`` (a wave of one)."""
-        return self.insert_batch([(nid, attach_to)])
-
-    def insert_batch(self, joiners: Sequence[Tuple[int, int]]) -> RoundStats:
-        """A wave of joiners lands in one round (shared wave semantics).
-
-        Each joiner runs the full INSERT handshake; the weight cascades
-        of a wave interleave across sub-rounds but the per-node tallies
-        are exactly the sum of the single-insert flows, matching the
-        sequential engine's merged batch report.
-        """
-        wave = self._check_wave(joiners)
-        self.network.begin_round(self.rounds + 1)
-        self._inject_wave(wave)
-        stats = self.network.run_round(self.rounds)
-        self._check_quiescent()
-        return stats
-
-    def inject_insert_batch(self, joiners: Sequence[Tuple[int, int]]) -> None:
-        """Register a wave's joiners and send their requests *without*
-        draining (the async-transport half of :meth:`insert_batch`).
-        The caller must have opened an accounting window."""
-        self._inject_wave(self._check_wave(joiners))
+            )
 
     def _check_wave(self, joiners) -> List[Tuple[int, int]]:
-        """Validate a wave (shared rules + the cascade-depth guard)."""
-        wave = normalize_wave(joiners, known_ids=self._ever, alive=self.network)
+        """The shared wave rules + the cascade-depth guard."""
+        wave = super()._check_wave(joiners)
         for _nid, attach_to in wave:
             self._check_cascade_depth(attach_to)
         return wave
 
-    def _inject_wave(self, wave: Sequence[Tuple[int, int]]) -> None:
-        """The already-validated wave's registration + request fan-out.
-
-        Validation stays in the callers, *before* any accounting window
-        opens — a rejected wave must leave no partial state, and on the
-        async transport an exception after ``begin_round`` would leave
-        the injection context dangling."""
-        self.rounds += 1
-        self.network.trace_instant("fg:insert-wave", joiners=len(wave))
+    def _inject_wave(self, wave: Wave) -> None:
+        """Each joiner runs the full INSERT handshake; the weight
+        cascades of a wave interleave across sub-rounds but the per-node
+        tallies are exactly the sum of the single-insert flows."""
         for nid, attach_to in wave:
             node = FGNode(nid)
             node.direct = {attach_to}
             node.ins_parent = attach_to
             self.network.register(node)
-            self._ever.add(nid)
-            self.original_degree[nid] = 1
-            self.original_degree[attach_to] += 1
         for nid, attach_to in wave:
             self.network.send(FGInsertRequest(sender=nid, recipient=attach_to))
 
@@ -485,90 +421,3 @@ class DistributedForgivingGraph:
                 f"exceeds the {self.network.max_sub_rounds}-sub-round guard "
                 "(one weight-update hop per sub-round)"
             )
-
-    def _check_quiescent(self) -> None:
-        for nid, node in self.network.nodes.items():
-            if node.pending:
-                raise ProtocolError(
-                    f"node {nid} still awaiting {sorted(node.pending)}"
-                )
-
-    def integrity_violations(self) -> List[Tuple[str, int, str]]:
-        """Protocol-specific corruption scan for the repair pass.
-
-        The tolerant mirror of :meth:`_check_quiescent` / ``image_edges``:
-        enumerates every illegality instead of raising at the first —
-        coordinators frozen mid-gather (their reports died with a
-        crashed sender) and dangling pointers (direct edges,
-        insertion-forest parents, RT helper links or portion-parent
-        sims naming a node that no longer exists).  Returns
-        ``(kind, node, detail)`` tuples in the
-        :data:`repro.faults.VIOLATION_KINDS` taxonomy.
-        """
-        out: List[Tuple[str, int, str]] = []
-        alive = set(self.network.nodes)
-        for nid, node in self.network.nodes.items():
-            if node.pending:
-                out.append(
-                    (
-                        "half-applied-heal",
-                        nid,
-                        f"awaiting {sorted(node.pending)}",
-                    )
-                )
-            refs: List[Tuple[str, int]] = [
-                ("direct", d) for d in sorted(node.direct)
-            ]
-            if node.ins_parent is not None:
-                refs.append(("ins_parent", node.ins_parent))
-            if node.port_parent_sim is not None:
-                refs.append(("port_parent_sim", node.port_parent_sim))
-            if node.helper is not None:
-                parent, left, right = node.helper
-                if parent is not None:
-                    refs.append(("helper.parent", parent[0]))
-                refs.append(("helper.left", left[0]))
-                refs.append(("helper.right", right[0]))
-            for where, ref in refs:
-                if ref != nid and ref not in alive:
-                    out.append(
-                        (
-                            "dangling-pointer",
-                            nid,
-                            f"{where} names dead node {ref}",
-                        )
-                    )
-        return out
-
-    # ------------------------------------------------------------------
-    def edges(self) -> Set[Tuple[int, int]]:
-        """Current overlay from both endpoints' local state (validated)."""
-        return self.network.image_edges()
-
-    def adjacency(self) -> Graph:
-        adj: Graph = {n: set() for n in self.network.nodes}
-        for u, v in self.edges():
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
-    def degree(self, nid: int) -> int:
-        return len(self.adjacency()[nid])
-
-    def max_degree_increase(self) -> int:
-        adj = self.adjacency()
-        if not adj:
-            return 0
-        return max(len(s) - self.original_degree[n] for n, s in adj.items())
-
-    def last_stats(self) -> RoundStats:
-        return self.network.stats_history[-1]
-
-    def peak_messages_per_node(self) -> int:
-        return max(
-            (
-                max(s.max_sent_per_node, s.max_received_per_node)
-                for s in self.network.stats_history[1:]  # skip setup
-            ),
-            default=0,
-        )

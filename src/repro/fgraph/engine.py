@@ -341,20 +341,8 @@ class ForgivingGraph:
         """A wave of joiners lands in one round (shared wave semantics)."""
         wave = normalize_wave(joiners, known_ids=self._ideal, alive=self._alive)
         reports = [self.insert(n, a) for n, a in wave]
-        self.rounds -= len(wave) - 1
-        tally: Dict[int, int] = {}
-        for r in reports:
-            for n, c in r.messages_per_node.items():
-                tally[n] = tally.get(n, 0) + c
-        return HealReport(
-            deleted=-1,
-            edges_added=frozenset().union(*(r.edges_added for r in reports)),
-            events=tuple(e for r in reports for e in r.events),
-            messages_per_node=tally,
-            inserted=wave[0][0] if len(wave) == 1 else None,
-            attached_to=wave[0][1] if len(wave) == 1 else None,
-            inserted_batch=tuple(wave),
-        )
+        self.rounds -= len(wave) - 1  # one wave = one round
+        return HealReport.of_wave(wave, reports)
 
     # ------------------------------------------------------------------
     # validation

@@ -1,13 +1,17 @@
-"""regions — region leases and coordinator handoff for overlapping heals.
+"""regions — admission control for overlapping heals.
 
-The protocol layer that lets churn events with *intersecting* heal
-footprints make progress concurrently instead of serializing behind a
-global quiesce barrier: a deterministic per-node lease table
-(:class:`LeaseManager`), the handoff state machine every event walks
-(:mod:`repro.regions.handoff`), and counted escalation back to the
-barrier when handoff is unsafe.  Wired into campaigns through
-``TransportSpec(overlap="lease")`` — see ``docs/LEASES.md``.
+One admission object per overlap policy decides when a mirrored event
+may inject (:mod:`repro.regions.admission`): behind a global quiesce
+barrier (:class:`SerializeAdmission`), or — the layer that lets events
+with *intersecting* heal footprints make progress concurrently — through
+a deterministic per-node lease table (:class:`LeaseManager`), the
+handoff state machine every event walks (:mod:`repro.regions.handoff`),
+and counted escalation back to the barrier when handoff is unsafe
+(:class:`LeaseAdmission`).  Wired into campaigns through
+``TransportSpec(overlap=...)`` — see ``docs/LEASES.md``.
 """
+
+from .admission import LeaseAdmission, SerializeAdmission
 
 from .handoff import (
     DELEGATED,
@@ -18,7 +22,6 @@ from .handoff import (
     RELEASED,
     REQUESTED,
     RESUMED,
-    DeferredHeal,
     HandoffError,
     HandoffLedger,
     HealHandoff,
@@ -27,7 +30,6 @@ from .leases import (
     LeaseDecision,
     LeaseError,
     LeaseManager,
-    LeaseTableStats,
     Priority,
 )
 
@@ -40,13 +42,13 @@ __all__ = [
     "RELEASED",
     "REQUESTED",
     "RESUMED",
-    "DeferredHeal",
     "HandoffError",
     "HandoffLedger",
     "HealHandoff",
+    "LeaseAdmission",
     "LeaseDecision",
     "LeaseError",
     "LeaseManager",
-    "LeaseTableStats",
     "Priority",
+    "SerializeAdmission",
 ]

@@ -39,7 +39,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import ReproError
 from ..obs.trace import CONTROL_TRACK, NO_TRACE
-from .leases import Priority
 
 #: Escalation reasons the transport may record (ISSUE-mandated triggers).
 #: ``"crash"`` is the hostile-network one: a :class:`repro.faults`
@@ -97,22 +96,6 @@ class HealHandoff:
             )
         self.state = state
         self.history.append((state, clock))
-
-
-@dataclass
-class DeferredHeal:
-    """A delegated event parked until its blocking leases release.
-
-    Carries everything injection needs later: the oracle's report (the
-    payload the transport replays), the footprint the leases cover, and
-    the deterministic priority.
-    """
-
-    eid: int
-    report: object  # a HealReport; typed loosely to avoid a core import
-    footprint: frozenset
-    priority: Priority
-    delegated_to: Optional[int]
 
 
 class HandoffLedger:

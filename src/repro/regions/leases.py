@@ -80,26 +80,14 @@ class _Waiter:
     blockers: Set[int] = field(default_factory=set)
 
 
-@dataclass
-class LeaseTableStats:
-    """Counters the transport folds into its campaign summary."""
-
-    requests: int = 0
-    immediate_grants: int = 0
-    deferred: int = 0
-    regrants: int = 0
-    peak_waiting: int = 0
-    peak_held: int = 0
-
-
 class LeaseManager:
     """Per-node lease table with deterministic priority admission.
 
     The manager is transport-agnostic bookkeeping: it never touches the
-    network.  The caller (:class:`~repro.simnet.TransportMirror`) owns
-    the clock, computes footprints from the oracle's reports, injects
-    granted heals, and releases leases when the kernel reports the heal
-    quiesced.
+    network.  The caller (:class:`~repro.regions.admission.LeaseAdmission`)
+    reads the clock, is handed footprints computed from the oracle's
+    reports, injects granted heals, and releases leases when the kernel
+    reports the heal quiesced.
     """
 
     def __init__(self, profiler=None, metrics=None) -> None:
@@ -107,7 +95,6 @@ class LeaseManager:
         self._coordinator: Dict[int, Optional[int]] = {}
         self._waiting: List[_Waiter] = []
         self._priority: Dict[int, Priority] = {}
-        self.stats = LeaseTableStats()
         # Optional observability instruments (repro.obs): a PhaseProfiler
         # timing the grant cascade and a MetricsRegistry streaming the
         # admission counters.  Both default off and cost one None-check.
@@ -222,14 +209,12 @@ class LeaseManager:
         if eid in self._held or eid in self._priority:
             raise LeaseError(f"lease id {eid} already active")
         fp = frozenset(footprint)
-        self.stats.requests += 1
         if self.metrics is not None:
             self.metrics.counter("lease.requests").inc()
             self.metrics.histogram("lease.footprint").observe(len(fp))
         blockers = self._blockers(fp, priority)
         if not blockers:
             self._grant(eid, fp, priority, coordinator)
-            self.stats.immediate_grants += 1
             if self.metrics is not None:
                 self.metrics.counter("lease.grants").inc()
             return LeaseDecision(eid=eid, granted=True)
@@ -250,8 +235,6 @@ class LeaseManager:
         )
         self._waiting.sort(key=lambda w: w.priority)
         self._priority[eid] = priority
-        self.stats.deferred += 1
-        self.stats.peak_waiting = max(self.stats.peak_waiting, len(self._waiting))
         if self.metrics is not None:
             self.metrics.counter("lease.defers").inc()
             self.metrics.gauge("lease.waiting").set(len(self._waiting))
@@ -325,12 +308,11 @@ class LeaseManager:
                     w.blockers |= conflicts
                     still_waiting.append(w)
                     continue
-                self._grant(w.eid, w.footprint, w.priority, None, regrant=True)
+                self._grant(w.eid, w.footprint, w.priority, None)
                 granted.append(w.eid)
             else:
                 still_waiting.append(w)
         self._waiting = still_waiting
-        self.stats.regrants += len(granted)
         if granted and self.metrics is not None:
             self.metrics.counter("lease.regrants").inc(len(granted))
         return granted
@@ -368,12 +350,10 @@ class LeaseManager:
         fp: FrozenSet[int],
         priority: Priority,
         coordinator: Optional[int],
-        regrant: bool = False,
     ) -> None:
         self._held[eid] = fp
         self._coordinator[eid] = coordinator
         self._priority[eid] = priority
-        self.stats.peak_held = max(self.stats.peak_held, len(self._held))
 
     # -- validation (tests) ------------------------------------------------
     def check(self) -> None:

@@ -14,38 +14,32 @@ oracle).  A :class:`TransportMirror` additionally drives the matching
   with **concurrent churn**: each oracle event is injected while earlier
   heals are still in flight, overlapping repairs in virtual time.
 
-Concurrent admission is governed by the *heal footprint*: the set of
-nodes a repair reads or writes, extracted from the oracle's
-:class:`~repro.core.events.HealReport` (every participant either sends
-a message, is an endpoint of a changed image edge, or is named by a heal
-event — the node-for-node tally parity between the sequential engines
-and the distributed runtimes is what makes the report a sound oracle).
-Two heals with disjoint footprints exchange no messages with any common
-node, so their deliveries commute and any legal interleaving converges
-to the sequential composition.  What happens when footprints *intersect*
-is the ``overlap=`` policy:
-
-* ``overlap="serialize"`` (default, the PR 4 behavior) — the mirror
-  inserts a **quiesce barrier** before the conflicting event: the whole
-  network drains, even repairs nowhere near the conflict.
-* ``overlap="lease"`` — per-node **region leases**
-  (:mod:`repro.regions`): the event acquires leases on its footprint;
-  on conflict it is *delegated* to the blocking heal's coordinator and
-  resumed the instant the blocking lease releases, while every disjoint
-  repair keeps flying and later disjoint events keep injecting.
-  Handoff that would be unsafe — the event kills a coordinator, a
-  lease cycle is detected, the wait convoy exceeds ``max_wait_chain`` —
-  **escalates** to the global quiesce barrier, counted per reason and
-  reported in the summary, never silent.
+The mirror is three things: the **driver builder** (which runtime, on
+which network — :meth:`TransportMirror._build_driver`), the **parity
+checker** (:meth:`~TransportMirror.barrier` / ``verify`` / ``finish``)
+and the **crash-recovery** façade (``recover_from_crash``).  *When* a
+mirrored event may inject while earlier heals are in flight is not its
+decision: an async mirror builds one admission object for its
+``overlap=`` policy (:mod:`repro.regions.admission` — ``"serialize"``,
+the default: intersecting heal footprints wait behind a global quiesce
+barrier; ``"lease"``: they queue on per-node region leases, are resumed
+by the blocking heal's release, and escalate to the barrier, counted per
+reason, when handoff is unsafe) and asks it: ``admit`` per event,
+``admit_alone`` for the event a planned crash rides on, ``drain`` inside
+every barrier, ``fill`` for the summary.  The admission object drives
+the mirror back through the narrow port the mirror is (``net``,
+``spec``, :meth:`~TransportMirror.inject`, ``barrier``,
+:meth:`~TransportMirror.coordinator`, the obs instruments).  A
+``mode="sync"`` mirror builds none.
 
 At every barrier — conflict-forced or escalated, cadence
-(``barrier_every``), or final — the mirror drains the network (in lease
-mode: flushes every delegated event in priority order first), asserts
-protocol quiescence, and cross-validates the distributed image against
-the oracle's healed graph node-for-node, raising
-:class:`TransportDivergence` on any mismatch.  The distributed image is
-the one the network keeps from the nodes that moved since the last
-barrier (:meth:`~repro.distributed.network.Network.image_edges`);
+(``barrier_every``), or final — the mirror has the admission object
+drain the network (under leases: every delegated event injects in
+priority order first), asserts protocol quiescence, and cross-validates
+the distributed image against the oracle's healed graph node-for-node,
+raising :class:`TransportDivergence` on any mismatch.  The distributed
+image is the one the network keeps from the nodes that moved since the
+last barrier (:meth:`~repro.distributed.network.Network.image_edges`);
 :meth:`TransportMirror.finish` derives it once more from every node and
 requires the same answer.
 """
@@ -68,13 +62,7 @@ from ..graphs.spanning import bfs_tree
 from ..obs.histogram import LogHistogram
 from ..obs.spec import ObsState
 from ..obs.trace import NO_TRACE
-from ..regions import (
-    DELEGATED,
-    DeferredHeal,
-    HandoffLedger,
-    LeaseError,
-    LeaseManager,
-)
+from ..regions.admission import ADMISSION_POLICIES, Arm, heal_footprint
 from ..audit.schema import LogRecord
 from .kernel import AsyncNetwork, HealStats
 from .latency import LatencySpec
@@ -87,7 +75,7 @@ TRANSPORT_MODES = ("none", "sync", "async", "lease")
 #: What to do when a new event's heal footprint intersects an in-flight
 #: repair: serialize behind a global quiesce barrier (PR 4 behavior) or
 #: admit through the region-lease / coordinator-handoff protocol.
-OVERLAP_POLICIES = ("serialize", "lease")
+OVERLAP_POLICIES = tuple(ADMISSION_POLICIES)
 
 
 class TransportDivergence(ReproError, AssertionError):
@@ -166,60 +154,6 @@ def resolve_transport(
     raise ValueError(
         f"unknown transport {transport!r} (one of {TRANSPORT_MODES} or a TransportSpec)"
     )
-
-
-def heal_footprint(report: HealReport, graph=None) -> Set[int]:
-    """Every node the heal read or wrote, from the oracle's report.
-
-    Union of: the victim / the joiners and their attachment points, every
-    node that sent a message (tally keys), every endpoint of a touched
-    image edge (including mid-heal transient edges, via the raw event
-    log), every node named by a heal event (portion and leaf-will
-    recipients, helper simulators and transfer targets) — and, when the
-    post-event image ``graph`` is given, the image neighbors of every
-    sender.  That last closure covers *receive-only* participants (the
-    weight cascade's terminal hop, a ``ReplaceChild`` holder whose will
-    changes without retransmissions): every protocol message travels
-    along an image edge, so each receiver is adjacent to its sender in
-    the pre-, mid- (transient, evented) or post-heal image, and the
-    first two are already covered by the event endpoints.
-    """
-    fp: Set[int] = set()
-    if report.deleted >= 0:
-        fp.add(report.deleted)
-    if report.inserted is not None:
-        fp.add(report.inserted)
-    if report.attached_to is not None:
-        fp.add(report.attached_to)
-    for nid, attach_to in report.inserted_batch:
-        fp.add(nid)
-        fp.add(attach_to)
-    fp.update(report.messages_per_node)
-    for u, v in report.edges_added:
-        fp.add(u)
-        fp.add(v)
-    for u, v in report.edges_removed:
-        fp.add(u)
-        fp.add(v)
-    for event in report.events:
-        for attr in (
-            "u",
-            "v",
-            "nid",
-            "attached_to",
-            "sim",
-            "owner",
-            "recipient",
-            "old_sim",
-            "new_sim",
-        ):
-            value = getattr(event, attr, None)
-            if isinstance(value, int):
-                fp.add(value)
-    if graph is not None:
-        for sender in list(report.messages_per_node):
-            fp.update(graph.get(sender, ()))
-    return fp
 
 
 @dataclass
@@ -336,7 +270,6 @@ class TransportMirror:
         self._healer = healer
         self._keep_history = spec.faults is not None and bool(spec.faults.crashes)
         self._history: List[HealReport] = []
-        self._arm_next: Optional[Tuple[int, int]] = None
         self.pending_crash: Optional[int] = None
         self.repairs: List[RepairReport] = []
         self.driver, self._oracle_edges = self._build_driver(healer, self.net)
@@ -353,21 +286,17 @@ class TransportMirror:
         # one event ahead of the mirror.  (``finish`` still closes the
         # loop against the live oracle.)
         self._expected: Set[Tuple[int, int]] = self._oracle_edges()
-        self._inflight: Dict[int, Set[int]] = {}
         self.events = 0
         self.barriers = 0
-        self.conflict_barriers = 0
         self._since_barrier = 0
         # Event count at the network's last from-scratch image (its
         # first, or the first after a repair pass's node transplant).
         self._image_scratch_at = 0
-        # Region-lease state (overlap="lease" only): the lease table,
-        # the per-event handoff ledger, the parked delegated events, and
-        # the kernel-heal-id -> event-id map of injected lease heals.
-        self.leases = LeaseManager(profiler=self.profiler, metrics=self.metrics)
-        self.ledger = HandoffLedger(tracer=self.tracer)
-        self._deferred: Dict[int, DeferredHeal] = {}
-        self._live: Dict[int, int] = {}
+        # Who decides when an event may inject while heals are in flight
+        # (async only; a sync mirror quiesces per event and asks nobody).
+        self.admission = (
+            ADMISSION_POLICIES[spec.overlap](self) if self.net is not None else None
+        )
 
     # ------------------------------------------------------------------
     def _build_driver(self, healer, network):
@@ -437,14 +366,26 @@ class TransportMirror:
             if self.spec.faults is not None
             else None
         )
-        if self.spec.mode == "sync":
+        if self.admission is None:
             self._apply_now(report)
-        elif crash is not None:
-            self._apply_crash(report, crash)
-        elif self.spec.overlap == "lease":
-            self._apply_lease(report)
         else:
-            self._apply_serialize(report)
+            footprint = self._footprint(report)
+            if crash is None:
+                self.admission.admit(self.events, report, footprint)
+            else:
+                # The doomed heal flies alone: the admission object runs
+                # its barrier first and only then asks whom to kill, so
+                # the victim is elected from settled state.
+                arm = self.admission.admit_alone(
+                    self.events,
+                    report,
+                    footprint,
+                    lambda: self._crash_arm(report, crash, footprint),
+                )
+                if arm is not None:
+                    # The kernel drained with the crash landed, the image
+                    # is corrupt: hand the victim to the campaign loop.
+                    self.pending_crash = arm[1]
         self.events += 1
         # Net deltas replayed from the raw chronological edge events,
         # not the report's disjointified summary sets: an edge that
@@ -480,29 +421,17 @@ class TransportMirror:
         self.profiler.add("mirror:footprint", time.perf_counter_ns() - t0)
         return fp
 
-    def _apply_serialize(self, report: HealReport) -> None:
-        assert self.net is not None
-        footprint = self._footprint(report)
-        self._prune_inflight()
-        if any(footprint & other for other in self._inflight.values()):
-            # The event touches a region still healing: serialize it
-            # behind the conflicting repair (quiesce barrier).
-            self.conflict_barriers += 1
-            self.barrier()
-        else:
-            # The event arrives mid-flight: advance virtual time by the
-            # inter-arrival gap, delivering whatever legally lands.
-            self.net.run_until(self.net.clock + self.spec.gap)
-            self._prune_inflight()
-        hid = self._inject(report)
-        if self.net.heal_pending(hid):
-            self._inflight[hid] = footprint
-
-    def _inject(self, report: HealReport, requested_at: Optional[float] = None) -> int:
+    def inject(
+        self,
+        report: HealReport,
+        requested_at: Optional[float] = None,
+        arm: Optional[Arm] = None,
+    ) -> int:
         """Open a kernel heal, inject the event, close the window.
 
-        The one injection path both overlap policies share; returns the
-        kernel heal id (``requested_at`` back-dates the lease wait)."""
+        The one injection path every admission policy shares; returns
+        the kernel heal id.  ``requested_at`` back-dates the lease wait;
+        ``arm`` is a ``(layer, victim)`` crash to arm on this heal."""
         assert self.net is not None
         # Labels embed the event's unique id (node ids are never
         # reused), so a heal is joinable to its oracle report even when
@@ -515,10 +444,8 @@ class TransportMirror:
             ),
             requested_at=requested_at,
         )
-        if self._arm_next is not None:
-            layer, victim = self._arm_next
-            self._arm_next = None
-            self.net.arm_crash(hid, layer, victim)
+        if arm is not None:
+            self.net.arm_crash(hid, *arm)
         if report.is_insertion:
             self.driver.inject_insert_batch(self._wave(report))
         else:
@@ -526,74 +453,35 @@ class TransportMirror:
         self.net.close_injection()
         return hid
 
+    def coordinator(self, report: HealReport) -> Optional[int]:
+        """The heal's handoff anchor, from live local state: the first
+        wave attachment point for insertions, the driver's
+        ``heal_coordinator`` for deletions (read it *before* injecting —
+        the victim's removal consumes its neighbor claims)."""
+        if report.is_insertion:
+            return self._wave(report)[0][1]
+        return self.driver.heal_coordinator(report.deleted)
+
     # -- the crash-during-heal fault plane ------------------------------
-    def _crash_victim(
-        self, report: HealReport, crash
-    ) -> Optional[int]:
+    def _crash_arm(
+        self, report: HealReport, crash, footprint: Set[int]
+    ) -> Optional[Arm]:
         """Pick the node the :class:`CrashDuringHeal` kills.
 
-        ``"coordinator"`` is the heal's handoff anchor (the first wave
-        attachment point for insertions, :meth:`heal_coordinator` for
-        deletions); ``"participant"`` is the largest-id *other* live
-        footprint member, falling back to the coordinator when the heal
-        has no other participant.  ``None`` (degenerate heal with no
-        live coordinator) applies the event normally, crash skipped.
+        Called by ``admit_alone`` *after* its barrier, so every earlier
+        event — in flight or lease-deferred — has settled: claims name
+        live nodes only, and a victim's own join has landed.
+        ``"coordinator"`` is the heal's :meth:`coordinator`;
+        ``"participant"`` is the largest-id *other* live footprint
+        member, falling back to the coordinator when the heal has no
+        other participant.  ``None`` (degenerate heal with no live
+        coordinator): nobody to kill, the planned crash is skipped.
         """
-        if report.is_insertion:
-            coordinator: Optional[int] = self._wave(report)[0][1]
-        else:
-            coordinator = self.driver.heal_coordinator(report.deleted)
-        if crash.target == "coordinator" or coordinator is None:
-            return coordinator
-        pool = sorted(
-            n
-            for n in self._footprint(report)
-            if n in self.driver.alive and n != coordinator and n != report.deleted
-        )
-        return pool[-1] if pool else coordinator
-
-    def _apply_crash(self, report: HealReport, crash) -> None:
-        """Inject one event with a mid-heal crash armed in the kernel.
-
-        Serialize mode runs a containment barrier first so the doomed
-        heal flies alone; lease mode escalates through the existing
-        handoff path (``reason="crash"``: delegation to a node that is
-        about to die is structurally unsafe), which performs the same
-        flushing barrier before injecting.  Either way the kernel drains
-        with the crash landed, the image left corrupt, and
-        :attr:`pending_crash` hands the victim to the campaign loop.
-        """
-        assert self.net is not None
-        victim = self._crash_victim(report, crash)
-        if victim is None:
-            # Nobody to kill (isolated victim, empty footprint): the
-            # event applies normally and the planned crash is skipped.
-            if self.spec.overlap == "lease":
-                self._apply_lease(report)
-            else:
-                self._apply_serialize(report)
-            return
-        if self.spec.overlap == "lease":
-            eid = self.events
-            now = self.net.clock
-            self.ledger.request(eid, now)
-            self._escalate(
-                eid,
-                "crash",
-                report,
-                frozenset(self._footprint(report)),
-                now,
-                arm=(crash.layer, victim),
-            )
-            self.net.quiesce()
-            self._pump_leases()
-        else:
-            self.barrier()  # containment: the doomed heal flies alone
-            self._arm_next = (crash.layer, victim)
-            self._inject(report)
-            self.net.quiesce()
-            self._inflight.clear()
-        self.pending_crash = victim
+        victim = self.coordinator(report)
+        if crash.target != "coordinator" and victim is not None:
+            others = footprint - {victim, report.deleted}
+            victim = max((n for n in others if n in self.driver), default=victim)
+        return None if victim is None else (crash.layer, victim)
 
     def recover_from_crash(self, report: HealReport) -> RepairReport:
         """Run the self-stabilizing repair pass after a planned crash.
@@ -637,7 +525,6 @@ class TransportMirror:
                 )
             )
         self._expected = self._oracle_edges()
-        self._inflight.clear()
         self.barrier()
         return rep
 
@@ -649,7 +536,7 @@ class TransportMirror:
         fresh driver replays the oracle's full report history — in
         oracle order, on a throwaway synchronous network — and its nodes
         are then transplanted into the drained kernel.  (Safe ordering:
-        the crash path escalates through a flushing barrier, so every
+        ``admit_alone`` runs a flushing barrier first, so every
         lease-deferred event was injected before any crash.)
         """
         fresh_net = Network(max_sub_rounds=self.spec.max_depth)
@@ -667,179 +554,6 @@ class TransportMirror:
         self._oracle_edges = oracle_edges
         return driver
 
-    # -- the region-lease overlap policy -------------------------------
-    def _apply_lease(self, report: HealReport) -> None:
-        """Admit one event through lease acquisition (see module doc).
-
-        Intersecting events are delegated and resumed instead of forcing
-        a global drain; only unsafe handoff (coordinator death, a lease
-        cycle, an over-deep wait convoy) escalates to the barrier.
-        """
-        assert self.net is not None
-        footprint = frozenset(self._footprint(report))
-        self._pump_leases()
-        eid = self.events
-        now = self.net.clock
-        self.ledger.request(eid, now)
-        if not report.is_insertion and report.deleted in self.leases.coordinators():
-            # The event kills a node anchoring an in-flight heal or a
-            # handoff queue: delegation would die with it.
-            self._escalate(eid, "coordinator-death", report, footprint, now)
-            return
-        decision = self.leases.acquire(eid, footprint, (now, eid))
-        if decision.granted:
-            self.ledger.granted(eid, now)
-            # The event arrives mid-flight: advance virtual time by the
-            # inter-arrival gap, delivering whatever legally lands.
-            self.net.run_until(self.net.clock + self.spec.gap)
-            self._pump_leases()
-            self._inject_lease_heal(eid, report)
-            return
-        self._deferred[eid] = DeferredHeal(
-            eid=eid,
-            report=report,
-            footprint=footprint,
-            priority=(now, eid),
-            delegated_to=decision.delegated_to,
-        )
-        self.ledger.delegated(eid, now, decision.delegated_to)
-        self.net.log_control("lease-defer", eid)
-        if self.leases.find_cycle() is not None:
-            self._escalate(eid, "lease-cycle", report, footprint, now)
-            return
-        if self.leases.wait_chain_depth() > self.spec.max_wait_chain:
-            self._escalate(eid, "wait-chain", report, footprint, now)
-            return
-        # Time still flows while the event queues on the coordinator.
-        self.net.run_until(self.net.clock + self.spec.gap)
-        self._pump_leases()
-
-    def _escalate(
-        self,
-        eid: int,
-        reason: str,
-        report: HealReport,
-        footprint: frozenset,
-        now: float,
-        arm: Optional[Tuple[int, int]] = None,
-    ) -> None:
-        """Unsafe handoff: fall back to the global quiesce barrier.
-
-        The escalating event is withdrawn from the handoff queue (if it
-        was already delegated), the barrier flushes every *other*
-        delegated event in priority order and cross-validates — the
-        escalating event is the oracle's newest, so the verified image
-        correctly excludes it — and the event is then admitted against
-        the empty lease table and injected.
-
-        ``arm`` (the crash path) is a ``(layer, victim)`` crash to arm
-        on the escalating event's own heal — set only *after* the
-        barrier, which may flush and inject deferred events whose heals
-        must not inherit it.
-        """
-        assert self.net is not None
-        if eid in self._deferred:
-            del self._deferred[eid]
-            # Nothing can wait on the newest request, so the withdraw
-            # cascade is structurally empty — but honor any grants it
-            # returns rather than strand them.
-            self._resume(self.leases.withdraw(eid))
-        self.ledger.escalated(eid, now, reason)
-        self.net.log_control(f"lease-escalate-{reason}", eid)
-        if self.recorder is not None:
-            self.recorder.record("escalate", clock=now, eid=eid, reason=reason)
-        if self.metrics is not None:
-            self.metrics.counter(f"lease.escalations.{reason}").inc()
-        self.barrier()
-        decision = self.leases.acquire(eid, footprint, (now, eid))
-        assert decision.granted  # the table is empty after a barrier
-        if arm is not None:
-            self._arm_next = arm
-        self._inject_lease_heal(eid, report)
-
-    def _inject_lease_heal(self, eid: int, report: HealReport) -> None:
-        """Inject a lease-admitted event, with the handoff bookkeeping."""
-        assert self.net is not None
-        handoff = self.ledger[eid]
-        waited = handoff.state != "granted"
-        if report.is_insertion:
-            coordinator: Optional[int] = self._wave(report)[0][1]
-        else:
-            # Computed *before* injection: the victim's removal consumes
-            # its local neighbor claims.
-            coordinator = self.driver.heal_coordinator(report.deleted)
-        hid = self._inject(
-            report, requested_at=handoff.requested_at if waited else None
-        )
-        self.leases.set_coordinator(eid, coordinator)
-        self.ledger.injected(eid, self.net.clock)
-        # Grant rows carry the *kernel heal id*, correlating the
-        # admission decision with the heal's delivery rows.
-        self.net.log_control("lease-grant", hid)
-        if self.net.heal_pending(hid):
-            self._live[hid] = eid
-        else:
-            self._release_lease(eid, hid)
-
-    def _pump_leases(self) -> None:
-        """Release leases of quiesced heals; resume what unblocks."""
-        assert self.net is not None
-        done = [
-            (hid, eid)
-            for hid, eid in self._live.items()
-            if self.net.heal_pending(hid) == 0
-        ]
-        for hid, eid in done:
-            del self._live[hid]
-            self._release_lease(eid, hid)
-
-    def _release_lease(self, eid: int, hid: int) -> None:
-        """Lease release is a causal event: grants cascade in priority
-        order, and every resumed event injects immediately (its leases
-        are already held)."""
-        assert self.net is not None
-        self.ledger.released(eid, self.net.clock)
-        self.net.log_control("lease-release", hid)
-        self._resume(self.leases.release(eid))
-
-    def _resume(self, resumed_eids: Sequence[int]) -> None:
-        """Inject newly granted deferred events, in the given order."""
-        assert self.net is not None
-        now = self.net.clock
-        for resumed in resumed_eids:
-            deferred = self._deferred.pop(resumed)
-            if self.ledger[resumed].state == DELEGATED:
-                self.ledger.resumed(resumed, now)
-                self.net.log_control("lease-resume", resumed)
-                if self.metrics is not None:
-                    self.metrics.histogram("lease.wait").observe(
-                        self.ledger[resumed].lease_wait
-                    )
-            self._inject_lease_heal(resumed, deferred.report)
-
-    def _flush_leases(self) -> None:
-        """Global barrier half of the lease path: drain, release, and
-        inject every delegated event in priority order until the
-        network is empty and no lease is held or queued.
-
-        The drain is targeted (:meth:`AsyncNetwork.drain_heals` on the
-        live lease heals) rather than a blanket quiesce, so the loop's
-        progress is attributable heal by heal; the closing quiesce is a
-        safety net for traffic outside the lease bookkeeping (there
-        should be none) and the cheap no-op that proves it.
-        """
-        assert self.net is not None
-        while self._live or self._deferred:
-            before = (len(self._live), len(self._deferred))
-            self.net.drain_heals(list(self._live))
-            self._pump_leases()
-            if (len(self._live), len(self._deferred)) == before and not self._live:
-                raise LeaseError(  # pragma: no cover - defensive
-                    f"flush stalled with deferred events "
-                    f"{sorted(self._deferred)} and no live heal to release"
-                )
-        self.net.quiesce()
-
     @staticmethod
     def _wave(report: HealReport) -> Sequence[Tuple[int, int]]:
         if report.inserted_batch:
@@ -847,32 +561,20 @@ class TransportMirror:
         assert report.inserted is not None and report.attached_to is not None
         return ((report.inserted, report.attached_to),)
 
-    def _prune_inflight(self) -> None:
-        assert self.net is not None
-        self._inflight = {
-            hid: fp
-            for hid, fp in self._inflight.items()
-            if self.net.heal_pending(hid) > 0
-        }
-
     # ------------------------------------------------------------------
     def barrier(self) -> None:
         """Quiesce, assert protocol quiescence, cross-validate images.
 
-        Under ``overlap="lease"`` the quiesce first *flushes* the
-        handoff queue — every delegated event injects in priority order
-        as its blockers drain — so the verified image always includes
-        every oracle event mirrored so far."""
+        The quiesce is the admission object's ``drain()``: under leases
+        it first *flushes* the handoff queue — every delegated event
+        injects in priority order as its blockers drain — so the
+        verified image always includes every oracle event mirrored so
+        far."""
         clock_before = self.net.clock if self.net is not None else 0.0
         t0 = time.perf_counter_ns() if self.profiler is not None else 0
         try:
-            if self.net is not None:
-                if self.spec.overlap == "lease" and self.spec.mode == "async":
-                    self._flush_leases()
-                    self.ledger.check_drained()
-                else:
-                    self.net.quiesce()
-                    self._inflight.clear()
+            if self.admission is not None:
+                self.admission.drain()
             self.driver._check_quiescent()
             self.verify()
         except ReproError as exc:
@@ -971,15 +673,10 @@ class TransportMirror:
             seed=self.seed,
             events=self.events,
             barriers=self.barriers,
-            conflict_barriers=self.conflict_barriers,
-            overlap=spec.overlap if spec.mode == "async" else "serialize",
+            overlap=spec.overlap,  # "serialize" on a sync mirror (the spec checks)
         )
-        if spec.mode == "async" and spec.overlap == "lease":
-            summary.lease_grants = self.ledger.immediate_grants
-            summary.lease_waits = self.ledger.lease_waits
-            summary.lease_wait_times = list(self.ledger.wait_times)
-            summary.peak_deferred = self.ledger.peak_deferred
-            summary.escalations = dict(self.ledger.escalations)
+        if self.admission is not None:
+            self.admission.fill(summary)
         history = self.driver.network.stats_history[1:]  # skip setup
         summary.peak_sub_rounds = max((s.sub_rounds for s in history), default=0)
         if self.net is not None:

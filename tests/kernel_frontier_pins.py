@@ -12,6 +12,14 @@ virtual time, is a fact about the simulated network under a policy and
 a seed, which a change to how the kernel *finds* the legal set must not
 move.  One lease campaign with drops, duplicates and a crash-during-heal
 per catalog policy; every record of the kernel's event log is digested.
+
+The ``<kind>/<overlap>[/crash]`` entries are the same campaign under the
+default ``latency`` policy over both healers, both overlap policies and
+with / without the crash (``ft/lease/crash`` *is* the ``latency`` entry,
+so it is not recorded twice).  They were taken the same way at the commit
+before the drivers shared one shell and admission moved behind one object
+per overlap policy: which message each driver sends when, and when each
+policy lets an event inject, is what that refactor must not move.
 """
 
 from __future__ import annotations
@@ -23,41 +31,56 @@ import sys
 from repro.adversaries import OverlapChurnAdversary
 from repro.baselines import ForgivingTreeHealer
 from repro.faults import CrashDuringHeal, FaultPlan
+from repro.fgraph import ForgivingGraphHealer
 from repro.graphs import generators
 from repro.harness import run_churn_campaign
 from repro.simnet import SCHEDULER_CATALOG, TransportSpec
 
 
-def campaign_log(scheduler: str):
+HEALERS = {"ft": ForgivingTreeHealer, "fg": ForgivingGraphHealer}
+
+
+def campaign_log(scheduler: str, kind: str = "ft", overlap: str = "lease", crash: bool = True):
     """The kernel event log of the pinned campaign under ``scheduler``."""
+    crashes = (CrashDuringHeal(event=10, layer=1),) if crash else ()
     result = run_churn_campaign(
-        ForgivingTreeHealer(generators.random_tree(160, 5)),
+        HEALERS[kind](generators.random_tree(160, 5)),
         OverlapChurnAdversary(p_insert=0.3, seed=4),
         events=120,
         metrics="none",
         seed=9,
         transport=TransportSpec(
             mode="async",
-            overlap="lease",
+            overlap=overlap,
             latency="heavy-tail",
             scheduler=scheduler,
             gap=0.05,
             barrier_every=16,
             record_log=True,
-            faults=FaultPlan(
-                drop=0.05, dup=0.03, crashes=(CrashDuringHeal(event=10, layer=1),)
-            ),
+            faults=FaultPlan(drop=0.05, dup=0.03, crashes=crashes),
         ),
     )
     return result.transport
 
 
+def variants():
+    """Pin name -> :func:`campaign_log` arguments."""
+    out = {scheduler: (scheduler,) for scheduler in sorted(SCHEDULER_CATALOG)}
+    for kind in sorted(HEALERS):
+        for overlap in ("serialize", "lease"):
+            for crash in (False, True):
+                if (kind, overlap, crash) != ("ft", "lease", True):
+                    name = f"{kind}/{overlap}" + ("/crash" if crash else "")
+                    out[name] = ("latency", kind, overlap, crash)
+    return out
+
+
 def observe():
     out = {}
-    for scheduler in sorted(SCHEDULER_CATALOG):
-        summary = campaign_log(scheduler)
+    for name, args in variants().items():
+        summary = campaign_log(*args)
         rows = [rec.to_dict() for rec in summary.event_log]
-        out[scheduler] = {
+        out[name] = {
             "records": len(rows),
             "delivered": summary.messages_delivered,
             "makespan": summary.makespan,

@@ -103,17 +103,23 @@ def checked_images():
     n=st.integers(16, 64),
     seed=st.integers(0, 10**6),
     barrier_every=st.sampled_from([1, 3, 8]),
+    crash_event=st.integers(0, 8),
 )
 def test_every_barrier_reads_the_image_a_derivation_gives(
-    kind, transport, hostile, overlapping, n, seed, barrier_every
+    kind, transport, hostile, overlapping, n, seed, barrier_every, crash_event
 ):
     if transport == "sync":
         spec = TransportSpec(mode="sync", barrier_every=barrier_every)
     else:
         plan = None
-        if hostile:  # crash + repair on the first event (see test_kernel_frontier)
+        if hostile:
+            # Crash + repair on any of the first events; the Forgiving
+            # Tree on the first only (see test_kernel_frontier).
+            if kind == "ft":
+                crash_event = 0
             plan = FaultPlan(
-                drop=0.05, dup=0.05, crashes=(CrashDuringHeal(event=0, layer=seed % 3),)
+                drop=0.05, dup=0.05,
+                crashes=(CrashDuringHeal(event=crash_event, layer=seed % 3),),
             )
         spec = TransportSpec(
             mode="async", overlap=transport, latency="heavy-tail", gap=0.05,

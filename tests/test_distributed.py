@@ -6,13 +6,17 @@ trees with random full-deletion campaigns up to n = 24.  Every sampled
 seed passes since the own-helper-skip inheritance and vacuous-bypass claim
 fixes; churn campaigns cross-validate in test_churn.py."""
 
+import ast
+import pathlib
 import random
 
 import pytest
 
+import repro
 from repro import ForgivingTree
 from repro.core.errors import NodeNotFoundError, SimulationOverError
-from repro.distributed import DistributedForgivingTree
+from repro.distributed import DistributedForgivingTree, ProtocolDriver
+from repro.fgraph import DistributedForgivingGraph
 from repro.graphs import generators
 from tests.conftest import FIG5, FIGURE5_TREE
 
@@ -152,3 +156,82 @@ class TestTheorem13Accounting:
         assert stats.total_messages > 0
         assert stats.max_sent_per_node >= 1
         assert dist.last_stats() is stats
+
+
+#: Everything about a driver that is not protocol (ISSUE 22, tentpole 1).
+SHELL_METHODS = (
+    "alive", "__len__", "__contains__", "check_delete", "heal_coordinator",
+    "inject_delete", "delete", "insert", "insert_batch", "inject_insert_batch",
+    "_check_quiescent", "integrity_violations", "edges", "adjacency", "degree",
+    "max_degree_increase", "last_stats", "peak_messages_per_node", "peak_latency",
+)
+
+
+class TestOneDriverShell:
+    """A second copy of the driver shell is a red test, not a review
+    comment (the ``TestOneAlgorithmText`` pattern of test_flatcore)."""
+
+    SRC = pathlib.Path(repro.__file__).parent
+
+    def test_both_drivers_run_the_same_function_objects(self):
+        for name in SHELL_METHODS:
+            for cls in (DistributedForgivingTree, DistributedForgivingGraph):
+                assert name not in vars(cls), f"{cls.__name__} overrides {name}"
+                assert getattr(cls, name) is vars(ProtocolDriver)[name], name
+
+    def test_the_scan_and_the_checks_are_defined_once(self):
+        once = ("integrity_violations", "_check_quiescent", "heal_coordinator",
+                "check_delete")
+        defs = {name: [] for name in once}
+        for path in sorted(self.SRC.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef) and node.name in defs:
+                    defs[node.name].append(f"{path.name}:{node.lineno}")
+        for name, sites in defs.items():
+            assert len(sites) == 1 and sites[0].startswith("driver.py"), (name, sites)
+
+    def test_ft_pointer_refs_name_every_field(self):
+        dist = DistributedForgivingTree({0: [1, 2], 1: [3]})
+        dist.network.remove(1)  # silent death: nobody is told
+        refs = dist.network.nodes[0].pointer_refs()
+        assert refs == [("will", 1), ("will", 2), ("leaf_will", 2)]
+        assert dist.network.nodes[3].pointer_refs() == [("parent_ref", 1)]
+        assert dist.integrity_violations() == [
+            ("dangling-pointer", 0, "will names dead node 1"),
+            ("dangling-pointer", 3, "parent_ref names dead node 1"),
+        ]
+
+    def test_ft_stale_leaf_will_keeps_its_detail_string(self):
+        """ROADMAP item 1's five-node case: the deposit outlives its
+        holder and the scan says so in the words it always used."""
+        dist = DistributedForgivingTree({0: [2, 4], 1: [4], 2: [0], 3: [4], 4: [0, 1, 3]})
+        for victim in (4, 0, 1):
+            dist.delete(victim)
+        assert ("leaf_will", 1) in dist.network.nodes[3].pointer_refs()
+        assert dist.integrity_violations() == [
+            ("dangling-pointer", 3, "leaf_will names dead node 1")
+        ]
+
+    def test_fg_pointer_refs_name_every_field(self):
+        dist = DistributedForgivingGraph({0: {1, 2, 3}, 1: {0}, 2: {0}, 3: {0}})
+        dist.insert(4, 3)
+        dist.delete(0)  # 1, 2, 3 now hang off a reconstruction tree
+        holder = next(n for n in dist.network.nodes.values() if n.helper is not None)
+        _parent, left, _right = holder.helper
+        fields = [where for where, _ in holder.pointer_refs()]
+        assert fields[-2:] == ["helper.left", "helper.right"]
+        assert "port_parent_sim" in fields
+        assert dist.network.nodes[4].pointer_refs() == [("direct", 3), ("ins_parent", 3)]
+        dead = left[0] if left[0] != holder.nid else _right[0]
+        dist.network.remove(dead)
+        side = "left" if dead == left[0] else "right"
+        assert (
+            "dangling-pointer", holder.nid, f"helper.{side} names dead node {dead}"
+        ) in dist.integrity_violations()
+
+    def test_a_half_applied_heal_is_reported_not_raised(self):
+        dist = DistributedForgivingGraph({0: {1, 2}, 1: {0}, 2: {0}})
+        dist.network.nodes[1]._await_reports = 1
+        assert dist.integrity_violations() == [
+            ("half-applied-heal", 1, "awaiting ['reports']")
+        ]

@@ -17,6 +17,7 @@ import pytest
 from repro.adversaries.churn import (
     CHURN_ADVERSARY_CATALOG,
     HostileChurnAdversary,
+    OverlapChurnAdversary,
     RandomChurnAdversary,
 )
 from repro.baselines.forgiving import ForgivingTreeHealer
@@ -316,6 +317,58 @@ class TestCrashAndRepair:
         )
         assert res.transport.escalations.get("crash") == 1
         assert res.faults.repairs == 1
+
+    @pytest.mark.parametrize(
+        "overlap,seed,target",
+        [
+            # At the parent of ISSUE 22 the victim was elected *before*
+            # the containment / escalation barrier, from mid-heal state:
+            ("serialize", 25, "coordinator"),  # "crash victim 2 is not alive"
+            ("lease", 10, "coordinator"),  # "crash victim 0 is not alive"
+            # ... or about a deletion victim whose own lease-deferred join
+            # had not injected: "node 24 not found (heal_coordinator)".
+            ("lease", 16, "participant"),
+        ],
+    )
+    def test_victim_is_elected_from_settled_state(self, overlap, seed, target):
+        """perf-README finding (d) / ROADMAP 1(v): the barrier runs
+        first, the victim is picked only then."""
+        res = run_churn_campaign(
+            ForgivingGraphHealer(generators.preferential_attachment(24, 2, seed=seed)),
+            RandomChurnAdversary(p_insert=0.3, seed=seed),
+            events=6,
+            metrics="none",
+            seed=seed,
+            faults=FaultPlan(crashes=(CrashDuringHeal(3, target=target),)),
+            transport=TransportSpec(
+                mode="async", overlap=overlap, latency="heavy-tail", gap=0.05,
+                barrier_every=64, seed=seed,
+            ),
+        )
+        assert res.faults.crashes == 1 and res.faults.unrepaired_violations == 0
+        assert sum(1 for r in res.rounds if r.event == "crash") == 1
+
+    def test_crash_on_the_event_after_an_in_flight_deletion(self):
+        """The case the kernel-frontier wall's comment cited for staying
+        at event 0: under ``serialize`` too, a crash at event 1 named a
+        node event 0's still-flying heal had already removed."""
+        seed = 11901
+        res = run_churn_campaign(
+            ForgivingGraphHealer(generators.random_tree(24, seed % 97)),
+            OverlapChurnAdversary(p_insert=0.3, seed=seed),
+            events=36,
+            metrics="none",
+            seed=seed,
+            transport=TransportSpec(
+                mode="async", overlap="serialize", latency="heavy-tail", gap=0.1,
+                barrier_every=5,
+                faults=FaultPlan(
+                    drop=0.08, dup=0.05,
+                    crashes=(CrashDuringHeal(event=1, layer=seed % 3),),
+                ),
+            ),
+        )
+        assert res.faults.crashes == 1 and res.faults.unrepaired_violations == 0
 
     def test_repair_pass_log_line(self):
         plan = FaultPlan(crashes=(CrashDuringHeal(event=4),))

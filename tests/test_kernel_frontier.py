@@ -130,20 +130,27 @@ def checked_kernel():
     seed=st.integers(0, 10**6),
     gap=st.sampled_from([0.02, 0.1, 0.4]),
     barrier_every=st.sampled_from([0, 5, 16]),
+    crash_event=st.integers(0, 8),
 )
 def test_every_delivery_is_the_one_the_rule_names(
     kind, scheduler, latency, overlap, hostile, overlapping, n, seed, gap,
-    barrier_every,
+    barrier_every, crash_event,
 ):
     plan = None
     if hostile:
-        # The crash sits on the first event: with nothing in flight or
-        # lease-deferred yet, the victim the mirror reads off local state
-        # is alive.  Any later event can trip benchmarks/perf/README.md
-        # finding (d) (ROADMAP item 2) — under ``serialize`` too: seed
-        # 11901, fg, n=24, crash at event 1 names a node event 0 deleted.
+        # The crash victim is elected after the admission barrier, from
+        # settled state, so the crash may ride on any event (the case
+        # that used to pin it to event 0 — fg, serialize, seed 11901,
+        # crash at event 1 — is a plain test in tests/test_faults.py).
+        # The Forgiving Tree stays on the first event until ROADMAP
+        # item 1 lands: reset-replay recovery faithfully reproduces a
+        # stale leaf-will deposit made before a later crash, and the
+        # repair pass then reports the dangling pointer it left.
+        if kind == "ft":
+            crash_event = 0
         plan = FaultPlan(
-            drop=0.08, dup=0.05, crashes=(CrashDuringHeal(event=0, layer=seed % 3),)
+            drop=0.08, dup=0.05,
+            crashes=(CrashDuringHeal(event=crash_event, layer=seed % 3),),
         )
     adversary = (
         OverlapChurnAdversary(p_insert=0.3, seed=seed)
@@ -391,7 +398,7 @@ def test_event_logs_match_the_parent_commit():
     path = os.path.join(os.path.dirname(__file__), "data", "kernel_frontier_pins.json")
     with open(path) as fh:
         pinned = json.load(fh)
-    assert sorted(pinned) == sorted(SCHEDULER_CATALOG)
+    assert set(SCHEDULER_CATALOG) < set(pinned) == set(pins.variants())
     assert json.loads(json.dumps(pins.observe())) == pinned
     assert len({row["digest"] for row in pinned.values()}) == len(pinned)
 

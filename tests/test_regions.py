@@ -10,9 +10,14 @@ with ``overlap="lease"`` across all latency models and schedulers for
 both the Forgiving Tree and the Forgiving Graph.
 """
 
+import ast
+import inspect
 import itertools
+import pathlib
 
 import pytest
+
+import repro.regions
 from hypothesis import given, settings, strategies as st
 
 from repro.adversaries import (
@@ -35,13 +40,17 @@ from repro.regions import (
     ESCALATION_REASONS,
     HandoffError,
     HandoffLedger,
+    LeaseAdmission,
     LeaseError,
     LeaseManager,
+    SerializeAdmission,
 )
 from repro.simnet import (
     LATENCY_CATALOG,
+    OVERLAP_POLICIES,
     SCHEDULER_CATALOG,
     AsyncNetwork,
+    TransportMirror,
     TransportSpec,
 )
 
@@ -139,10 +148,7 @@ class TestLeaseManager:
         mgr = LeaseManager()
         mgr.acquire(0, {1}, (0.0, 0))
         mgr.acquire(1, {1}, (1.0, 1))
-        assert mgr.stats.requests == 2
-        assert mgr.stats.immediate_grants == 1
-        assert mgr.stats.deferred == 1
-        assert mgr.stats.peak_waiting == 1
+        assert mgr.holders() == [0] and mgr.waiters() == [1]
         with pytest.raises(LeaseError):
             mgr.acquire(0, {5}, (2.0, 5))  # id already active
         with pytest.raises(LeaseError):
@@ -600,6 +606,76 @@ class TestLeaseCampaigns:
             transport=TransportSpec(mode="async", overlap="lease", gap=0.1),
         )
         assert len(res.rounds) == 49  # down to a single survivor
+
+
+# ----------------------------------------------------------------------
+# the admission seam: one object per overlap policy behind the mirror
+# ----------------------------------------------------------------------
+class TestAdmissionSeam:
+    ENTRY_POINTS = ("admit", "admit_alone", "drain", "fill")
+
+    def test_both_policies_expose_the_same_four_entry_points(self):
+        for name in self.ENTRY_POINTS:
+            serialize = inspect.signature(getattr(SerializeAdmission, name))
+            lease = inspect.signature(getattr(LeaseAdmission, name))
+            assert list(serialize.parameters) == list(lease.parameters), name
+        for cls in (SerializeAdmission, LeaseAdmission):
+            public = {n for n in vars(cls) if not n.startswith("_")}
+            assert public == set(self.ENTRY_POINTS), cls.__name__
+
+    def test_the_mirror_never_asks_which_policy_it_runs(self):
+        assert "overlap ==" not in inspect.getsource(TransportMirror)
+
+    def test_regions_imports_nothing_from_simnet(self):
+        """Admission drives the transport through the port it is handed."""
+        for path in sorted(pathlib.Path(repro.regions.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    assert "simnet" not in (node.module or ""), path.name
+                elif isinstance(node, ast.Import):
+                    assert all("simnet" not in a.name for a in node.names), path.name
+
+    @pytest.mark.parametrize("factory,name", HEALERS)
+    def test_one_object_picked_from_the_overlap_value(self, factory, name):
+        classes = {"serialize": SerializeAdmission, "lease": LeaseAdmission}
+        assert tuple(classes) == OVERLAP_POLICIES
+        for overlap, cls in classes.items():
+            spec = TransportSpec(mode="async", overlap=overlap, seed=1)
+            mirror = TransportMirror(factory(_tree_graph(12, 1)), spec)
+            assert type(mirror.admission) is cls and mirror.admission.port is mirror
+        sync = TransportMirror(factory(_tree_graph(12, 1)), TransportSpec(mode="sync", seed=1))
+        assert sync.admission is None  # no lease table, no ledger, nobody to ask
+
+    @pytest.mark.parametrize(
+        "factory,overlap,expected",
+        [
+            # Recorded at the commit before admission moved behind the seam.
+            (ForgivingTreeHealer, "serialize", (39, 38, 0, 0, 0, {}, 701)),
+            (ForgivingTreeHealer, "lease", (11, 0, 19, 33, 9, {"coordinator-death": 8}, 701)),
+            (ForgivingGraphHealer, "serialize", (36, 35, 0, 0, 0, {}, 434)),
+            (ForgivingGraphHealer, "lease", (9, 0, 19, 36, 8, {"coordinator-death": 5}, 434)),
+        ],
+    )
+    def test_summaries_read_what_they_read_before_the_seam(
+        self, factory, overlap, expected
+    ):
+        t = run_churn_campaign(
+            factory(_tree_graph(150, 11)),
+            OverlapChurnAdversary(seed=3, p_coordinator=0.3),
+            events=60,
+            seed=3,
+            transport=TransportSpec(
+                mode="async", overlap=overlap, gap=0.05, barrier_every=10
+            ),
+        ).transport
+        assert (
+            t.barriers, t.conflict_barriers, t.lease_grants, t.lease_waits,
+            t.peak_deferred, t.escalations, t.messages_delivered,
+        ) == expected
+        assert t.overlap == overlap and t.events == 60
+        if overlap == "lease":
+            assert t.lease_grants + t.lease_waits + t.total_escalations == t.events
+            assert len(t.lease_wait_times) == t.lease_waits
 
 
 # ----------------------------------------------------------------------
