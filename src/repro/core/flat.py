@@ -28,6 +28,10 @@ This module stores the same two structures in preallocated parallel arrays
     wval  [ s_i | sim | s_i| ... ]      stand-in (leaf) or simulator (internal)
     wparent/whead/wtail/wnext/wprev/wnchild
 
+``FlatWills`` is a store only: the will rules it runs are
+:class:`~repro.core.slot_tree.WillText`'s, the same text the object
+store :class:`~repro.core.slot_tree.ObjectWills` runs.
+
 Three contracts make the flat layer a drop-in replacement:
 
 * **ids are never reused** at the API boundary: slots recycle, node ids do
@@ -39,9 +43,8 @@ Three contracts make the flat layer a drop-in replacement:
   store's node objects, without aliasing.
 * **orderings are preserved**: child lists are doubly linked (insert-before
   and positional replace are O(1)), helper iteration is hid-ascending, and
-  every will operation touches positions in the same order as the object
-  :class:`~repro.core.slot_tree.SlotTree` — so event logs, message tallies
-  and donor choices are bit-identical to the reference implementation
+  the wills run the one will text over either store — so event logs,
+  message tallies and donor choices are bit-identical to the object engine
   (asserted by the object-vs-flat parity wall in ``tests/test_flatcore.py``).
 * **hot queries are O(1)**: ``alive`` is a :class:`AliveView` (a live
   ``collections.abc.Set`` over the id map — no per-event set copy),
@@ -52,7 +55,6 @@ Three contracts make the flat layer a drop-in replacement:
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Set as AbstractSet
 from array import array
 from typing import Callable, Collection, Dict, Iterator, List, Optional, Sequence, Set, Tuple
@@ -64,20 +66,7 @@ from .errors import (
     NodeNotFoundError,
 )
 from .events import EdgeAdded, EdgeRemoved, edge_key
-from .slot_tree import (
-    AddBatchDelta,
-    AddDelta,
-    InternalSpec,
-    PosRef,
-    RemovalDelta,
-    ReplaceDelta,
-    SlotTree,
-    _Internal,
-    _Leaf,
-    _split_even,
-)
-
-NIL = -1
+from .slot_tree import NIL, W_FREE, W_INTERNAL, W_LEAF, WillText
 
 #: The 12 parallel columns of :class:`FlatCore`, in serialization order.
 CORE_COLUMNS = (
@@ -95,11 +84,6 @@ WILL_COLUMNS = (
 KIND_FREE = 0
 KIND_REAL = 1
 KIND_HELPER = 2
-
-#: Will-arena position kinds.
-W_FREE = 0
-W_LEAF = 1
-W_INTERNAL = 2
 
 
 class AliveView(AbstractSet):
@@ -779,15 +763,16 @@ class FlatCore:
         return self
 
 
-class FlatWills:
+class FlatWills(WillText):
     """Every node's will (SubRT blueprint) in one shared flat arena.
 
-    One :class:`~repro.core.slot_tree.SlotTree` per node is the object
-    layout; here all wills share four parallel arrays plus global position
-    indexes keyed by ``(owner, stand_in)``.  Operations take the owning
-    node id first and mirror the SlotTree maintenance rules *exactly* —
-    same placement, same re-keying, same deterministic pool ordering, same
-    reported deltas (the dataclasses are reused verbatim).
+    A store of :class:`~repro.core.slot_tree.WillText`: all wills share
+    eight parallel arrays plus the global position indexes keyed by
+    ``(owner, stand_in)``, and the will rules — placement, re-keying, pool
+    order, the reported deltas — are the text's, the same function
+    objects :class:`~repro.core.slot_tree.ObjectWills` runs.  What is
+    here is storage only: the arena, its free list, the intrusive child
+    links, and checkpointing.
 
     Positions free eagerly (the engine never holds position handles across
     operations, so no limbo list is needed here).
@@ -843,11 +828,14 @@ class FlatWills:
         self.wkind[pos] = W_FREE
         self._free.append(pos)
 
-    def _mk_leaf(self, owner: int, stand_in: int, parent: int = NIL) -> int:
+    # ------------------------------------------------------------------
+    # the will text's store port
+    # ------------------------------------------------------------------
+    def _mk_leaf(self, owner: int, stand_in: int) -> int:
         pos = self._alloc()
         self.wkind[pos] = W_LEAF
         self.wval[pos] = stand_in
-        self.wparent[pos] = parent
+        self.wparent[pos] = NIL
         self.whead[pos] = NIL
         self.wtail[pos] = NIL
         self.wnext[pos] = NIL
@@ -861,6 +849,7 @@ class FlatWills:
         self.wkind[pos] = W_INTERNAL
         self.wval[pos] = sim
         self.wparent[pos] = NIL
+        self.whead[pos] = NIL
         self.wnext[pos] = NIL
         self.wprev[pos] = NIL
         self.wnchild[pos] = len(children)
@@ -873,7 +862,8 @@ class FlatWills:
             else:
                 self.wnext[prev] = child
             prev = child
-        self.wnext[prev] = NIL
+        if prev != NIL:
+            self.wnext[prev] = NIL
         self.wtail[pos] = prev
         self._intpos[(owner, sim)] = pos
         return pos
@@ -886,6 +876,18 @@ class FlatWills:
             out.append(c)
             c = nxt[c]
         return out
+
+    def _append(self, parent: int, child: int) -> None:
+        last = self.wtail[parent]
+        if last == NIL:
+            self.whead[parent] = child
+        else:
+            self.wnext[last] = child
+        self.wprev[child] = last
+        self.wnext[child] = NIL
+        self.wtail[parent] = child
+        self.wparent[child] = parent
+        self.wnchild[parent] += 1
 
     def _unlink(self, parent: int, child: int) -> None:
         prv, nxt = self.wprev[child], self.wnext[child]
@@ -924,417 +926,21 @@ class FlatWills:
         self.wnext[old] = NIL
         self.wparent[old] = NIL
 
-    # ------------------------------------------------------------------
-    # construction / teardown
-    # ------------------------------------------------------------------
-    def build(self, owner: int, stand_ins: Sequence[int]) -> None:
-        """Create ``owner``'s will (Algorithm 3.5 shape, same as SlotTree)."""
-        if owner in self._root:
-            raise DuplicateNodeError(owner)
-        ids = sorted(stand_ins)
-        if len(set(ids)) != len(ids):
-            dup = next(x for i, x in enumerate(ids) if i and ids[i - 1] == x)
-            raise DuplicateNodeError(dup)
-        if not ids:
-            self._root[owner] = NIL
-            self._heir[owner] = NIL
-            return
-        self._heir[owner] = ids[-1]
-        self._root[owner] = self._build(owner, ids)
+    def _retag(self, pos: int, val: int) -> None:
+        self.wval[pos] = val
 
-    def _build(self, owner: int, ids: Sequence[int]) -> int:
-        if len(ids) == 1:
-            return self._mk_leaf(owner, ids[0])
-        groups = _split_even(ids, self.branching)
-        children = [self._build(owner, g) for g in groups]
-        sim = max(groups[0])  # BST separator: max of first subtree
-        return self._mk_internal(owner, sim, children)
-
-    def discard(self, owner: int) -> None:
-        """Drop ``owner``'s will entirely, freeing its positions."""
-        root = self._root.pop(owner)
-        self._heir.pop(owner)
-        if root == NIL:
-            return
-        stack = [root]
-        while stack:
-            pos = stack.pop()
-            if self.wkind[pos] == W_LEAF:
-                del self._leafpos[(owner, self.wval[pos])]
-            else:
-                del self._intpos[(owner, self.wval[pos])]
-                stack.extend(self._children(pos))
-            self._release(pos)
-
-    # ------------------------------------------------------------------
-    # queries (SlotTree API, owner-first)
-    # ------------------------------------------------------------------
-    def has(self, owner: int) -> bool:
-        """Does ``owner`` currently hold a will at all?"""
-        return owner in self._root
-
-    def empty(self, owner: int) -> bool:
-        return self._root[owner] == NIL
-
-    def size(self, owner: int) -> int:
-        root = self._root[owner]
-        return 0 if root == NIL else self._count_leaves(root)
-
-    def _count_leaves(self, root: int) -> int:
-        n = 0
-        stack = [root]
-        while stack:
-            pos = stack.pop()
-            if self.wkind[pos] == W_LEAF:
-                n += 1
-            else:
-                stack.extend(self._children(pos))
-        return n
-
-    def contains(self, owner: int, stand_in: int) -> bool:
-        return (owner, stand_in) in self._leafpos
-
-    def heir(self, owner: int) -> Optional[int]:
-        h = self._heir[owner]
-        return None if h == NIL else h
-
-    def stand_ins(self, owner: int) -> List[int]:
-        """Leaf stand-ins, left to right."""
-        root = self._root[owner]
-        out: List[int] = []
-        if root != NIL:
-            self._collect_leaves(root, out)
-        return out
-
-    def _collect_leaves(self, pos: int, out: List[int]) -> None:
-        if self.wkind[pos] == W_LEAF:
-            out.append(self.wval[pos])
-        else:
-            c = self.whead[pos]
-            while c != NIL:
-                self._collect_leaves(c, out)
-                c = self.wnext[c]
-
-    def _collect_internals(self, owner: int) -> List[int]:
-        root = self._root[owner]
-        if root == NIL or self.wkind[root] == W_LEAF:
-            return []
-        out: List[int] = []
-        stack = [root]
-        while stack:
-            pos = stack.pop()
-            if self.wkind[pos] == W_INTERNAL:
-                out.append(pos)
-                stack.extend(self._children(pos))
-        return out
-
-    def internal_sims(self, owner: int) -> List[int]:
-        return sorted(self.wval[p] for p in self._collect_internals(owner))
-
-    def has_internal(self, owner: int, stand_in: int) -> bool:
-        return (owner, stand_in) in self._intpos
-
-    def root_sim(self, owner: int) -> int:
-        root = self._root[owner]
-        if root == NIL:
-            raise EmptyStructureError("root of empty slot tree")
-        return self.wval[root]
-
-    def _ref(self, pos: int) -> PosRef:
-        if self.wkind[pos] == W_LEAF:
-            return ("leaf", self.wval[pos])
-        return ("internal", self.wval[pos])
-
-    def internal_specs(self, owner: int) -> List[InternalSpec]:
-        """All internal positions with parent/children refs, sim-ascending."""
-        specs: List[InternalSpec] = []
-        for pos in sorted(self._collect_internals(owner), key=lambda p: self.wval[p]):
-            parent = self.wparent[pos]
-            spec = InternalSpec(
-                sim=self.wval[pos],
-                parent=("top",) if parent == NIL else ("internal", self.wval[parent]),
-            )
-            spec.children = [self._ref(c) for c in self._children(pos)]
-            specs.append(spec)
-        return specs
-
-    # ------------------------------------------------------------------
-    # positional maintenance (SlotTree ports)
-    # ------------------------------------------------------------------
-    def _leaf(self, owner: int, stand_in: int) -> int:
-        try:
-            return self._leafpos[(owner, stand_in)]
-        except KeyError:
-            raise NodeNotFoundError(stand_in, "slot tree leaf") from None
-
-    def _around(self, pos: int) -> List[int]:
-        """Stand-ins whose portions reference ``pos`` (O(1) of them)."""
-        out = [self.wval[pos]]
-        parent = self.wparent[pos]
-        if parent != NIL:
-            out.append(self.wval[parent])
-        if self.wkind[pos] == W_INTERNAL:
-            c = self.whead[pos]
-            while c != NIL:
-                out.append(self.wval[c])
-                c = self.wnext[c]
-        return out
-
-    def _pick_free(self, owner: int, freed: List[int]) -> int:
-        if freed:
-            return freed[0]
-        heir = self._heir[owner]
-        pool = [
-            s
-            for s in sorted(self.stand_ins(owner))
-            if s != heir and (owner, s) not in self._intpos
-        ]
-        if not pool:
-            raise InvariantViolationError("slot-tree-pool", "no free stand-in")
-        return pool[0]
-
-    def _touched_filter(self, owner: int, touched: List[int]) -> Tuple[int, ...]:
-        leafpos = self._leafpos
-        return tuple(dict.fromkeys(t for t in touched if (owner, t) in leafpos))
-
-    def remove(self, owner: int, stand_in: int) -> RemovalDelta:
-        """Remove a dead leaf slot positionally (SlotTree.remove port)."""
-        leaf = self._leaf(owner, stand_in)
-        del self._leafpos[(owner, stand_in)]
-        parent = self.wparent[leaf]
-
-        if parent == NIL:  # single-slot will
-            self._root[owner] = NIL
-            self._heir[owner] = NIL
-            self._release(leaf)
-            return RemovalDelta(emptied=True)
-
-        self._unlink(parent, leaf)
-        self._release(leaf)
-        touched: List[int] = []
-        spliced_sim: Optional[int] = None
-        freed: List[int] = []
-        to_free: List[int] = []
-
-        # The dead stand-in's own internal assignment (if any) is now vacant.
-        vacant = self._intpos.pop((owner, stand_in), None)
-
-        if self.wnchild[parent] == 1:
-            # "short-circuit": splice the one-child internal position out.
-            only = self.whead[parent]
-            self._unlink(parent, only)
-            self._graft(owner, parent, only)
-            parent_sim = self.wval[parent]
-            spliced_sim = parent_sim
-            if vacant is not None and parent == vacant:
-                vacant = None  # the vacant position itself was spliced away
-            else:
-                self._intpos.pop((owner, parent_sim), None)
-                freed.append(parent_sim)
-            to_free.append(parent)
-            touched.append(parent_sim)  # it lost its internal assignment
-            touched.extend(self._around(only))
-        else:
-            touched.extend(self._around(parent))
-
-        reassigned: Optional[Tuple[int, int]] = None
-        if vacant is not None:
-            new_sim = self._pick_free(owner, freed)
-            self.wval[vacant] = new_sim
-            self._intpos[(owner, new_sim)] = vacant
-            if new_sim in freed:
-                freed.remove(new_sim)
-            reassigned = (stand_in, new_sim)
-            touched.append(new_sim)
-            touched.extend(self._around(vacant))
-
-        new_heir: Optional[int] = None
-        if stand_in == self._heir[owner]:
-            new_heir = self._pick_free(owner, freed)
-            self._heir[owner] = new_heir
-            touched.append(new_heir)
-
-        for pos in to_free:
-            self._release(pos)
-        return RemovalDelta(
-            emptied=False,
-            spliced_sim=spliced_sim,
-            reassigned=reassigned,
-            new_heir=new_heir,
-            touched=self._touched_filter(owner, touched),
-        )
-
-    def replace(self, owner: int, old: int, new: int) -> ReplaceDelta:
-        """Substitute stand-in ``old`` by ``new`` positionally."""
-        if (owner, new) in self._leafpos:
-            raise DuplicateNodeError(new)
-        leaf = self._leaf(owner, old)
-        del self._leafpos[(owner, old)]
-        self.wval[leaf] = new
-        self._leafpos[(owner, new)] = leaf
-
-        node = self._intpos.pop((owner, old), None)
-        had_internal = node is not None
-        if node is not None:
-            self.wval[node] = new
-            self._intpos[(owner, new)] = node
-
-        was_heir = old == self._heir[owner]
-        if was_heir:
-            self._heir[owner] = new
-
-        touched = [new]
-        touched.extend(self._around(leaf))
-        if node is not None:
-            touched.extend(self._around(node))
-        return ReplaceDelta(
-            was_heir=was_heir,
-            had_internal=had_internal,
-            touched=self._touched_filter(owner, touched),
-        )
-
-    def add(self, owner: int, stand_in: int) -> AddDelta:
-        """Insert a new leaf slot positionally (SlotTree.add port)."""
-        if (owner, stand_in) in self._leafpos:
-            raise DuplicateNodeError(stand_in)
-        root = self._root[owner]
-        leaf = self._mk_leaf(owner, stand_in)
-
-        if root == NIL:
-            self._root[owner] = leaf
-            self._heir[owner] = stand_in
-            return AddDelta(became_heir=True, touched=(stand_in,))
-
-        # Level-order scan: first spare internal slot (b > 2) or first
-        # (= shallowest) leaf wins.
-        queue: deque = deque([root])
-        target = root
-        while queue:
-            pos = queue.popleft()
-            if self.wkind[pos] == W_LEAF or self.wnchild[pos] < self.branching:
-                target = pos
-                break
-            queue.extend(self._children(pos))
-
-        touched: List[int] = [stand_in]
-        if self.wkind[target] == W_INTERNAL:
-            last = self.wtail[target]
-            self.wnext[last] = leaf
-            self.wprev[leaf] = last
-            self.wtail[target] = leaf
-            self.wparent[leaf] = target
-            self.wnchild[target] += 1
-            touched.extend(self._around(target))
-            return AddDelta(touched=self._touched_filter(owner, touched))
-
-        node = self._alloc()
-        self.wkind[node] = W_INTERNAL
-        self.wval[node] = stand_in
-        self.whead[node] = NIL
-        self.wtail[node] = NIL
-        self.wnchild[node] = 0
-        self.wnext[node] = NIL
-        self.wprev[node] = NIL
-        self.wparent[node] = NIL
-        self._graft(owner, target, node)  # node takes target's place
-        self.whead[node] = target
-        self.wtail[node] = leaf
-        self.wnext[target] = leaf
-        self.wprev[leaf] = target
-        self.wparent[target] = node
-        self.wparent[leaf] = node
-        self.wnchild[node] = 2
-        self._intpos[(owner, stand_in)] = node
-        touched.extend(self._around(node))
-        return AddDelta(
-            paired_with=self.wval[target],
-            touched=self._touched_filter(owner, touched),
-        )
-
-    def add_batch(self, owner: int, stand_ins: Sequence[int]) -> AddBatchDelta:
-        """Insert a wave of leaf slots (SlotTree.add_batch port)."""
-        ids = [int(s) for s in stand_ins]
-        if len(set(ids)) != len(ids):
-            dup = next(x for i, x in enumerate(ids) if x in ids[:i])
-            raise DuplicateNodeError(dup)
-        touched: List[int] = []
-        for s in ids:
-            touched.extend(self.add(owner, s).touched)
-        return AddBatchDelta(
-            added=tuple(ids),
-            touched=self._touched_filter(owner, touched),
-        )
-
-    # ------------------------------------------------------------------
-    # object view / validation
-    # ------------------------------------------------------------------
-    def to_slot_tree(self, owner: int) -> SlotTree:
-        """Materialize an object SlotTree preserving positions (the
-        ``will_of`` thin-view contract — equivalent to SlotTree.clone)."""
-        out = SlotTree([], branching=self.branching)
-        heir = self._heir[owner]
-        out._heir = None if heir == NIL else heir
-        root = self._root[owner]
-        if root != NIL:
-            out._root = self._to_pos(root, out, None)
-        return out
-
-    def _to_pos(self, pos: int, into: SlotTree, parent: Optional[_Internal]):
-        if self.wkind[pos] == W_LEAF:
-            leaf = _Leaf(self.wval[pos], parent)
-            into._leaves[self.wval[pos]] = leaf
-            return leaf
-        node = _Internal(self.wval[pos], [])
-        node.parent = parent
-        into._internal_by_sim[self.wval[pos]] = node
-        node.children = [self._to_pos(c, into, node) for c in self._children(pos)]
-        return node
-
-    def check(self, owner: int) -> None:
-        """Validate one will's invariants (SlotTree.check + flat links)."""
-        root = self._root[owner]
-        heir = self._heir[owner]
-        my_leaves = {s for (o, s) in self._leafpos if o == owner}
-        my_internals = {s for (o, s) in self._intpos if o == owner}
-        if root == NIL:
-            if my_leaves or my_internals or heir != NIL:
-                raise InvariantViolationError("slot-tree-empty", "stale entries")
-            return
-        seen: List[int] = []
-        self._collect_leaves(root, seen)
-        if sorted(seen) != sorted(my_leaves):
-            raise InvariantViolationError("slot-tree-leaves", "leaf index mismatch")
-        if heir not in my_leaves:
-            raise InvariantViolationError("slot-tree-heir", f"heir {heir} not a leaf")
-        if heir in my_internals:
-            raise InvariantViolationError("slot-tree-heir", "heir holds an internal position")
-        internals = self._collect_internals(owner)
-        if len(internals) != len(my_internals):
-            raise InvariantViolationError("slot-tree-internals", "index mismatch")
-        for pos in internals:
-            sim = self.wval[pos]
-            kids = self._children(pos)
-            if len(kids) != self.wnchild[pos]:
-                raise InvariantViolationError("flat-will-nchild", str(sim))
-            if not 2 <= len(kids) <= self.branching:
-                raise InvariantViolationError(
-                    "slot-tree-arity", f"internal {sim} has {len(kids)} children"
-                )
-            if sim not in my_leaves:
-                raise InvariantViolationError(
-                    "slot-tree-sim", f"internal sim {sim} is not a live stand-in"
-                )
-            if self._intpos.get((owner, sim)) != pos:
-                raise InvariantViolationError("slot-tree-sim-index", str(sim))
-            prev = NIL
-            for child in kids:
-                if self.wparent[child] != pos:
-                    raise InvariantViolationError("slot-tree-parent-link", str(sim))
-                if self.wprev[child] != prev:
-                    raise InvariantViolationError("flat-will-sib-links", str(sim))
-                prev = child
-            if self.wtail[pos] != prev:
-                raise InvariantViolationError("flat-will-tail", str(sim))
+    def _check_links(self, pos: int, kids: List[int]) -> None:
+        """The intrusive list agrees with the count, back links and tail."""
+        sim = self.wval[pos]
+        if len(kids) != self.wnchild[pos]:
+            raise InvariantViolationError("flat-will-nchild", str(sim))
+        prev = NIL
+        for child in kids:
+            if self.wprev[child] != prev:
+                raise InvariantViolationError("flat-will-sib-links", str(sim))
+            prev = child
+        if self.wtail[pos] != prev:
+            raise InvariantViolationError("flat-will-tail", str(sim))
 
     # ------------------------------------------------------------------
     # checkpointing

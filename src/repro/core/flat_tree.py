@@ -9,15 +9,19 @@ The text is written against a small storage surface — integer-like
 *handles* compared with ``==`` against ``NIL``, six columns (``ident``,
 ``nchild``, ``parent``, ``sim``, ``head``, ``role``), the structural
 methods of :class:`~repro.core.flat.FlatCore` and the owner-keyed will
-operations of :class:`~repro.core.flat.FlatWills` — and never asks which
-storage it is on.  One algorithm, two stores:
+operations of :class:`~repro.core.slot_tree.WillText` — and never asks
+which storage it is on.  One algorithm, two stores:
 
 * :class:`FlatForgivingTree` (here) runs it over ``FlatCore`` +
   ``FlatWills``: the hot path, what every campaign and benchmark measures;
 * :class:`~repro.core.forgiving_tree.ForgivingTree` runs the *same
   function objects* over a :class:`~repro.core.virtual_tree.VirtualTree`
-  and a dict of :class:`~repro.core.slot_tree.SlotTree` — the readable
+  and an :class:`~repro.core.slot_tree.ObjectWills` — the readable
   object model, kept as the differential oracle for the storage.
+
+The wills are one text too: ``FlatWills`` and ``ObjectWills`` both
+inherit :class:`~repro.core.slot_tree.WillText`, so the engines differ in
+will *storage* only, never in a will rule.
 
 The tree-input helpers (:func:`as_adjacency`, :func:`check_is_tree`), the
 will-mode constants and the per-round message tally live here too, next
@@ -64,7 +68,7 @@ from .events import (
     normalize_wave,
 )
 from .flat import NIL, AliveView, FlatCore, FlatWills
-from .slot_tree import SlotTree
+from .slot_tree import ObjectWills, SlotTree
 from .state import HelperState, NodeState
 from .virtual_tree import VirtualTree, VTHelper
 
@@ -331,9 +335,10 @@ class FlatForgivingTree:
         obj._events = []
         vt = self.virtual_tree()
         vt.recorder = obj._events.append
-        obj._mount(
-            vt, {owner: self._w.to_slot_tree(owner) for owner in self._w._root}
-        )
+        wills = ObjectWills(self.branching)
+        for owner in self._w._root:
+            wills.adopt(self._w, owner)
+        obj._mount(vt, wills)
         obj.original_degree = dict(self.original_degree)
         obj.initial_nodes = set(self.initial_nodes)
         obj._ever = set(self._ever)
@@ -415,14 +420,10 @@ class FlatForgivingTree:
 
     def will_of(self, nid: int) -> SlotTree:
         """A copy of ``nid``'s current will blueprint (object view)."""
-        if not self._w.has(nid):
-            raise KeyError(nid)
-        return self._w.to_slot_tree(nid)
+        return ObjectWills(self.branching).adopt(self._w, nid)
 
     def heir_of(self, nid: int) -> Optional[int]:
         """Current heir designated by ``nid`` (None for tree leaves)."""
-        if not self._w.has(nid):
-            raise KeyError(nid)
         return self._w.heir(nid)
 
     def virtual_tree(self) -> VirtualTree:
@@ -466,7 +467,7 @@ class FlatForgivingTree:
         flat-only bookkeeping (free lists, linked child lists, maintained
         counters) and the object-view builders themselves.
         """
-        c, w = self._c, self._w
+        c = self._c
         c.check(branching=self.branching)
         self.virtual_tree().check(branching=self.branching)
         for nid, slot in c._reals.items():
@@ -474,8 +475,16 @@ class FlatForgivingTree:
                 raise InvariantViolationError(
                     "flat-origdeg", f"node {nid}: inc diverged from original_degree"
                 )
-        for nid in list(w._root):
-            w.check(nid)
+        self._check_wills()
+
+    def _check_wills(self) -> None:
+        """Every will is valid, its slots are exactly its owner's
+        children's stand-ins, and (binary case) the ready-heir slot /
+        plain-child role invariants I3 / I4 hold.  Read through the
+        storage surface only, so both engines run this one check."""
+        c, w = self._c, self._w
+        w.check_all()
+        for nid in w._root:
             real = c.real(nid)
             stand_ins = {c.owner(child) for child in c.children(real)}
             will_slots = set(w.stand_ins(nid))
@@ -546,7 +555,7 @@ class FlatForgivingTree:
 
         The joiner becomes a real leaf child of the attachment point's
         real position and a fresh slot of its will (see
-        :meth:`SlotTree.add` for the placement rule): reconstruction
+        :meth:`WillText.add` for the placement rule): reconstruction
         trees deploy over it like over any original child, so the
         Theorem 1 degree/diameter machinery is preserved.  Following the
         Forgiving Graph's *ideal graph* convention, the demanded edge
@@ -574,7 +583,7 @@ class FlatForgivingTree:
         sequentially), but will maintenance is amortized per *attachment
         point*: the portions an attachment point's will must retransmit
         are computed once for the whole wave — one recomputation pass per
-        touched stand-in, not one per joiner (:meth:`SlotTree.add_batch`).
+        touched stand-in, not one per joiner (:meth:`WillText.add_batch`).
         The synthesized message tally mirrors the distributed
         ``InsertBatch`` handshake exactly, per node.
 

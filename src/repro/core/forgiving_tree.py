@@ -6,22 +6,25 @@ steps — ``FixNodeDeletion`` / ``FixLeafDeletion`` with RT deployment,
 model's joins — are the methods of
 :class:`~repro.core.flat_tree.FlatForgivingTree`.  :class:`ForgivingTree`
 runs *those same function objects* over a different store: one
-:class:`~repro.core.virtual_tree.VirtualTree` of node objects and one
-:class:`~repro.core.slot_tree.SlotTree` per will, the shapes the paper
-draws.  The two private adapters at the bottom of this module present
-that storage through the handle/column surface the algorithm is written
-against (handles are the ``VTNode`` objects themselves, ``NIL`` plays
-``None``).
+:class:`~repro.core.virtual_tree.VirtualTree` of node objects, the shape
+the paper draws, and one :class:`~repro.core.slot_tree.ObjectWills` for
+every node's will.  The private adapter at the bottom of this module
+presents the tree through the handle/column surface the algorithm is
+written against (handles are the ``VTNode`` objects themselves, ``NIL``
+plays ``None``); the wills need none, since ``ObjectWills`` and the flat
+engine's ``FlatWills`` are two stores of one will text
+(:class:`~repro.core.slot_tree.WillText`).
 
 What differs between the two engines is therefore storage only — ordered
 Python child lists vs intrusive linked lists, object identity vs recycled
-integer slots, recomputed vs maintained degree counters, ``SlotTree``
-positions vs ``FlatWills`` arena arithmetic — and that is what driving
-both with one event stream (``tests/test_flatcore.py``, the soak
-service's resume cross-validation) checks.  The message-level distributed
-protocol in :mod:`repro.distributed` is an independently written
-refinement of the algorithm; integration tests assert it produces the same
-image graph after every event.
+integer slots, recomputed vs maintained degree counters, never-recycled
+will positions with Python child lists vs the ``FlatWills`` arena's free
+list and intrusive links — and that is what driving both with one event
+stream (``tests/test_flatcore.py``, the soak service's resume
+cross-validation) checks.  The message-level distributed protocol in
+:mod:`repro.distributed` is an independently written refinement of the
+algorithm that keeps its wills in an ``ObjectWills`` too; integration
+tests assert it produces the same image graph after every event.
 
 Usage::
 
@@ -47,8 +50,6 @@ from collections import deque
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import (
-    DuplicateNodeError,
-    InvariantViolationError,
     NodeNotFoundError,
     NotATreeError,
 )
@@ -62,13 +63,7 @@ from .flat_tree import (
     as_adjacency,
     check_is_tree,
 )
-from .slot_tree import (
-    AddBatchDelta,
-    InternalSpec,
-    RemovalDelta,
-    ReplaceDelta,
-    SlotTree,
-)
+from .slot_tree import ObjectWills
 from .state import HelperState, NodeState
 from .virtual_tree import VirtualTree, VTHelper, VTNode, VTReal, owner_of
 
@@ -119,7 +114,7 @@ class ForgivingTree:
         check_is_tree(adjacency)
 
         self._events: List[object] = []
-        self._mount(VirtualTree(recorder=self._events.append), {})
+        self._mount(VirtualTree(recorder=self._events.append), ObjectWills(branching))
         self.original_degree: Dict[int, int] = {
             nid: len(neigh) for nid, neigh in adjacency.items()
         }
@@ -132,12 +127,11 @@ class ForgivingTree:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _mount(self, vt: VirtualTree, wills: Dict[int, SlotTree]) -> None:
+    def _mount(self, vt: VirtualTree, wills: ObjectWills) -> None:
         """Adopt the storage, and present it to the healing algorithm."""
         self._vt = vt
-        self._wills = wills
         self._c = _ObjectCore(vt)
-        self._w = _ObjectWills(wills, self.branching)
+        self._w = wills
 
     def _build(self, adjacency: Mapping[int, Sequence[int]]) -> None:
         vt = self._vt
@@ -155,7 +149,7 @@ class ForgivingTree:
                 seen.add(kid)
                 vt.attach(vt.real(kid), parent)
                 queue.append(kid)
-            self._wills[nid] = SlotTree(kids, branching=self.branching)
+            self._w.build(nid, kids)
 
     # ------------------------------------------------------------------
     # public queries
@@ -205,14 +199,6 @@ class ForgivingTree:
             return NodeState(nid, HelperState.READY, True, True, 1)
         return NodeState(nid, HelperState.DEPLOYED, True, False, nkids)
 
-    def will_of(self, nid: int) -> SlotTree:
-        """A copy of ``nid``'s current will blueprint."""
-        return self._wills[nid].clone()
-
-    def heir_of(self, nid: int) -> Optional[int]:
-        """Current heir designated by ``nid`` (None for tree leaves)."""
-        return self._wills[nid].heir
-
     def virtual_tree(self) -> VirtualTree:
         """The underlying virtual tree (read it, do not mutate it)."""
         return self._vt
@@ -224,35 +210,13 @@ class ForgivingTree:
     def check(self) -> None:
         """Validate every invariant of the structure; raise on violation."""
         self._vt.check(branching=self.branching)
-        for nid, will in self._wills.items():
-            will.check()
-            real = self._vt.real(nid)
-            stand_ins = {self._vt.owner(c) for c in real.children}
-            if stand_ins != set(will.stand_ins):
-                raise InvariantViolationError(
-                    "will-slots",
-                    f"node {nid}: will {sorted(will.stand_ins)} vs VT {sorted(stand_ins)}",
-                )
-            for child in real.children:
-                if child.is_helper:
-                    assert isinstance(child, VTHelper)
-                    if self.branching == 2 and len(child.children) != 1:
-                        raise InvariantViolationError(
-                            "I3-ready-heir-slot",
-                            f"helper slot under {nid} has {len(child.children)} children",
-                        )
-                else:
-                    assert isinstance(child, VTReal)
-                    role = self._vt.role_of(child.nid)
-                    if (
-                        self.branching == 2
-                        and role is not None
-                        and not (len(role.children) == 1 and role.children[0] is child)
-                    ):
-                        raise InvariantViolationError(
-                            "I4-plain-child-role",
-                            f"real child {child.nid} of {nid} holds a non-vacuous role",
-                        )
+        self._check_wills()
+
+    # The will read-outs and the wills' check are the flat engine's too:
+    # both engines' wills are stores of the one will text.
+    will_of = FlatForgivingTree.will_of
+    heir_of = FlatForgivingTree.heir_of
+    _check_wills = FlatForgivingTree._check_wills
 
     # ------------------------------------------------------------------
     # the healing algorithm: FlatForgivingTree's text, verbatim, reading
@@ -402,50 +366,3 @@ class _ObjectCore:
 
     def remove_real(self, real: VTReal) -> None:
         self.vt.remove_real(real)
-
-
-class _ObjectWills:
-    """The per-node :class:`SlotTree` dict spoken to owner-first, the way
-    the healing algorithm speaks to :class:`~repro.core.flat.FlatWills`."""
-
-    def __init__(self, trees: Dict[int, SlotTree], branching: int) -> None:
-        self.trees = trees
-        self.branching = branching
-
-    def has(self, owner: int) -> bool:
-        return owner in self.trees
-
-    def contains(self, owner: int, stand_in: int) -> bool:
-        return stand_in in self.trees[owner]
-
-    def empty(self, owner: int) -> bool:
-        return not self.trees[owner]
-
-    def stand_ins(self, owner: int) -> List[int]:
-        return self.trees[owner].stand_ins
-
-    def heir(self, owner: int) -> Optional[int]:
-        return self.trees[owner].heir
-
-    def root_sim(self, owner: int) -> int:
-        return self.trees[owner].root_sim()
-
-    def internal_specs(self, owner: int) -> List[InternalSpec]:
-        return self.trees[owner].internal_specs()
-
-    def build(self, owner: int, stand_ins: Sequence[int]) -> None:
-        if owner in self.trees:
-            raise DuplicateNodeError(owner)
-        self.trees[owner] = SlotTree(stand_ins, branching=self.branching)
-
-    def discard(self, owner: int) -> None:
-        del self.trees[owner]
-
-    def remove(self, owner: int, stand_in: int) -> RemovalDelta:
-        return self.trees[owner].remove(stand_in)
-
-    def replace(self, owner: int, old: int, new: int) -> ReplaceDelta:
-        return self.trees[owner].replace(old, new)
-
-    def add_batch(self, owner: int, stand_ins: Sequence[int]) -> AddBatchDelta:
-        return self.trees[owner].add_batch(stand_ins)

@@ -31,13 +31,34 @@ what makes the paper's O(1)-messages-per-deletion claim (Theorem 1.3) true:
 Both operations report exactly which stand-ins' will *portions* changed so
 that the distributed layer can count retransmissions; the deltas are O(1)
 per operation, which the test-suite asserts.
+
+**One text, two stores.**  The rules above are written once, as the
+owner-first methods of :class:`WillText` (``build``, the queries, ``remove``
+/ ``replace`` / ``add`` / ``add_batch``, ``check``).  The text reads four
+columns (``wkind``, ``wval``, ``wparent``, ``wnchild``) and four indexes
+(``_root`` / ``_heir`` per owner, ``_leafpos`` / ``_intpos`` per
+``(owner, stand_in)``), and changes structure only through a small port
+(``_mk_leaf``, ``_mk_internal``, ``_append``, ``_unlink``, ``_graft``,
+``_retag``, ``_release``, ``_children``, ``_check_links``).  Two stores
+implement the port and inherit the text:
+
+* :class:`~repro.core.flat.FlatWills` — every node's will in one arena of
+  ``array('q')`` columns with intrusive child lists and a free list: the
+  hot path;
+* :class:`ObjectWills` (here) — dict columns, Python child lists,
+  positions never recycled: the readable store, the object engine's and
+  the message-passing protocol's, and the storage oracle the flat arena is
+  cross-checked against.
+
+:class:`SlotTree` is a one-owner view ``(store, owner)`` over either store —
+the shape the paper draws, and what a protocol node holds as its will.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     DuplicateNodeError,
@@ -46,42 +67,18 @@ from .errors import (
     NodeNotFoundError,
 )
 
+#: The "no position / no node" handle of every store (plays ``None``).
+NIL = -1
+
+#: Will position kinds (the ``wkind`` column).
+W_FREE = 0
+W_LEAF = 1
+W_INTERNAL = 2
+
 #: Reference to a position in the slot tree, used when describing structure:
 #: ``("leaf", stand_in)`` or ``("internal", sim)`` or ``("top",)`` for the
 #: position above the root.
 PosRef = Tuple[str, ...]
-
-
-class _Leaf:
-    """A leaf position: one child slot, identified by its stand-in."""
-
-    __slots__ = ("stand_in", "parent")
-
-    def __init__(self, stand_in: int, parent: Optional["_Internal"] = None):
-        self.stand_in = stand_in
-        self.parent = parent
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Leaf({self.stand_in})"
-
-
-class _Internal:
-    """An internal position: a helper node to be simulated by ``sim``."""
-
-    __slots__ = ("sim", "children", "parent")
-
-    def __init__(self, sim: int, children: List[Union["_Internal", _Leaf]]):
-        self.sim = sim
-        self.children = children
-        self.parent: Optional[_Internal] = None
-        for child in children:
-            child.parent = self
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Internal(sim={self.sim}, n={len(self.children)})"
-
-
-_Pos = Union[_Internal, _Leaf]
 
 
 @dataclass(frozen=True)
@@ -165,126 +162,191 @@ class InternalSpec:
     children: List[PosRef] = field(default_factory=list)
 
 
-class SlotTree:
-    """The blueprint of a node's Reconstruction Tree (see module docstring).
+class WillText:
+    """The will rules, stated once, owner-first, over a store port.
 
-    Parameters
-    ----------
-    stand_ins:
-        The child stand-ins.  They are sorted ascending at construction
-        (Algorithm 3.5); the maximum becomes the heir.
-    branching:
-        Maximum number of children per internal position (paper: 2).
+    Every method takes the owning node id first.  A store subclasses this
+    text and supplies the columns, the indexes and the port methods named
+    in the module docstring; the text writes no column itself, so the
+    same function objects run over the flat arena and the object store.
+    ``_root[owner]`` is ``NIL`` for an empty will (key existence == will
+    existence), ``_heir[owner]`` is ``NIL`` when there is no heir.
     """
 
-    def __init__(self, stand_ins: Sequence[int], branching: int = 2):
-        if branching < 2:
-            raise ValueError(f"branching must be >= 2, got {branching}")
+    branching: int
+    _root: Dict[int, int]
+    _heir: Dict[int, int]
+    _leafpos: Dict[Tuple[int, int], int]
+    _intpos: Dict[Tuple[int, int], int]
+
+    # ------------------------------------------------------------------
+    # construction / teardown
+    # ------------------------------------------------------------------
+    def build(self, owner: int, stand_ins: Sequence[int]) -> None:
+        """Create ``owner``'s will: the stand-ins are sorted ascending
+        (Algorithm 3.5) and the maximum becomes the heir."""
+        if owner in self._root:
+            raise DuplicateNodeError(owner)
         ids = sorted(stand_ins)
         if len(set(ids)) != len(ids):
             dup = next(x for i, x in enumerate(ids) if i and ids[i - 1] == x)
             raise DuplicateNodeError(dup)
-        self.branching = branching
-        self._leaves: Dict[int, _Leaf] = {}
-        self._internal_by_sim: Dict[int, _Internal] = {}
-        self._root: Optional[_Pos] = None
-        self._heir: Optional[int] = None
-        if ids:
-            self._heir = ids[-1]
-            self._root = self._build(ids)
+        if not ids:
+            self._root[owner] = NIL
+            self._heir[owner] = NIL
+            return
+        self._heir[owner] = ids[-1]
+        self._root[owner] = self._build(owner, ids)
 
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    def _build(self, ids: Sequence[int]) -> _Pos:
+    def _build(self, owner: int, ids: Sequence[int]) -> int:
         if len(ids) == 1:
-            leaf = _Leaf(ids[0])
-            self._leaves[ids[0]] = leaf
-            return leaf
+            return self._mk_leaf(owner, ids[0])
         groups = _split_even(ids, self.branching)
-        children = [self._build(g) for g in groups]
+        children = [self._build(owner, g) for g in groups]
         sim = max(groups[0])  # BST separator: max of first subtree
-        node = _Internal(sim, children)
-        self._internal_by_sim[sim] = node
-        return node
+        return self._mk_internal(owner, sim, children)
+
+    def discard(self, owner: int) -> None:
+        """Drop ``owner``'s will entirely, freeing its positions."""
+        root = self._root.pop(owner)
+        self._heir.pop(owner)
+        if root == NIL:
+            return
+        stack = [root]
+        while stack:
+            pos = stack.pop()
+            if self.wkind[pos] == W_LEAF:
+                del self._leafpos[(owner, self.wval[pos])]
+            else:
+                del self._intpos[(owner, self.wval[pos])]
+                stack.extend(self._children(pos))
+            self._release(pos)
+
+    def adopt(self, src: "WillText", owner: int) -> "SlotTree":
+        """Copy ``owner``'s will from store ``src`` position for position
+        (never re-sorted) and return a view of the copy — ``will_of``'s
+        deep copy, and how an object engine takes over a flat one's wills."""
+        root = src._root[owner]
+        self._heir[owner] = src._heir[owner]
+        self._root[owner] = NIL if root == NIL else self._copy(src, owner, root)
+        return SlotTree.of(self, owner)
+
+    def _copy(self, src: "WillText", owner: int, pos: int) -> int:
+        if src.wkind[pos] == W_LEAF:
+            return self._mk_leaf(owner, src.wval[pos])
+        kids = [self._copy(src, owner, c) for c in src._children(pos)]
+        return self._mk_internal(owner, src.wval[pos], kids)
 
     # ------------------------------------------------------------------
-    # basic queries
+    # queries
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._leaves)
+    def has(self, owner: int) -> bool:
+        """Does ``owner`` currently hold a will at all?"""
+        return owner in self._root
 
-    def __bool__(self) -> bool:
-        return bool(self._leaves)
+    def empty(self, owner: int) -> bool:
+        return self._root[owner] == NIL
 
-    def __contains__(self, stand_in: int) -> bool:
-        return stand_in in self._leaves
+    def contains(self, owner: int, stand_in: int) -> bool:
+        return (owner, stand_in) in self._leafpos
 
-    @property
-    def heir(self) -> Optional[int]:
+    def has_internal(self, owner: int, stand_in: int) -> bool:
+        """Does ``stand_in`` simulate an internal position of this will?"""
+        return (owner, stand_in) in self._intpos
+
+    def heir(self, owner: int) -> Optional[int]:
         """The heir stand-in (Algorithm 3.2 line 8; None when empty)."""
-        return self._heir
+        h = self._heir[owner]
+        return None if h == NIL else h
 
-    @property
-    def stand_ins(self) -> List[int]:
+    def stand_ins(self, owner: int) -> List[int]:
         """Leaf stand-ins in left-to-right order."""
         out: List[int] = []
-        if self._root is not None:
-            _collect_leaves(self._root, out)
+        root = self._root[owner]
+        if root != NIL:
+            self._collect_leaves(root, out)
         return out
 
-    @property
-    def internal_sims(self) -> List[int]:
+    def _collect_leaves(self, pos: int, out: List[int]) -> None:
+        if self.wkind[pos] == W_LEAF:
+            out.append(self.wval[pos])
+        else:
+            for child in self._children(pos):
+                self._collect_leaves(child, out)
+
+    def _collect_internals(self, owner: int) -> List[int]:
+        root = self._root[owner]
+        if root == NIL or self.wkind[root] == W_LEAF:
+            return []
+        out: List[int] = []
+        stack = [root]
+        while stack:
+            pos = stack.pop()
+            if self.wkind[pos] == W_INTERNAL:
+                out.append(pos)
+                stack.extend(self._children(pos))
+        return out
+
+    def internal_sims(self, owner: int) -> List[int]:
         """Simulators currently assigned to internal positions."""
-        return sorted(self._internal_by_sim)
+        return sorted(self.wval[p] for p in self._collect_internals(owner))
 
-    def has_internal(self, stand_in: int) -> bool:
-        """Does ``stand_in`` simulate an internal position of this will?"""
-        return stand_in in self._internal_by_sim
+    def root_sim(self, owner: int) -> int:
+        """Stand-in answering for the root position (``rv`` in
+        Algorithm 3.6)."""
+        root = self._root[owner]
+        if root == NIL:
+            raise EmptyStructureError("root of empty slot tree")
+        return self.wval[root]
 
-    def depth(self) -> int:
+    def depth(self, owner: int) -> int:
         """Longest root-to-leaf edge count (0 for a single leaf)."""
-        if self._root is None:
+        root = self._root[owner]
+        if root == NIL:
             raise EmptyStructureError("depth of empty slot tree")
-        return _depth(self._root)
+        return self._depth(root)
 
-    def root_ref(self) -> PosRef:
-        """Reference to the root position (``rv`` in Algorithm 3.6)."""
-        if self._root is None:
-            raise EmptyStructureError("root of empty slot tree")
-        return _ref(self._root)
+    def _depth(self, pos: int) -> int:
+        if self.wkind[pos] == W_LEAF:
+            return 0
+        return 1 + max(self._depth(c) for c in self._children(pos))
 
-    def root_sim(self) -> int:
-        """Stand-in answering for the root position."""
-        if self._root is None:
-            raise EmptyStructureError("root of empty slot tree")
-        if isinstance(self._root, _Leaf):
-            return self._root.stand_in
-        return self._root.sim
+    def as_shape(self, owner: int):
+        """Nested-tuple rendering, for tests and debugging.
+
+        Leaves render as their stand-in; internals as
+        ``(sim, child, child, ...)``.
+        """
+        root = self._root[owner]
+        return None if root == NIL else self._shape(root)
+
+    def _shape(self, pos: int):
+        if self.wkind[pos] == W_LEAF:
+            return self.wval[pos]
+        return (self.wval[pos], *(self._shape(c) for c in self._children(pos)))
+
+    def _ref(self, pos: int) -> PosRef:
+        if self.wkind[pos] == W_LEAF:
+            return ("leaf", self.wval[pos])
+        return ("internal", self.wval[pos])
 
     # ------------------------------------------------------------------
     # structural description (used to deploy the RT and to build portions)
     # ------------------------------------------------------------------
-    def internal_specs(self) -> List[InternalSpec]:
-        """All internal positions with parent/children references."""
+    def internal_specs(self, owner: int) -> List[InternalSpec]:
+        """All internal positions with parent/children refs, sim-ascending."""
         specs: List[InternalSpec] = []
-        for sim in sorted(self._internal_by_sim):
-            node = self._internal_by_sim[sim]
-            parent = ("top",) if node.parent is None else ("internal", node.parent.sim)
-            spec = InternalSpec(sim=sim, parent=parent)
-            spec.children = [_ref(c) for c in node.children]
+        for pos in sorted(self._collect_internals(owner), key=self.wval.__getitem__):
+            parent = self.wparent[pos]
+            spec = InternalSpec(
+                sim=self.wval[pos],
+                parent=("top",) if parent == NIL else ("internal", self.wval[parent]),
+            )
+            spec.children = [self._ref(c) for c in self._children(pos)]
             specs.append(spec)
         return specs
 
-    def leaf_parent_sim(self, stand_in: int) -> Optional[int]:
-        """Simulator of the internal position directly above a leaf.
-
-        ``None`` means the leaf *is* the root (single-slot will).
-        """
-        leaf = self._leaf(stand_in)
-        return None if leaf.parent is None else leaf.parent.sim
-
-    def attachment_sim(self, stand_in: int) -> Optional[int]:
+    def attachment_sim(self, owner: int, stand_in: int) -> Optional[int]:
         """The stand-in a leaf connects to in the *image* graph.
 
         This is the paper's ``nextparent`` rule in Algorithm 3.6 line 4: a
@@ -294,74 +356,114 @@ class SlotTree:
         connection goes above the root of the SubRT (to the heir helper or
         to the deleted node's parent).
         """
-        leaf = self._leaf(stand_in)
-        pos = leaf.parent
-        if pos is not None and pos.sim == stand_in:
-            pos = pos.parent
-        return None if pos is None else pos.sim
+        pos = self.wparent[self._leaf(owner, stand_in)]
+        if pos != NIL and self.wval[pos] == stand_in:
+            pos = self.wparent[pos]
+        return None if pos == NIL else self.wval[pos]
 
-    def internal_parent_sim(self, stand_in: int) -> Optional[int]:
+    def internal_parent_sim(self, owner: int, stand_in: int) -> Optional[int]:
         """Simulator above ``stand_in``'s internal position (None = top)."""
-        node = self._internal(stand_in)
-        return None if node.parent is None else node.parent.sim
+        parent = self.wparent[self._internal(owner, stand_in)]
+        return None if parent == NIL else self.wval[parent]
 
-    def internal_children_refs(self, stand_in: int) -> List[PosRef]:
+    def internal_children_refs(self, owner: int, stand_in: int) -> List[PosRef]:
         """Children references of ``stand_in``'s internal position."""
-        node = self._internal(stand_in)
-        return [_ref(c) for c in node.children]
-
-    def as_shape(self):
-        """Nested-tuple rendering, for tests and debugging.
-
-        Leaves render as their stand-in; internals as
-        ``(sim, child, child, ...)``.
-        """
-        if self._root is None:
-            return None
-        return _shape(self._root)
+        return [self._ref(c) for c in self._children(self._internal(owner, stand_in))]
 
     # ------------------------------------------------------------------
     # positional maintenance
     # ------------------------------------------------------------------
-    def remove(self, stand_in: int) -> RemovalDelta:
-        """Remove a dead leaf slot positionally (see module docstring)."""
-        leaf = self._leaf(stand_in)
-        del self._leaves[stand_in]
-        parent = leaf.parent
+    def _leaf(self, owner: int, stand_in: int) -> int:
+        try:
+            return self._leafpos[(owner, stand_in)]
+        except KeyError:
+            raise NodeNotFoundError(stand_in, "slot tree leaf") from None
 
-        if parent is None:  # single-slot will
-            self._root = None
-            self._heir = None
+    def _internal(self, owner: int, stand_in: int) -> int:
+        try:
+            return self._intpos[(owner, stand_in)]
+        except KeyError:
+            raise NodeNotFoundError(stand_in, "slot tree internal") from None
+
+    def _around(self, pos: int) -> List[int]:
+        """Stand-ins whose portions reference ``pos`` (O(1) of them)."""
+        out = [self.wval[pos]]
+        parent = self.wparent[pos]
+        if parent != NIL:
+            out.append(self.wval[parent])
+        if self.wkind[pos] == W_INTERNAL:
+            out.extend([self.wval[c] for c in self._children(pos)])
+        return out
+
+    def _pick_free(self, owner: int, freed: List[int]) -> int:
+        """Pick a free (unassigned, non-heir) stand-in for a vacant role.
+
+        For binary trees the freed simulator of the just-spliced internal is
+        the unique candidate, which reproduces the paper's re-keying rule;
+        for b > 2 we deterministically pick the smallest free stand-in.
+        """
+        if freed:
+            return freed[0]
+        heir = self._heir[owner]
+        pool = [
+            s
+            for s in sorted(self.stand_ins(owner))
+            if s != heir and (owner, s) not in self._intpos
+        ]
+        if not pool:
+            raise InvariantViolationError("slot-tree-pool", "no free stand-in")
+        return pool[0]
+
+    def _touched(self, owner: int, touched: List[int]) -> Tuple[int, ...]:
+        """Deduplicated, in first-touch order, live stand-ins only."""
+        leafpos = self._leafpos
+        return tuple(dict.fromkeys(t for t in touched if (owner, t) in leafpos))
+
+    def remove(self, owner: int, stand_in: int) -> RemovalDelta:
+        """Remove a dead leaf slot positionally (see module docstring)."""
+        leaf = self._leaf(owner, stand_in)
+        del self._leafpos[(owner, stand_in)]
+        parent = self.wparent[leaf]
+
+        if parent == NIL:  # single-slot will
+            self._root[owner] = NIL
+            self._heir[owner] = NIL
+            self._release(leaf)
             return RemovalDelta(emptied=True)
 
-        parent.children.remove(leaf)
+        self._unlink(parent, leaf)
+        self._release(leaf)
         touched: List[int] = []
         spliced_sim: Optional[int] = None
         freed: List[int] = []
+        to_free: List[int] = []
 
         # The dead stand-in's own internal assignment (if any) is now vacant.
-        vacant = self._internal_by_sim.pop(stand_in, None)
+        vacant = self._intpos.pop((owner, stand_in), None)
 
-        if len(parent.children) == 1:
+        if self.wnchild[parent] == 1:
             # "short-circuit": splice the one-child internal position out.
-            only = parent.children[0]
-            self._splice(parent, only)
-            spliced_sim = parent.sim
-            if parent is vacant:
+            only = self._children(parent)[0]
+            self._unlink(parent, only)
+            self._graft(owner, parent, only)
+            parent_sim = self.wval[parent]
+            spliced_sim = parent_sim
+            if parent == vacant:
                 vacant = None  # the vacant position itself was spliced away
             else:
-                self._internal_by_sim.pop(parent.sim, None)
-                freed.append(parent.sim)
-            touched.append(parent.sim)  # it lost its internal assignment
+                self._intpos.pop((owner, parent_sim), None)
+                freed.append(parent_sim)
+            to_free.append(parent)
+            touched.append(parent_sim)  # it lost its internal assignment
             touched.extend(self._around(only))
         else:
             touched.extend(self._around(parent))
 
         reassigned: Optional[Tuple[int, int]] = None
         if vacant is not None:
-            new_sim = self._pick_free(freed)
-            vacant.sim = new_sim
-            self._internal_by_sim[new_sim] = vacant
+            new_sim = self._pick_free(owner, freed)
+            self._retag(vacant, new_sim)
+            self._intpos[(owner, new_sim)] = vacant
             if new_sim in freed:
                 freed.remove(new_sim)
             reassigned = (stand_in, new_sim)
@@ -369,54 +471,55 @@ class SlotTree:
             touched.extend(self._around(vacant))
 
         new_heir: Optional[int] = None
-        if stand_in == self._heir:
-            new_heir = self._pick_free(freed)
-            self._heir = new_heir
+        if stand_in == self._heir[owner]:
+            new_heir = self._pick_free(owner, freed)
+            self._heir[owner] = new_heir
             touched.append(new_heir)
 
+        for pos in to_free:
+            self._release(pos)
         return RemovalDelta(
             emptied=False,
             spliced_sim=spliced_sim,
             reassigned=reassigned,
             new_heir=new_heir,
-            touched=tuple(dict.fromkeys(t for t in touched if t in self._leaves)),
+            touched=self._touched(owner, touched),
         )
 
-    def replace(self, old: int, new: int) -> ReplaceDelta:
+    def replace(self, owner: int, old: int, new: int) -> ReplaceDelta:
         """Substitute stand-in ``old`` by ``new`` positionally.
 
         Used when a dead child's heir takes over its slot (Algorithm 3.3
         lines 3-5: "``hparent(h)`` replaces ``v`` by ``h`` in its will")
         and when a leaf will moves a slot to the inheriting node.
         """
-        if new in self._leaves:
+        if (owner, new) in self._leafpos:
             raise DuplicateNodeError(new)
-        leaf = self._leaf(old)
-        del self._leaves[old]
-        leaf.stand_in = new
-        self._leaves[new] = leaf
+        leaf = self._leaf(owner, old)
+        del self._leafpos[(owner, old)]
+        self._retag(leaf, new)
+        self._leafpos[(owner, new)] = leaf
 
-        had_internal = old in self._internal_by_sim
-        if had_internal:
-            node = self._internal_by_sim.pop(old)
-            node.sim = new
-            self._internal_by_sim[new] = node
+        node = self._intpos.pop((owner, old), None)
+        if node is not None:
+            self._retag(node, new)
+            self._intpos[(owner, new)] = node
 
-        was_heir = old == self._heir
+        was_heir = old == self._heir[owner]
         if was_heir:
-            self._heir = new
+            self._heir[owner] = new
 
         touched = [new]
         touched.extend(self._around(leaf))
-        if had_internal:
-            touched.extend(self._around(self._internal_by_sim[new]))
+        if node is not None:
+            touched.extend(self._around(node))
         return ReplaceDelta(
             was_heir=was_heir,
-            had_internal=had_internal,
-            touched=tuple(dict.fromkeys(t for t in touched if t in self._leaves)),
+            had_internal=node is not None,
+            touched=self._touched(owner, touched),
         )
 
-    def add(self, stand_in: int) -> AddDelta:
+    def add(self, owner: int, stand_in: int) -> AddDelta:
         """Insert a new leaf slot positionally (the churn model's join).
 
         Placement rule: the new leaf pairs with a *shallowest* existing
@@ -429,51 +532,44 @@ class SlotTree:
         level of balanced, preserving the ``O(log d)`` depth Theorem 1.2
         leans on; the touched-portion delta stays O(1).
         """
-        if stand_in in self._leaves:
+        if (owner, stand_in) in self._leafpos:
             raise DuplicateNodeError(stand_in)
-        leaf = _Leaf(stand_in)
-        self._leaves[stand_in] = leaf
+        root = self._root[owner]
+        leaf = self._mk_leaf(owner, stand_in)
 
-        if self._root is None:
-            self._root = leaf
-            self._heir = stand_in
+        if root == NIL:
+            self._root[owner] = leaf
+            self._heir[owner] = stand_in
             return AddDelta(became_heir=True, touched=(stand_in,))
 
         # Level-order scan: first spare internal slot (b > 2) or first
         # (= shallowest) leaf wins.
-        queue: deque[_Pos] = deque([self._root])
-        target: _Pos = self._root
+        queue = deque([root])
+        target = root
         while queue:
             pos = queue.popleft()
-            if isinstance(pos, _Leaf) or len(pos.children) < self.branching:
+            if self.wkind[pos] == W_LEAF or self.wnchild[pos] < self.branching:
                 target = pos
                 break
-            queue.extend(pos.children)
+            queue.extend(self._children(pos))
 
         touched: List[int] = [stand_in]
-        if isinstance(target, _Internal):
-            target.children.append(leaf)
-            leaf.parent = target
+        if self.wkind[target] == W_INTERNAL:
+            self._append(target, leaf)
             touched.extend(self._around(target))
-            return AddDelta(
-                touched=tuple(dict.fromkeys(t for t in touched if t in self._leaves))
-            )
+            return AddDelta(touched=self._touched(owner, touched))
 
-        grand = target.parent
-        node = _Internal(stand_in, [target, leaf])
-        node.parent = grand
-        if grand is None:
-            self._root = node
-        else:
-            grand.children[grand.children.index(target)] = node
-        self._internal_by_sim[stand_in] = node
+        node = self._mk_internal(owner, stand_in, ())
+        self._graft(owner, target, node)  # node takes target's place
+        self._append(node, target)
+        self._append(node, leaf)
         touched.extend(self._around(node))
         return AddDelta(
-            paired_with=target.stand_in,
-            touched=tuple(dict.fromkeys(t for t in touched if t in self._leaves)),
+            paired_with=self.wval[target],
+            touched=self._touched(owner, touched),
         )
 
-    def add_batch(self, stand_ins: Sequence[int]) -> AddBatchDelta:
+    def add_batch(self, owner: int, stand_ins: Sequence[int]) -> AddBatchDelta:
         """Insert a wave of leaf slots, amortizing the portion recompute.
 
         Each joiner is placed by exactly the same rule as :meth:`add`, in
@@ -490,176 +586,268 @@ class SlotTree:
             raise DuplicateNodeError(dup)
         touched: List[int] = []
         for s in ids:
-            touched.extend(self.add(s).touched)
-        return AddBatchDelta(
-            added=tuple(ids),
-            touched=tuple(dict.fromkeys(t for t in touched if t in self._leaves)),
-        )
-
-    def set_heir(self, new_heir: int) -> Tuple[int, ...]:
-        """Move heir-ness to another free stand-in (generalized-b only).
-
-        Returns the touched stand-ins.  The new heir must not hold an
-        internal assignment; the old heir keeps its leaf position.
-        """
-        if new_heir not in self._leaves:
-            raise NodeNotFoundError(new_heir, "set_heir")
-        if new_heir in self._internal_by_sim:
-            raise InvariantViolationError("slot-tree-heir", "heir cannot hold an internal")
-        old = self._heir
-        self._heir = new_heir
-        touched = tuple(t for t in (old, new_heir) if t is not None)
-        return touched
-
-    def exclude_from_assignment(self, busy: Set[int]) -> Tuple[int, ...]:
-        """Re-assign internal positions away from ``busy`` stand-ins.
-
-        Used by the generalized (branching > 2) tree at deployment time:
-        stand-ins already simulating a helper elsewhere cannot take an
-        internal position, so their assignments move to free stand-ins.
-        If the heir is busy, heir-ness moves to a free stand-in as well.
-        Raises when there are not enough free stand-ins (cannot happen for
-        the paper's binary case, where ``busy`` is always empty).
-
-        Returns the stand-ins whose portions changed.
-        """
-        touched: List[int] = []
-
-        def free_pool() -> List[int]:
-            return [
-                s
-                for s in sorted(self._leaves)
-                if s != self._heir and s not in self._internal_by_sim and s not in busy
-            ]
-
-        if self._heir in busy:
-            pool = free_pool()
-            if not pool:
-                raise InvariantViolationError(
-                    "slot-tree-exclusion", "no free stand-in to take heir-ness"
-                )
-            touched.extend(self.set_heir(pool[0]))
-        for sim in [s for s in self.internal_sims if s in busy]:
-            pool = free_pool()
-            if not pool:
-                raise InvariantViolationError(
-                    "slot-tree-exclusion", "no free stand-in for internal position"
-                )
-            node = self._internal_by_sim.pop(sim)
-            node.sim = pool[0]
-            self._internal_by_sim[pool[0]] = node
-            touched.extend([sim, pool[0]])
-            touched.extend(self._around(node))
-        return tuple(dict.fromkeys(t for t in touched if t in self._leaves))
+            touched.extend(self.add(owner, s).touched)
+        return AddBatchDelta(added=tuple(ids), touched=self._touched(owner, touched))
 
     # ------------------------------------------------------------------
     # validation
     # ------------------------------------------------------------------
-    def check(self) -> None:
-        """Validate all slot-tree invariants; raise on violation."""
-        if self._root is None:
-            if self._leaves or self._internal_by_sim or self._heir is not None:
-                raise InvariantViolationError("slot-tree-empty", "stale entries")
-            return
-        seen_leaves: List[int] = []
-        _collect_leaves(self._root, seen_leaves)
-        if sorted(seen_leaves) != sorted(self._leaves):
-            raise InvariantViolationError("slot-tree-leaves", "leaf index mismatch")
-        if self._heir not in self._leaves:
-            raise InvariantViolationError("slot-tree-heir", f"heir {self._heir} not a leaf")
-        if self._heir in self._internal_by_sim:
-            raise InvariantViolationError("slot-tree-heir", "heir holds an internal position")
-        internals = _collect_internals(self._root)
-        if len(internals) != len(self._internal_by_sim):
-            raise InvariantViolationError("slot-tree-internals", "index mismatch")
-        for node in internals:
-            if not 2 <= len(node.children) <= self.branching:
-                raise InvariantViolationError(
-                    "slot-tree-arity",
-                    f"internal {node.sim} has {len(node.children)} children",
-                )
-            if node.sim not in self._leaves:
-                raise InvariantViolationError(
-                    "slot-tree-sim", f"internal sim {node.sim} is not a live stand-in"
-                )
-            if self._internal_by_sim.get(node.sim) is not node:
-                raise InvariantViolationError("slot-tree-sim-index", str(node.sim))
-            for child in node.children:
-                if child.parent is not node:
-                    raise InvariantViolationError("slot-tree-parent-link", str(node.sim))
+    def check(self, owner: int) -> Tuple[int, int]:
+        """Validate one will's invariants; return its ``(leaves,
+        internals)`` position counts.
 
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _leaf(self, stand_in: int) -> _Leaf:
-        try:
-            return self._leaves[stand_in]
-        except KeyError:
-            raise NodeNotFoundError(stand_in, "slot tree leaf") from None
-
-    def _internal(self, stand_in: int) -> _Internal:
-        try:
-            return self._internal_by_sim[stand_in]
-        except KeyError:
-            raise NodeNotFoundError(stand_in, "slot tree internal") from None
-
-    def _splice(self, node: _Internal, only: _Pos) -> None:
-        """Replace one-child internal ``node`` by its single child."""
-        grand = node.parent
-        only.parent = grand
-        if grand is None:
-            self._root = only
-        else:
-            grand.children[grand.children.index(node)] = only
-
-    def _pick_free(self, freed: List[int]) -> int:
-        """Pick a free (unassigned, non-heir) stand-in for a vacant role.
-
-        For binary trees the freed simulator of the just-spliced internal is
-        the unique candidate, which reproduces the paper's re-keying rule;
-        for b > 2 we deterministically pick the smallest free stand-in.
+        One walk from the root, one index probe per position: every
+        reachable position must be the one its index entry names.  An
+        index entry no walk reaches (a stale entry of *any* owner) is
+        what :meth:`check_all`'s totals catch.
         """
-        if freed:
-            return freed[0]
-        pool = [
-            s
-            for s in sorted(self._leaves)
-            if s != self._heir and s not in self._internal_by_sim
-        ]
-        if not pool:
-            raise InvariantViolationError("slot-tree-pool", "no free stand-in")
-        return pool[0]
+        root = self._root[owner]
+        heir = self._heir[owner]
+        if root == NIL:
+            if heir != NIL:
+                raise InvariantViolationError("slot-tree-empty", "stale heir")
+            return 0, 0
+        if self.wparent[root] != NIL:
+            raise InvariantViolationError("slot-tree-parent-link", "root has a parent")
+        if (owner, heir) not in self._leafpos:
+            raise InvariantViolationError("slot-tree-heir", f"heir {heir} not a leaf")
+        if (owner, heir) in self._intpos:
+            raise InvariantViolationError("slot-tree-heir", "heir holds an internal position")
+        leaves = internals = 0
+        stack = [root]
+        while stack:
+            pos = stack.pop()
+            val = self.wval[pos]
+            if self.wkind[pos] == W_LEAF:
+                if self._leafpos.get((owner, val)) != pos:
+                    raise InvariantViolationError("slot-tree-leaves", "leaf index mismatch")
+                leaves += 1
+                continue
+            if self._intpos.get((owner, val)) != pos:
+                raise InvariantViolationError("slot-tree-sim-index", str(val))
+            if (owner, val) not in self._leafpos:
+                raise InvariantViolationError(
+                    "slot-tree-sim", f"internal sim {val} is not a live stand-in"
+                )
+            kids = self._children(pos)
+            self._check_links(pos, kids)
+            if not 2 <= len(kids) <= self.branching:
+                raise InvariantViolationError(
+                    "slot-tree-arity", f"internal {val} has {len(kids)} children"
+                )
+            for child in kids:
+                if self.wparent[child] != pos:
+                    raise InvariantViolationError("slot-tree-parent-link", str(val))
+            stack.extend(kids)
+            internals += 1
+        return leaves, internals
 
-    def _around(self, pos: _Pos) -> List[int]:
-        """Stand-ins whose portions reference ``pos`` (O(1) of them)."""
-        out: List[int] = []
-        if isinstance(pos, _Leaf):
-            out.append(pos.stand_in)
-            if pos.parent is not None:
-                out.append(pos.parent.sim)
+    def check_all(self) -> None:
+        """Validate every will, and that the indexes hold nothing else."""
+        leaves = internals = 0
+        for owner in self._root:
+            nleaf, nint = self.check(owner)
+            leaves += nleaf
+            internals += nint
+        if leaves != len(self._leafpos):
+            raise InvariantViolationError("slot-tree-leaves", "stale leaf index entry")
+        if internals != len(self._intpos):
+            raise InvariantViolationError("slot-tree-internals", "stale internal index entry")
+
+
+class ObjectWills(WillText):
+    """Every node's will on dict columns and Python child lists.
+
+    The readable store: a position is an integer handed out once and never
+    recycled, its columns are dict entries, an internal position's
+    children are a plain ``list``.  The object engine and the
+    message-passing protocol keep their wills here, and it is the oracle
+    the flat arena's storage is cross-checked against.  ``wnchild`` and
+    the child lists exist for internal positions only.
+    """
+
+    def __init__(self, branching: int = 2):
+        if branching < 2:
+            raise ValueError(f"branching must be >= 2, got {branching}")
+        self.branching = branching
+        self.wkind: Dict[int, int] = {}
+        self.wval: Dict[int, int] = {}  # stand-in (leaf) or simulator (internal)
+        self.wparent: Dict[int, int] = {}
+        self.wnchild: Dict[int, int] = {}
+        self._kids: Dict[int, List[int]] = {}
+        self._next = 0  # the next position handle; never reused
+
+        self._root: Dict[int, int] = {}
+        self._heir: Dict[int, int] = {}
+        self._leafpos: Dict[Tuple[int, int], int] = {}
+        self._intpos: Dict[Tuple[int, int], int] = {}
+
+    def _new(self, kind: int, val: int) -> int:
+        pos = self._next
+        self._next += 1
+        self.wkind[pos] = kind
+        self.wval[pos] = val
+        self.wparent[pos] = NIL
+        return pos
+
+    def _mk_leaf(self, owner: int, stand_in: int) -> int:
+        pos = self._new(W_LEAF, stand_in)
+        self._leafpos[(owner, stand_in)] = pos
+        return pos
+
+    def _mk_internal(self, owner: int, sim: int, children: Sequence[int]) -> int:
+        pos = self._new(W_INTERNAL, sim)
+        self._kids[pos] = list(children)
+        self.wnchild[pos] = len(children)
+        for child in children:
+            self.wparent[child] = pos
+        self._intpos[(owner, sim)] = pos
+        return pos
+
+    def _children(self, pos: int) -> List[int]:
+        """The live child list (read it; the text never mutates under it)."""
+        return self._kids[pos]
+
+    def _append(self, parent: int, child: int) -> None:
+        self._kids[parent].append(child)
+        self.wparent[child] = parent
+        self.wnchild[parent] += 1
+
+    def _unlink(self, parent: int, child: int) -> None:
+        self._kids[parent].remove(child)
+        self.wparent[child] = NIL
+        self.wnchild[parent] -= 1
+
+    def _graft(self, owner: int, old: int, new: int) -> None:
+        """Put ``new`` exactly where ``old`` sits (parent slot or root)."""
+        grand = self.wparent[old]
+        self.wparent[new] = grand
+        if grand == NIL:
+            self._root[owner] = new
         else:
-            out.append(pos.sim)
-            if pos.parent is not None:
-                out.append(pos.parent.sim)
-            for child in pos.children:
-                out.append(child.stand_in if isinstance(child, _Leaf) else child.sim)
-        return out
+            kids = self._kids[grand]
+            kids[kids.index(old)] = new
+        self.wparent[old] = NIL
+
+    def _retag(self, pos: int, val: int) -> None:
+        self.wval[pos] = val
+
+    def _release(self, pos: int) -> None:
+        del self.wkind[pos], self.wval[pos], self.wparent[pos]
+        self._kids.pop(pos, None)
+        self.wnchild.pop(pos, None)
+
+    def _check_links(self, pos: int, kids: List[int]) -> None:
+        if self.wnchild[pos] != len(kids):
+            raise InvariantViolationError("will-nchild", str(self.wval[pos]))
+
+
+class SlotTree:
+    """One node's will: a view ``(store, owner)`` of a will store.
+
+    ``SlotTree(stand_ins, branching)`` builds a fresh will in a store of
+    its own (owner 0); :meth:`of` views an existing will in a shared
+    store — a protocol node's will in its driver's :class:`ObjectWills`,
+    or any will of a :class:`~repro.core.flat.FlatWills` arena.  Every
+    method is a one-statement delegate to the store's :class:`WillText`.
+
+    Parameters
+    ----------
+    stand_ins:
+        The child stand-ins.  They are sorted ascending at construction
+        (Algorithm 3.5); the maximum becomes the heir.
+    branching:
+        Maximum number of children per internal position (paper: 2).
+    """
+
+    __slots__ = ("store", "owner")
+
+    def __init__(self, stand_ins: Sequence[int], branching: int = 2):
+        self.store: WillText = ObjectWills(branching)
+        self.owner = 0
+        self.store.build(0, stand_ins)
+
+    @classmethod
+    def of(cls, store: WillText, owner: int) -> "SlotTree":
+        """The view of ``owner``'s will in ``store`` (no copy)."""
+        view = cls.__new__(cls)
+        view.store = store
+        view.owner = owner
+        return view
+
+    def __len__(self) -> int:
+        return len(self.store.stand_ins(self.owner))
+
+    def __bool__(self) -> bool:
+        return not self.store.empty(self.owner)
+
+    def __contains__(self, stand_in: int) -> bool:
+        return self.store.contains(self.owner, stand_in)
+
+    @property
+    def branching(self) -> int:
+        return self.store.branching
+
+    @property
+    def heir(self) -> Optional[int]:
+        return self.store.heir(self.owner)
+
+    @property
+    def stand_ins(self) -> List[int]:
+        return self.store.stand_ins(self.owner)
+
+    @property
+    def internal_sims(self) -> List[int]:
+        return self.store.internal_sims(self.owner)
+
+    def has_internal(self, stand_in: int) -> bool:
+        return self.store.has_internal(self.owner, stand_in)
+
+    def depth(self) -> int:
+        return self.store.depth(self.owner)
+
+    def root_sim(self) -> int:
+        return self.store.root_sim(self.owner)
+
+    def internal_specs(self) -> List[InternalSpec]:
+        return self.store.internal_specs(self.owner)
+
+    def attachment_sim(self, stand_in: int) -> Optional[int]:
+        return self.store.attachment_sim(self.owner, stand_in)
+
+    def internal_parent_sim(self, stand_in: int) -> Optional[int]:
+        return self.store.internal_parent_sim(self.owner, stand_in)
+
+    def internal_children_refs(self, stand_in: int) -> List[PosRef]:
+        return self.store.internal_children_refs(self.owner, stand_in)
+
+    def as_shape(self):
+        return self.store.as_shape(self.owner)
+
+    def remove(self, stand_in: int) -> RemovalDelta:
+        return self.store.remove(self.owner, stand_in)
+
+    def replace(self, old: int, new: int) -> ReplaceDelta:
+        return self.store.replace(self.owner, old, new)
+
+    def add(self, stand_in: int) -> AddDelta:
+        return self.store.add(self.owner, stand_in)
+
+    def add_batch(self, stand_ins: Sequence[int]) -> AddBatchDelta:
+        return self.store.add_batch(self.owner, stand_ins)
+
+    def check(self) -> Tuple[int, int]:
+        return self.store.check(self.owner)
 
     def clone(self) -> "SlotTree":
-        """Deep copy preserving positions (not re-sorted)."""
-        other = SlotTree([], branching=self.branching)
-        other._heir = self._heir
-        if self._root is not None:
-            other._root = _clone(self._root, other, None)
-        return other
+        """Deep copy preserving positions (not re-sorted), in a store of
+        its own."""
+        return ObjectWills(self.store.branching).adopt(self.store, self.owner)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"SlotTree({self.as_shape()!r}, heir={self._heir})"
+        return f"SlotTree({self.as_shape()!r}, heir={self.heir})"
 
 
-# ----------------------------------------------------------------------
-# module helpers
-# ----------------------------------------------------------------------
 def _split_even(ids: Sequence[int], branching: int) -> List[Sequence[int]]:
     """Split ``ids`` into at most ``branching`` contiguous near-even groups.
 
@@ -675,63 +863,3 @@ def _split_even(ids: Sequence[int], branching: int) -> List[Sequence[int]]:
         groups.append(ids[start : start + size])
         start += size
     return [g for g in groups if g]
-
-
-def _collect_leaves(pos: _Pos, out: List[int]) -> None:
-    if isinstance(pos, _Leaf):
-        out.append(pos.stand_in)
-    else:
-        for child in pos.children:
-            _collect_leaves(child, out)
-
-
-def _collect_internals(pos: _Pos) -> List[_Internal]:
-    if isinstance(pos, _Leaf):
-        return []
-    out = [pos]
-    for child in pos.children:
-        out.extend(_collect_internals(child))
-    return out
-
-
-def _depth(pos: _Pos) -> int:
-    if isinstance(pos, _Leaf):
-        return 0
-    return 1 + max(_depth(c) for c in pos.children)
-
-
-def _ref(pos: _Pos) -> PosRef:
-    if isinstance(pos, _Leaf):
-        return ("leaf", pos.stand_in)
-    return ("internal", pos.sim)
-
-
-def _shape(pos: _Pos):
-    if isinstance(pos, _Leaf):
-        return pos.stand_in
-    return (pos.sim, *(_shape(c) for c in pos.children))
-
-
-def _clone(pos: _Pos, into: SlotTree, parent: Optional[_Internal]) -> _Pos:
-    if isinstance(pos, _Leaf):
-        leaf = _Leaf(pos.stand_in, parent)
-        into._leaves[pos.stand_in] = leaf
-        return leaf
-    node = _Internal(pos.sim, [])
-    node.parent = parent
-    into._internal_by_sim[pos.sim] = node
-    node.children = [_clone(c, into, node) for c in pos.children]
-    return node
-
-
-def iter_positions(tree: SlotTree) -> Iterator[PosRef]:
-    """Iterate all position references, preorder (exposed for tests)."""
-
-    def walk(pos: _Pos) -> Iterator[PosRef]:
-        yield _ref(pos)
-        if isinstance(pos, _Internal):
-            for child in pos.children:
-                yield from walk(child)
-
-    if tree._root is not None:
-        yield from walk(tree._root)

@@ -13,6 +13,10 @@ DESIGN.md §2):
 
 * A will owner keeps a :class:`~repro.core.slot_tree.SlotTree` over its
   child *stand-ins* and (re)transmits changed portions (``MakeWill``).
+  The tree is the node's view of its driver's one
+  :class:`~repro.core.slot_tree.ObjectWills`: the protocol maintains its
+  wills with the same will text the sequential engines run, and reads
+  only its own will through the view.
 * On ``Deleted(v)``, stand-ins of v deploy their portions (``makeRT`` /
   ``MakeHelper``): ready heirs bypass themselves and broker their anchor,
   non-heirs spin up internal helpers, the heir inherits v's helper role or
@@ -105,12 +109,12 @@ class LeafWill:
 class ProtocolNode:
     """One processor running the Forgiving Tree protocol (see module doc)."""
 
-    def __init__(self, nid: int):
+    def __init__(self, nid: int, will: SlotTree):
         self.nid = nid
         self.network: Optional["Network"] = None
         # current fields -------------------------------------------------
         self.parent_ref: Optional[Ref] = None  # upward link of my real position
-        self.will: SlotTree = SlotTree([])  # my children stand-ins
+        self.will = will  # my children stand-ins: my view of the driver's wills
         self.slot_kind: Dict[int, str] = {}  # stand-in -> REAL | HELPER
         # helper fields ----------------------------------------------------
         self.role: Optional[Role] = None
@@ -131,7 +135,7 @@ class ProtocolNode:
     # ------------------------------------------------------------------
     @property
     def is_tree_leaf(self) -> bool:
-        return len(self.will) == 0
+        return not self.will
 
     @property
     def ishelper(self) -> bool:
@@ -236,6 +240,10 @@ class ProtocolNode:
         """Compute stand-in ``s``'s slice of my will (Algorithm 3.6)."""
         will = self.will
         heir = will.heir
+        # One slot exactly when the root is the heir's own leaf: the heir
+        # never simulates an internal position.
+        rv = will.root_sim()
+        single_slot = rv == heir
         att = will.attachment_sim(s)
         is_heir = s == heir
         iam_rv = False
@@ -277,8 +285,8 @@ class ProtocolNode:
                 next_hchildren = tuple(self.role.hchildren)
             else:
                 next_hparent = None
-                if len(will) > 1:
-                    next_hchildren = ((will.root_sim(), HELPER),)
+                if not single_slot:
+                    next_hchildren = ((rv, HELPER),)
                 else:
                     next_hchildren = ()  # vacuous ready heir: skipped
         return Portion(
@@ -290,7 +298,7 @@ class ProtocolNode:
             next_hchildren=next_hchildren,
             top_parent=self.parent_ref,
             iam_rv=iam_rv,
-            root_sim=will.root_sim() if len(will) > 1 else None,
+            root_sim=None if single_slot else rv,
         )
 
     def refresh_portions(self, only: Optional[Set[int]] = None) -> None:

@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..core import as_adjacency, check_is_tree
 from ..core.errors import NodeNotFoundError
-from ..core.slot_tree import SlotTree
+from ..core.slot_tree import ObjectWills, SlotTree
 from .driver import ProtocolDriver, Wave
 from .messages import REAL, Deleted, InsertRequest
 from .network import Network
@@ -47,6 +47,8 @@ class DistributedForgivingTree(ProtocolDriver):
         if self.root_id not in adjacency:
             raise NodeNotFoundError(self.root_id, "root")
         super().__init__(adjacency, Network() if network is None else network)
+        # Every node's will, in one store; each node holds its view.
+        self._wills = ObjectWills(branching=2)
         self._build(adjacency)
 
     # ------------------------------------------------------------------
@@ -69,15 +71,12 @@ class DistributedForgivingTree(ProtocolDriver):
                 children[p].append(n)
 
         for nid in adjacency:
-            node = ProtocolNode(nid)
-            self.network.register(node)
+            self.network.register(self._node(nid, children[nid]))
         for nid in adjacency:
             node = self.network.nodes[nid]
             p = parent[nid]
             node.parent_ref = None if p is None else (p, REAL)
-            kids = sorted(children[nid])
-            node.will = SlotTree(kids, branching=2)
-            node.slot_kind = {k: REAL for k in kids}
+            node.slot_kind = {k: REAL for k in sorted(children[nid])}
 
         # Setup phase: wills and leaf wills travel as counted messages.
         self.network.begin_round(0)
@@ -87,8 +86,14 @@ class DistributedForgivingTree(ProtocolDriver):
             node._maybe_deposit_leaf_will()
         self.setup_stats = self.network.run_round(0)
 
+    def _node(self, nid: int, kids: Sequence[int]) -> ProtocolNode:
+        """A fresh node holding its view of its new will over ``kids``."""
+        self._wills.build(nid, kids)
+        return ProtocolNode(nid, SlotTree.of(self._wills, nid))
+
     # ------------------------------------------------------------------
     def _fan_out(self, victim: int, claims: List[int]) -> None:
+        self._wills.discard(victim)
         for neighbor in claims:
             self.network.send(
                 Deleted(sender=victim, recipient=neighbor, victim=victim)
@@ -104,7 +109,7 @@ class DistributedForgivingTree(ProtocolDriver):
         groups: Dict[int, List[int]] = {}
         for nid, attach_to in wave:
             groups.setdefault(attach_to, []).append(nid)
-            self.network.register(ProtocolNode(nid))
+            self.network.register(self._node(nid, ()))
         for attach_to, group in groups.items():
             for i, nid in enumerate(group):
                 self.network.send(

@@ -15,6 +15,7 @@ import pytest
 import repro
 from repro import ForgivingTree
 from repro.core.errors import NodeNotFoundError, SimulationOverError
+from repro.core.slot_tree import ObjectWills
 from repro.distributed import DistributedForgivingTree, ProtocolDriver
 from repro.fgraph import DistributedForgivingGraph
 from repro.graphs import generators
@@ -189,6 +190,25 @@ class TestOneDriverShell:
                     defs[node.name].append(f"{path.name}:{node.lineno}")
         for name, sites in defs.items():
             assert len(sites) == 1 and sites[0].startswith("driver.py"), (name, sites)
+
+    def test_every_ft_will_is_a_view_of_the_drivers_one_store(self):
+        """The protocol keeps its wills in one :class:`ObjectWills` and
+        runs the sequential engines' will text on it; a victim's will
+        leaves the store with the victim."""
+        tree = generators.random_tree(40, seed=2)
+        dist = DistributedForgivingTree(tree)
+        next_id = max(tree) + 1
+        rng = random.Random(2)
+        for _ in range(12):
+            dist.delete(rng.choice(sorted(dist.alive)))
+            dist.insert_batch([(next_id, rng.choice(sorted(dist.alive)))])
+            next_id += 1
+        store = dist._wills
+        assert isinstance(store, ObjectWills)
+        for nid, node in dist.network.nodes.items():
+            assert node.will.store is store and node.will.owner == nid
+        assert set(store._root) == set(dist.network.nodes)
+        store.check_all()
 
     def test_ft_pointer_refs_name_every_field(self):
         dist = DistributedForgivingTree({0: [1, 2], 1: [3]})

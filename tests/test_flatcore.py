@@ -36,10 +36,13 @@ from repro.adversaries import RandomChurnAdversary
 from repro.baselines import ForgivingTreeHealer
 from repro.core import invariants
 from repro.core.errors import (
+    InvariantViolationError,
     NodeNotFoundError,
     NotATreeError,
     SimulationOverError,
 )
+from repro.core.flat import FlatWills
+from repro.core.slot_tree import ObjectWills
 from repro.graphs import generators
 from repro.graphs.adjacency import is_connected
 from repro.graphs.incremental import DynamicTreeMetrics
@@ -225,6 +228,24 @@ ALGORITHM_METHODS = (
 )
 
 
+#: The will rules (Algorithm 3.5's blueprint and its positional
+#: maintenance): one text, :class:`WillText`, run by both will stores.
+WILL_RULES = (
+    "build", "_build", "discard", "stand_ins", "heir", "root_sim",
+    "internal_specs", "internal_sims", "depth", "as_shape",
+    "attachment_sim", "internal_parent_sim", "internal_children_refs",
+    "remove", "replace", "add", "add_batch", "_pick_free", "_around", "check",
+)
+
+#: Same-named methods under ``core/`` that are not will rules: the
+#: structure checks and builders of the virtual trees and the engines.
+NOT_WILL_RULES = {
+    ("VirtualTree", "check"), ("FlatCore", "check"),
+    ("FlatForgivingTree", "check"), ("FlatForgivingTree", "_build"),
+    ("ForgivingTree", "check"), ("ForgivingTree", "_build"),
+}
+
+
 class TestOneAlgorithmText:
     """A second copy of the algorithm is a red test, not a review comment."""
 
@@ -244,6 +265,36 @@ class TestOneAlgorithmText:
             assert getattr(ForgivingTree, name) is getattr(
                 FlatForgivingTree, name
             ), name
+
+    def test_both_will_stores_run_the_same_function_objects(self):
+        for name in WILL_RULES:
+            assert getattr(FlatWills, name) is getattr(ObjectWills, name), name
+            assert name not in FlatWills.__dict__, name
+            assert name not in ObjectWills.__dict__, name
+
+    def test_each_will_rule_is_defined_once_and_slot_tree_delegates(self):
+        defs = {name: [] for name in WILL_RULES}
+        for path in sorted((self.SRC / "core").glob("*.py")):
+            tree = ast.parse(path.read_text())
+            scopes = [(None, tree.body)] + [
+                (node.name, node.body)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef)
+            ]
+            for owner, body in scopes:
+                for fn in body:
+                    if not isinstance(fn, ast.FunctionDef) or fn.name not in defs:
+                        continue
+                    if owner == "SlotTree":
+                        stmts = fn.body[1:] if ast.get_docstring(fn) else fn.body
+                        assert len(stmts) == 1, f"SlotTree.{fn.name} is not a delegate"
+                        call = stmts[0].value
+                        assert isinstance(call, ast.Call), fn.name
+                        assert ast.unparse(call.func) == f"self.store.{fn.name}", fn.name
+                    elif (owner, fn.name) not in NOT_WILL_RULES:
+                        defs[fn.name].append(f"{path.name}:{fn.lineno}")
+        for name, sites in defs.items():
+            assert len(sites) == 1, f"{name} defined at {sites}"
 
     def test_nothing_outside_core_imports_its_private_names(self):
         for path in sorted(self.SRC.rglob("*.py")):
@@ -268,6 +319,8 @@ class TestOneAlgorithmText:
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from tests.conftest import examples  # noqa: E402
+
 #: One drawn churn step: (kind, pick) — ``pick`` indexes the alive set
 #: (victim or attachment point) modulo its size; kind < 2 inserts.
 fuzz_steps = st.lists(
@@ -279,7 +332,7 @@ fuzz_steps = st.lists(
 
 
 class TestFuzzedInterleavings:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     @given(seed=st.integers(min_value=0, max_value=50), script=fuzz_steps)
     def test_any_interleaving_is_identical(self, seed, script):
         tree = generators.random_tree(10, seed=seed)
@@ -306,6 +359,23 @@ class TestFuzzedInterleavings:
         if obj.alive:
             assert_twins(obj, flat)
             invariants.check_full(flat)
+
+
+class TestStrictWillCheck:
+    """``check()`` walks each will once and counts what it reached; an
+    index entry no walk reaches is caught by the totals."""
+
+    @pytest.mark.parametrize("index", ["_leafpos", "_intpos"])
+    @pytest.mark.parametrize("engine_cls", [ForgivingTree, FlatForgivingTree])
+    def test_a_stale_index_entry_raises(self, engine_cls, index):
+        engine = engine_cls(generators.random_tree(30, seed=4))
+        engine.check()
+        wills = engine._w
+        tree_leaf = next(n for n in sorted(engine.alive) if wills.empty(n))
+        live_pos = next(iter(getattr(wills, index).values()))
+        getattr(wills, index)[(tree_leaf, 10**6)] = live_pos
+        with pytest.raises(InvariantViolationError):
+            engine.check()
 
 
 class TestFreeListRecycling:

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 from repro.core.errors import (
     DuplicateNodeError,
     EmptyStructureError,
-    InvariantViolationError,
     NodeNotFoundError,
 )
-from repro.core.slot_tree import SlotTree
+from repro.core.flat import FlatWills
+from repro.core.slot_tree import ObjectWills, SlotTree
+from tests.conftest import examples
 
 
 class TestConstruction:
@@ -185,29 +186,6 @@ class TestReplace:
             tree.replace(1, 2)
 
 
-class TestExclusionApi:
-    def test_exclusion_moves_assignments(self):
-        tree = SlotTree(list(range(8)), branching=4)
-        busy = set(tree.internal_sims[:1])
-        touched = tree.exclude_from_assignment(busy)
-        tree.check()
-        assert not busy & set(tree.internal_sims)
-        assert touched
-
-    def test_set_heir(self):
-        tree = SlotTree(list(range(6)), branching=4)
-        free = [s for s in tree.stand_ins if s != tree.heir and not tree.has_internal(s)]
-        assert free
-        tree.set_heir(free[0])
-        assert tree.heir == free[0]
-        tree.check()
-
-    def test_set_heir_rejects_internal(self):
-        tree = SlotTree([1, 2, 3, 8])
-        with pytest.raises(InvariantViolationError):
-            tree.set_heir(2)  # 2 holds the root internal
-
-
 class TestErrors:
     def test_depth_of_empty(self):
         with pytest.raises(EmptyStructureError):
@@ -218,48 +196,72 @@ class TestErrors:
             SlotTree([]).root_sim()
 
 
-@settings(max_examples=200, deadline=None)
+#: The two will stores the one will text runs over.  A property drives
+#: a one-owner view of either: the arena's free-list reuse and intrusive
+#: links meet the same rules as the object store's fresh positions.
+STORES = {"object": ObjectWills, "flat": FlatWills}
+
+
+def view_on(store_name, ids, branching=2, owner=7):
+    """A will over ``ids`` in a new store of kind ``store_name``, built
+    after a same-sized will was built and discarded: on the flat arena
+    every position it gets is a recycled one, in free-list order."""
+    store = STORES[store_name](branching)
+    store.build(owner - 1, ids)
+    store.discard(owner - 1)
+    store.build(owner, ids)
+    return SlotTree.of(store, owner)
+
+
+@settings(max_examples=examples(200), deadline=None)
 @given(
     ids=st.lists(st.integers(0, 10_000), min_size=1, max_size=40, unique=True),
     seed=st.integers(0, 2**32 - 1),
+    store=st.sampled_from(sorted(STORES)),
 )
-def test_property_random_removals_keep_invariants(ids, seed):
+def test_property_random_removals_keep_invariants(ids, seed, store):
     """Any removal order keeps the slot tree a valid full search tree with
     the heir outside the assignment and O(1) touched portions per step."""
     import random as _random
 
-    tree = SlotTree(ids)
+    tree = view_on(store, ids)
     order = list(ids)
     _random.Random(seed).shuffle(order)
     for x in order:
         delta = tree.remove(x)
         tree.check()
+        tree.store.check_all()
         if not delta.emptied:
             assert len(delta.touched) <= 8
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(
     ids=st.lists(st.integers(0, 1000), min_size=2, max_size=24, unique=True),
     branching=st.integers(2, 5),
     seed=st.integers(0, 2**32 - 1),
+    store=st.sampled_from(sorted(STORES)),
 )
-def test_property_generalized_removals(ids, branching, seed):
+def test_property_generalized_removals(ids, branching, seed, store):
     import random as _random
 
-    tree = SlotTree(ids, branching=branching)
+    tree = view_on(store, ids, branching=branching)
     tree.check()
     order = list(ids)
     _random.Random(seed).shuffle(order)
     for x in order:
         tree.remove(x)
         tree.check()
+        tree.store.check_all()
 
 
-@settings(max_examples=100, deadline=None)
-@given(ids=st.lists(st.integers(0, 1000), min_size=2, max_size=20, unique=True))
-def test_property_clone_equals_original(ids):
-    tree = SlotTree(ids)
+@settings(max_examples=examples(100), deadline=None)
+@given(
+    ids=st.lists(st.integers(0, 1000), min_size=2, max_size=20, unique=True),
+    store=st.sampled_from(sorted(STORES)),
+)
+def test_property_clone_equals_original(ids, store):
+    tree = view_on(store, ids)
     clone = tree.clone()
     assert clone.as_shape() == tree.as_shape()
     assert clone.heir == tree.heir
