@@ -1,8 +1,8 @@
 """Benchmark suite configuration.
 
-Every benchmark regenerates one of the paper's results (see DESIGN.md §4
-and EXPERIMENTS.md) and prints the measured rows next to the theoretical
-bound, so ``pytest benchmarks/ --benchmark-only`` doubles as the
+Every benchmark regenerates one of the paper's results (its module
+docstring names which, as an ``EXP-*`` id) and prints the measured rows
+next to the theoretical bound, so ``pytest benchmarks/ --benchmark-only`` doubles as the
 reproduction log.  Every benchmark also dumps its tables to
 ``benchmarks/out/BENCH_<name>.json`` (:func:`dump_bench`), so a CI run
 leaves a machine-readable artifact per experiment, quick or full.

@@ -25,7 +25,8 @@ Public entry points
     imports them from here.
 :mod:`repro.harness`
     The attack/heal campaign loop, duels and report tables reproducing
-    every theorem, figure and claim (see DESIGN.md / EXPERIMENTS.md).
+    every theorem, figure and claim (printed by the ``EXP-*``
+    benchmarks under ``benchmarks/``).
 :mod:`repro.churn`
     The churn model (The Forgiving Graph, PODC 2009): node insertions as
     first-class events, recorded traces, and mixed insert/delete

@@ -34,7 +34,7 @@ from .flat_tree import (
 from .forgiving_tree import ForgivingTree
 from .slot_tree import SlotTree
 from .state import ALLOWED_TRANSITIONS, HelperState, NodeState
-from .virtual_tree import VirtualTree, VTHelper, VTNode, VTReal
+from .virtual_tree import VirtualTree
 
 __all__ = [
     "ALLOWED_TRANSITIONS",
@@ -63,9 +63,6 @@ __all__ = [
     "ReproError",
     "SimulationOverError",
     "SlotTree",
-    "VTHelper",
-    "VTNode",
-    "VTReal",
     "VirtualTree",
     "WILL_REBUILD",
     "WILL_SPLICE",

@@ -1,11 +1,11 @@
 """Flat struct-of-arrays storage for the Forgiving Tree hot path.
 
-The object core (:mod:`repro.core.virtual_tree`, :mod:`repro.core.slot_tree`)
-keeps one Python object per virtual-tree node and per will position.  That is
-the right shape for reading the paper but the wrong shape for sustained-churn
-campaigns: at n = 10^6 the object graph alone costs gigabytes and every hot
-query (``alive``, ``max_degree_increase``, victim sampling) is O(n) per event,
-which is where BENCH_churn's superlinear per-event cost came from.
+The object stores (:class:`~repro.core.virtual_tree.VirtualTree`,
+:class:`~repro.core.slot_tree.ObjectWills`) keep dict columns and Python
+child lists.  That is the right shape for reading the paper but the wrong
+shape for sustained-churn campaigns: at n = 10^6 per-node dict entries and
+lists cost gigabytes, and the sampling query the churn ladder needs is
+O(n log n) per event there.
 
 This module stores the same two structures in preallocated parallel arrays
 (``array('q')`` — C longs, no per-node objects):
@@ -28,9 +28,11 @@ This module stores the same two structures in preallocated parallel arrays
     wval  [ s_i | sim | s_i| ... ]      stand-in (leaf) or simulator (internal)
     wparent/whead/wtail/wnext/wprev/wnchild
 
-``FlatWills`` is a store only: the will rules it runs are
-:class:`~repro.core.slot_tree.WillText`'s, the same text the object
-store :class:`~repro.core.slot_tree.ObjectWills` runs.
+Both are stores only: the tree rules ``FlatCore`` runs are
+:class:`~repro.core.virtual_tree.TreeText`'s, the same text
+``VirtualTree`` runs, and the will rules ``FlatWills`` runs are
+:class:`~repro.core.slot_tree.WillText`'s, the same text ``ObjectWills``
+runs.
 
 Three contracts make the flat layer a drop-in replacement:
 
@@ -38,35 +40,31 @@ Three contracts make the flat layer a drop-in replacement:
   not (``FlatForgivingTree`` keeps the ``_ever`` set exactly like the object
   engine).  Virtual-tree slots freed during an event enter a *limbo* list
   and only rejoin the free list when the next event starts, so within one
-  healing round slot equality is object identity — the algorithm's
-  ``==`` on handles means the same thing on ints as on the object
-  store's node objects, without aliasing.
-* **orderings are preserved**: child lists are doubly linked (insert-before
-  and positional replace are O(1)), helper iteration is hid-ascending, and
-  the wills run the one will text over either store — so event logs,
-  message tallies and donor choices are bit-identical to the object engine
-  (asserted by the object-vs-flat parity wall in ``tests/test_flatcore.py``).
+  healing round a slot names one node — the algorithm's ``==`` on
+  handles means the same thing here as on the object store's
+  never-recycled handles, without aliasing.
+* **orderings are preserved**: child lists are doubly linked (append,
+  unlink and positional swap are O(1)), helper iteration is
+  hid-ascending, and both stores run the one tree text and the one will
+  text — so event logs, message tallies and donor choices are
+  bit-identical to the object engine (asserted by the object-vs-flat
+  parity wall in ``tests/test_flatcore.py``).
 * **hot queries are O(1)**: ``alive`` is a :class:`AliveView` (a live
-  ``collections.abc.Set`` over the id map — no per-event set copy),
-  ``max_degree_increase`` reads a maintained degree-increase multiset,
-  uniform victim sampling indexes a compact alive list, and per-node image
-  degree is a maintained counter instead of an O(m) edge scan.
+  ``collections.abc.Set`` over the id map — no per-event set copy) and
+  uniform victim sampling indexes a compact alive list; image degrees and
+  the degree-increase maximum are the text's maintained counters, on
+  either store.
 """
 
 from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
 from array import array
-from typing import Callable, Collection, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Collection, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import (
-    DuplicateNodeError,
-    EmptyStructureError,
-    InvariantViolationError,
-    NodeNotFoundError,
-)
-from .events import EdgeAdded, EdgeRemoved, edge_key
+from .errors import EmptyStructureError, InvariantViolationError
 from .slot_tree import NIL, W_FREE, W_INTERNAL, W_LEAF, WillText
+from .virtual_tree import KIND_FREE, KIND_REAL, TreeText
 
 #: The 12 parallel columns of :class:`FlatCore`, in serialization order.
 CORE_COLUMNS = (
@@ -79,11 +77,6 @@ WILL_COLUMNS = (
     "wkind", "wval", "wparent", "whead",
     "wtail", "wnext", "wprev", "wnchild",
 )
-
-#: Virtual-tree slot kinds.
-KIND_FREE = 0
-KIND_REAL = 1
-KIND_HELPER = 2
 
 
 class AliveView(AbstractSet):
@@ -121,16 +114,20 @@ class AliveView(AbstractSet):
         return f"AliveView({set(self._reals)!r})"
 
 
-class FlatCore:
+class FlatCore(TreeText):
     """The virtual tree on parallel arrays (see module docstring).
 
-    Handles are integer *slots*; ``NIL`` (= -1) plays ``None``.  The public
-    mutation API mirrors :class:`~repro.core.virtual_tree.VirtualTree`
-    operation for operation, including the order of emitted image-edge
-    events, so the one healing algorithm text runs over either store.
+    A store of :class:`~repro.core.virtual_tree.TreeText`: handles are
+    integer *slots*, every rule — the structural operations, the image
+    refcount and degree accounting, ``check``, ``render`` — is the text's,
+    the same function objects :class:`~repro.core.virtual_tree.VirtualTree`
+    runs.  What is here is storage only: the arrays, the free and limbo
+    lists, the intrusive child links (``tail`` / ``next`` / ``prev``), the
+    compact alive list behind :meth:`sample_alive`, and checkpointing.
     """
 
     def __init__(self, recorder: Optional[Callable[[object], None]] = None):
+        super().__init__(recorder)
         self.kind = array("q")
         self.ident = array("q")  # nid for reals, hid for helpers
         self.sim = array("q")  # helpers: simulator nid; reals: NIL
@@ -144,22 +141,8 @@ class FlatCore:
         self.imgdeg = array("q")  # reals: degree in the image graph
         self.inc = array("q")  # reals: imgdeg - original degree
 
-        self._reals: Dict[int, int] = {}  # nid -> slot
-        self._helpers: Dict[int, int] = {}  # hid -> slot (hid-ascending order)
-        self._image: Dict[Tuple[int, int], int] = {}  # canonical edge -> mult
-        self._root = NIL
-        self._hid_counter = 0
-        self.recorder = recorder
-
         self._free: List[int] = []
         self._limbo: List[int] = []  # freed this event; recycled next event
-
-        # Degree-increase multiset over alive reals: value -> count, plus a
-        # lazily-repaired max (values are bounded by branching + 1, so the
-        # repair scan is O(#distinct values) and rare).
-        self._inc_count: Dict[int, int] = {}
-        self._inc_max = 0
-        self._inc_dirty = False
 
         # Compact alive list for O(1) uniform sampling (swap-pop removal).
         self._alive_list: List[int] = []
@@ -174,12 +157,8 @@ class FlatCore:
         if extra <= 0:
             return
         zeros = array("q", bytes(8 * extra))
-        for arr in (
-            self.kind, self.ident, self.sim, self.parent, self.head,
-            self.tail, self.next, self.prev, self.nchild, self.role,
-            self.imgdeg, self.inc,
-        ):
-            arr.extend(zeros)
+        for name in CORE_COLUMNS:
+            getattr(self, name).extend(zeros)
         # Newly minted slots are free, highest last so low slots pop first.
         self._free.extend(range(capacity - 1, len(self.kind) - extra - 1, -1))
 
@@ -194,68 +173,37 @@ class FlatCore:
             self._free.extend(self._limbo)
             self._limbo.clear()
 
-    def _alloc(self) -> int:
+    def _alloc(self, kind: int, ident: int) -> int:
         if self._free:
-            return self._free.pop()
-        slot = len(self.kind)
-        for arr in (
-            self.kind, self.ident, self.sim, self.parent, self.head,
-            self.tail, self.next, self.prev, self.nchild, self.role,
-            self.imgdeg, self.inc,
-        ):
-            arr.append(0)
+            slot = self._free.pop()
+        else:
+            slot = len(self.kind)
+            for name in CORE_COLUMNS:
+                getattr(self, name).append(0)
+        self.kind[slot] = kind
+        self.ident[slot] = ident
+        self.tail[slot] = NIL
+        self.next[slot] = NIL
+        self.prev[slot] = NIL
+        if kind == KIND_REAL:
+            self._alive_idx[ident] = len(self._alive_list)
+            self._alive_list.append(ident)
         return slot
 
     def _release(self, slot: int) -> None:
+        if self.kind[slot] == KIND_REAL:
+            nid = self.ident[slot]
+            idx = self._alive_idx.pop(nid)
+            last = self._alive_list.pop()
+            if last != nid:
+                self._alive_list[idx] = last
+                self._alive_idx[last] = idx
         self.kind[slot] = KIND_FREE
         self._limbo.append(slot)
 
     # ------------------------------------------------------------------
-    # queries
+    # the tree text's store port: intrusive doubly-linked child lists
     # ------------------------------------------------------------------
-    @property
-    def root(self) -> int:
-        return self._root
-
-    def alive_view(self) -> AliveView:
-        return AliveView(self._reals)
-
-    def __len__(self) -> int:
-        return len(self._reals)
-
-    def __contains__(self, nid: int) -> bool:
-        return nid in self._reals
-
-    def real(self, nid: int) -> int:
-        try:
-            return self._reals[nid]
-        except KeyError:
-            raise NodeNotFoundError(nid, "virtual tree") from None
-
-    def is_real(self, slot: int) -> bool:
-        return self.kind[slot] == KIND_REAL
-
-    def is_helper(self, slot: int) -> bool:
-        return self.kind[slot] == KIND_HELPER
-
-    def owner(self, slot: int) -> int:
-        """The real node answering for ``slot`` in the image graph."""
-        return self.ident[slot] if self.kind[slot] == KIND_REAL else self.sim[slot]
-
-    def role_of(self, nid: int) -> int:
-        """Slot of the helper ``nid`` simulates, or NIL."""
-        return self.role[self._reals[nid]]
-
-    def helper_slots(self) -> List[int]:
-        """All helper slots, hid-ascending (dict order: hids are monotone)."""
-        return list(self._helpers.values())
-
-    def helper_alive(self, slot: int) -> bool:
-        return (
-            self.kind[slot] == KIND_HELPER
-            and self._helpers.get(self.ident[slot]) == slot
-        )
-
     def children(self, slot: int) -> List[int]:
         """Child slots in order (a fresh list — safe to mutate under it)."""
         out: List[int] = []
@@ -266,208 +214,17 @@ class FlatCore:
             c = nxt[c]
         return out
 
-    def sample_alive(self, rng) -> int:
-        """Uniform surviving node in O(1) (the ladder's victim picker)."""
-        if not self._alive_list:
-            raise EmptyStructureError("sample from an empty network")
-        return self._alive_list[rng.randrange(len(self._alive_list))]
-
-    # ------------------------------------------------------------------
-    # image graph
-    # ------------------------------------------------------------------
-    def image_adjacency(self) -> Dict[int, Set[int]]:
-        adj: Dict[int, Set[int]] = {nid: set() for nid in self._reals}
-        for (u, v) in self._image:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
-    def image_edges(self) -> Set[Tuple[int, int]]:
-        return set(self._image)
-
-    def image_degree(self, nid: int) -> int:
-        if nid not in self._reals:
-            raise NodeNotFoundError(nid, "image degree")
-        return self.imgdeg[self._reals[nid]]
-
-    def degree_increase(self, nid: int) -> int:
-        return self.inc[self._reals[nid]]
-
-    def max_degree_increase(self) -> int:
-        """Max degree increase over survivors, O(1) amortized."""
-        if not self._inc_count:
-            return 0
-        if self._inc_dirty:
-            self._inc_max = max(self._inc_count)
-            self._inc_dirty = False
-        return self._inc_max
-
-    def _inc_shift(self, slot: int, delta: int) -> None:
-        """Move a live real's degree-increase value in the multiset."""
-        old = self.inc[slot]
-        new = old + delta
-        self.inc[slot] = new
-        self._inc_leave(old)
-        self._inc_enter(new)
-
-    def _inc_enter(self, val: int) -> None:
-        count = self._inc_count
-        if val in count:
-            count[val] += 1
-        elif count:
-            count[val] = 1
-            if not self._inc_dirty and val > self._inc_max:
-                self._inc_max = val
+    def _append(self, parent: int, child: int) -> None:
+        last = self.tail[parent]
+        if last == NIL:
+            self.head[parent] = child
         else:
-            count[val] = 1
-            self._inc_max = val
-            self._inc_dirty = False
+            self.next[last] = child
+        self.prev[child] = last
+        self.next[child] = NIL
+        self.tail[parent] = child
 
-    def _inc_leave(self, val: int) -> None:
-        count = self._inc_count
-        c = count[val] - 1
-        if c:
-            count[val] = c
-        else:
-            del count[val]
-            if val == self._inc_max:
-                self._inc_dirty = True
-
-    def bump_original_degree(self, nid: int) -> None:
-        """The ideal-graph baseline of ``nid`` grew by one edge."""
-        self._inc_shift(self._reals[nid], -1)
-
-    def _image_add(self, a: int, b: int) -> None:
-        u = self.ident[a] if self.kind[a] == KIND_REAL else self.sim[a]
-        v = self.ident[b] if self.kind[b] == KIND_REAL else self.sim[b]
-        if u == v:
-            return
-        key = (u, v) if u <= v else (v, u)
-        mult = self._image.get(key, 0) + 1
-        self._image[key] = mult
-        if mult == 1:
-            su, sv = self._reals[u], self._reals[v]
-            self.imgdeg[su] += 1
-            self.imgdeg[sv] += 1
-            self._inc_shift(su, 1)
-            self._inc_shift(sv, 1)
-            if self.recorder is not None:
-                self.recorder(EdgeAdded(*key))
-
-    def _image_remove(self, a: int, b: int) -> None:
-        u = self.ident[a] if self.kind[a] == KIND_REAL else self.sim[a]
-        v = self.ident[b] if self.kind[b] == KIND_REAL else self.sim[b]
-        if u == v:
-            return
-        key = (u, v) if u <= v else (v, u)
-        mult = self._image.get(key, 0)
-        if mult <= 0:
-            raise InvariantViolationError("image-refcount", f"edge {key} not present")
-        if mult == 1:
-            del self._image[key]
-            su, sv = self._reals[u], self._reals[v]
-            self.imgdeg[su] -= 1
-            self.imgdeg[sv] -= 1
-            self._inc_shift(su, -1)
-            self._inc_shift(sv, -1)
-            if self.recorder is not None:
-                self.recorder(EdgeRemoved(*key))
-        else:
-            self._image[key] = mult - 1
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    def add_real(self, nid: int, original_degree: int = 0) -> int:
-        if nid in self._reals:
-            raise DuplicateNodeError(nid)
-        slot = self._alloc()
-        self.kind[slot] = KIND_REAL
-        self.ident[slot] = nid
-        self.sim[slot] = NIL
-        self.parent[slot] = NIL
-        self.head[slot] = NIL
-        self.tail[slot] = NIL
-        self.next[slot] = NIL
-        self.prev[slot] = NIL
-        self.nchild[slot] = 0
-        self.role[slot] = NIL
-        self.imgdeg[slot] = 0
-        self.inc[slot] = -original_degree
-        self._reals[nid] = slot
-        self._inc_enter(-original_degree)
-        self._alive_idx[nid] = len(self._alive_list)
-        self._alive_list.append(nid)
-        return slot
-
-    def new_helper(self, sim: int) -> int:
-        try:
-            sim_slot = self._reals[sim]
-        except KeyError:
-            raise NodeNotFoundError(sim, "helper simulator") from None
-        if self.role[sim_slot] != NIL:
-            raise InvariantViolationError(
-                "one-role-per-node", f"{sim} already simulates a helper"
-            )
-        self._hid_counter += 1
-        slot = self._alloc()
-        self.kind[slot] = KIND_HELPER
-        self.ident[slot] = self._hid_counter
-        self.sim[slot] = sim
-        self.parent[slot] = NIL
-        self.head[slot] = NIL
-        self.tail[slot] = NIL
-        self.next[slot] = NIL
-        self.prev[slot] = NIL
-        self.nchild[slot] = 0
-        self.role[slot] = NIL
-        self._helpers[self._hid_counter] = slot
-        self.role[sim_slot] = slot
-        return slot
-
-    def set_root(self, slot: int) -> None:
-        if slot != NIL and self.parent[slot] != NIL:
-            raise InvariantViolationError("root", "root must have no parent")
-        self._root = slot
-
-    # ------------------------------------------------------------------
-    # structural mutations (image bookkeeping is automatic)
-    # ------------------------------------------------------------------
-    def attach(self, child: int, parent: int, before: int = NIL) -> None:
-        """Attach a detached subtree under ``parent``.
-
-        ``before`` names an existing child to insert in front of; NIL
-        appends (the common case).
-        """
-        if self.parent[child] != NIL:
-            raise InvariantViolationError("attach", "child already attached")
-        if before == NIL:
-            last = self.tail[parent]
-            if last == NIL:
-                self.head[parent] = child
-            else:
-                self.next[last] = child
-            self.prev[child] = last
-            self.next[child] = NIL
-            self.tail[parent] = child
-        else:
-            prv = self.prev[before]
-            self.prev[child] = prv
-            self.next[child] = before
-            self.prev[before] = child
-            if prv == NIL:
-                self.head[parent] = child
-            else:
-                self.next[prv] = child
-        self.nchild[parent] += 1
-        self.parent[child] = parent
-        self._image_add(child, parent)
-
-    def detach(self, child: int) -> int:
-        """Detach ``child`` from its parent; returns the old parent or NIL."""
-        parent = self.parent[child]
-        if parent == NIL:
-            return NIL
+    def _unlink(self, parent: int, child: int) -> None:
         prv, nxt = self.prev[child], self.next[child]
         if prv == NIL:
             self.head[parent] = nxt
@@ -479,15 +236,8 @@ class FlatCore:
             self.prev[nxt] = prv
         self.prev[child] = NIL
         self.next[child] = NIL
-        self.nchild[parent] -= 1
-        self.parent[child] = NIL
-        self._image_remove(child, parent)
-        return parent
 
-    def replace_child(self, parent: int, old: int, new: int) -> None:
-        """Substitute ``old`` by detached ``new`` at the same position."""
-        if self.parent[new] != NIL:
-            raise InvariantViolationError("replace_child", "replacement already attached")
+    def _swap(self, parent: int, old: int, new: int) -> None:
         prv, nxt = self.prev[old], self.next[old]
         self.prev[new] = prv
         self.next[new] = nxt
@@ -501,187 +251,17 @@ class FlatCore:
             self.prev[nxt] = new
         self.prev[old] = NIL
         self.next[old] = NIL
-        self.parent[old] = NIL
-        self.parent[new] = parent
-        self._image_remove(old, parent)
-        self._image_add(new, parent)
 
-    def splice(self, helper: int) -> int:
-        """Bypass a one-child helper: its child takes its place."""
-        if self.nchild[helper] != 1:
-            raise InvariantViolationError(
-                "bypass-precondition", f"helper has {self.nchild[helper]} children"
-            )
-        child = self.head[helper]
-        parent = self.parent[helper]
-        self.detach(child)
-        if parent != NIL:
-            nxt = self.next[helper]
-            self.detach(helper)
-            self.attach(child, parent, before=nxt)
-        else:
-            if self._root == helper:
-                self._root = child
-        self.destroy_helper(helper)
-        return child
-
-    def transfer_role(self, helper: int, new_sim: int) -> int:
-        """Change the simulator of ``helper``; returns the previous one."""
-        if new_sim not in self._reals:
-            raise NodeNotFoundError(new_sim, "transfer_role")
-        new_slot = self._reals[new_sim]
-        if self.role[new_slot] != NIL:
-            raise InvariantViolationError(
-                "one-role-per-node", f"{new_sim} already simulates a helper"
-            )
-        old_sim = self.sim[helper]
-        incident = self.children(helper)
-        if self.parent[helper] != NIL:
-            incident.append(self.parent[helper])
-        for other in incident:
-            self._image_remove(helper, other)
-        old_slot = self._reals.get(old_sim, NIL)
-        if old_slot != NIL and self.role[old_slot] == helper:
-            self.role[old_slot] = NIL
-        self.sim[helper] = new_sim
-        self.role[new_slot] = helper
-        for other in incident:
-            self._image_add(helper, other)
-        return old_sim
-
-    def destroy_helper(self, helper: int) -> None:
-        """Remove a detached, childless helper from the structure."""
-        if self.nchild[helper] or self.parent[helper] != NIL:
-            raise InvariantViolationError("destroy-helper", "still attached")
-        sim = self.sim[helper]
-        sim_slot = self._reals.get(sim, NIL)
-        if sim_slot != NIL and self.role[sim_slot] == helper:
-            self.role[sim_slot] = NIL
-        if self._root == helper:
-            self._root = NIL
-        del self._helpers[self.ident[helper]]
-        self._release(helper)
-
-    def remove_real(self, slot: int) -> None:
-        """Remove a detached, childless, role-free real node."""
-        if self.nchild[slot] or self.parent[slot] != NIL:
-            raise InvariantViolationError("remove-real", "still attached")
-        if self.role[slot] != NIL:
-            raise InvariantViolationError("remove-real", "still simulating a helper")
-        if self._root == slot:
-            self._root = NIL
-        nid = self.ident[slot]
-        del self._reals[nid]
-        self._inc_leave(self.inc[slot])
-        idx = self._alive_idx.pop(nid)
-        last = self._alive_list.pop()
-        if last != nid:
-            self._alive_list[idx] = last
-            self._alive_idx[last] = idx
-        self._release(slot)
-
-    # ------------------------------------------------------------------
-    # validation / inspection
-    # ------------------------------------------------------------------
-    def iter_slots(self) -> Iterator[int]:
-        """Preorder traversal from the root (matches VirtualTree order)."""
-        if self._root == NIL:
-            return
-        stack = [self._root]
-        while stack:
-            slot = stack.pop()
-            yield slot
-            stack.extend(reversed(self.children(slot)))
-
-    def check(self, branching: int = 2) -> None:
-        """Validate the virtual-tree invariants plus flat-only bookkeeping."""
-        if self._root == NIL:
-            if self._reals or self._helpers:
-                raise InvariantViolationError("vt-empty", "nodes exist but no root")
-            self._check_counters()
-            return
-        if self.parent[self._root] != NIL:
-            raise InvariantViolationError("vt-root", "root has a parent")
-        seen_real: Set[int] = set()
-        seen_help: Set[int] = set()
-        for slot in self.iter_slots():
-            kids = self.children(slot)
-            if len(kids) != self.nchild[slot]:
-                raise InvariantViolationError("flat-nchild", f"slot {slot}")
+    def _check_links(self) -> None:
+        """Back links and tails, the alive list, the free lists."""
+        for slot in (*self._reals.values(), *self._helpers.values()):
             prev = NIL
-            for child in kids:
-                if self.parent[child] != slot:
-                    raise InvariantViolationError("vt-parent-link", f"slot {slot}")
+            for child in self.children(slot):
                 if self.prev[child] != prev:
                     raise InvariantViolationError("flat-sib-links", f"slot {slot}")
                 prev = child
-            if self.tail[slot] != (kids[-1] if kids else NIL):
+            if self.tail[slot] != prev:
                 raise InvariantViolationError("flat-tail", f"slot {slot}")
-            if self.kind[slot] == KIND_REAL:
-                nid = self.ident[slot]
-                if nid in seen_real:
-                    raise InvariantViolationError("vt-dup", f"real {nid}")
-                seen_real.add(nid)
-                if self._reals.get(nid) != slot:
-                    raise InvariantViolationError("flat-real-index", str(nid))
-            elif self.kind[slot] == KIND_HELPER:
-                hid = self.ident[slot]
-                if hid in seen_help:
-                    raise InvariantViolationError("vt-dup", f"helper {hid}")
-                seen_help.add(hid)
-                if self.sim[slot] not in self._reals:
-                    raise InvariantViolationError(
-                        "vt-sim-alive", f"helper {hid} simulated by dead {self.sim[slot]}"
-                    )
-                if self.role[self._reals[self.sim[slot]]] != slot:
-                    raise InvariantViolationError(
-                        "vt-role-map", f"role map disagrees for sim {self.sim[slot]}"
-                    )
-                if not 1 <= self.nchild[slot] <= branching:
-                    raise InvariantViolationError(
-                        "vt-helper-arity",
-                        f"helper {hid} has {self.nchild[slot]} children",
-                    )
-            else:
-                raise InvariantViolationError("flat-free-reachable", f"slot {slot}")
-        if seen_real != set(self._reals):
-            raise InvariantViolationError(
-                "vt-reachability", f"unreachable reals: {set(self._reals) - seen_real}"
-            )
-        if seen_help != set(self._helpers):
-            raise InvariantViolationError(
-                "vt-reachability", f"unreachable helpers: {set(self._helpers) - seen_help}"
-            )
-        # incremental image graph must match a from-scratch recomputation
-        recomputed: Dict[Tuple[int, int], int] = {}
-        for slot in self.iter_slots():
-            for child in self.children(slot):
-                u, v = self.owner(slot), self.owner(child)
-                if u != v:
-                    key = edge_key(u, v)
-                    recomputed[key] = recomputed.get(key, 0) + 1
-        if recomputed != self._image:
-            raise InvariantViolationError("image-counter", "incremental image diverged")
-        self._check_counters()
-
-    def _check_counters(self) -> None:
-        """Flat-only: degree counters, multiset, alive list, free lists."""
-        degs: Dict[int, int] = {nid: 0 for nid in self._reals}
-        for (u, v) in self._image:
-            degs[u] += 1
-            degs[v] += 1
-        inc_recount: Dict[int, int] = {}
-        for nid, slot in self._reals.items():
-            if self.imgdeg[slot] != degs[nid]:
-                raise InvariantViolationError(
-                    "flat-imgdeg", f"node {nid}: {self.imgdeg[slot]} != {degs[nid]}"
-                )
-            val = self.inc[slot]
-            inc_recount[val] = inc_recount.get(val, 0) + 1
-        if inc_recount != self._inc_count:
-            raise InvariantViolationError("flat-inc-multiset", "multiset diverged")
-        if inc_recount and self.max_degree_increase() != max(inc_recount):
-            raise InvariantViolationError("flat-inc-max", "stale maximum")
         if sorted(self._alive_list) != sorted(self._reals):
             raise InvariantViolationError("flat-alive-list", "alive list diverged")
         for nid, idx in self._alive_idx.items():
@@ -696,6 +276,12 @@ class FlatCore:
         for slot in spare:
             if self.kind[slot] != KIND_FREE:
                 raise InvariantViolationError("flat-free-kind", str(slot))
+
+    def sample_alive(self, rng) -> int:
+        """Uniform surviving node in O(1) (the ladder's victim picker)."""
+        if not self._alive_list:
+            raise EmptyStructureError("sample from an empty network")
+        return self._alive_list[rng.randrange(len(self._alive_list))]
 
     # ------------------------------------------------------------------
     # checkpointing

@@ -5,10 +5,10 @@ This module holds the package's **one text** of the paper's algorithm
 (Algorithm 3.1 with its will / heir / helper rules): ``delete`` /
 ``insert_batch`` and the ``_fix_node_deletion`` / ``_fix_leaf_deletion`` /
 ``_find_donor`` / will-maintenance methods of :class:`FlatForgivingTree`.
-The text is written against a small storage surface — integer-like
-*handles* compared with ``==`` against ``NIL``, six columns (``ident``,
-``nchild``, ``parent``, ``sim``, ``head``, ``role``), the structural
-methods of :class:`~repro.core.flat.FlatCore` and the owner-keyed will
+The text is written against a small storage surface — integer *handles*
+compared with ``==`` against ``NIL``, six columns (``ident``, ``nchild``,
+``parent``, ``sim``, ``head``, ``role``), the structural methods of
+:class:`~repro.core.virtual_tree.TreeText` and the owner-keyed will
 operations of :class:`~repro.core.slot_tree.WillText` — and never asks
 which storage it is on.  One algorithm, two stores:
 
@@ -19,9 +19,10 @@ which storage it is on.  One algorithm, two stores:
   and an :class:`~repro.core.slot_tree.ObjectWills` — the readable
   object model, kept as the differential oracle for the storage.
 
-The wills are one text too: ``FlatWills`` and ``ObjectWills`` both
-inherit :class:`~repro.core.slot_tree.WillText`, so the engines differ in
-will *storage* only, never in a will rule.
+The virtual tree and the wills are one text each too: ``FlatCore`` and
+``VirtualTree`` both inherit ``TreeText``, ``FlatWills`` and
+``ObjectWills`` both inherit ``WillText``, so the engines differ in
+storage only, never in a tree rule or a will rule.
 
 The tree-input helpers (:func:`as_adjacency`, :func:`check_is_tree`), the
 will-mode constants and the per-round message tally live here too, next
@@ -30,17 +31,16 @@ to the algorithm that uses them; import them from :mod:`repro.core`.
 What the flat layout buys (the BENCH_churn ladder's flat per-event cost):
 
 * ``alive`` is a zero-copy set view — no O(n) copy per round;
-* ``max_degree_increase`` reads a maintained multiset — no O(n·m) scan;
-* ``degree`` is a maintained counter — no O(m) edge scan;
 * victim/attachment sampling is O(1) via :meth:`sample_alive`;
 * nodes are array rows, so n = 10^6 fits in a few flat arrays instead of
-  millions of Python objects — see :meth:`from_parents` for O(n) bulk
-  construction without an adjacency dict.
+  millions of dict entries and lists — see :meth:`from_parents` for O(n)
+  bulk construction without an adjacency dict.
 
-Object views are materialized on demand (:meth:`will_of`,
-:meth:`virtual_tree`, :meth:`render`), which is the thin-view contract: the
-test wall, the healer catalog, the harness and the distributed drivers run
-against the same API either way.
+(``degree`` and ``max_degree_increase`` read the tree text's maintained
+counters on either store.)  Object views are materialized on demand
+(:meth:`will_of`, :meth:`virtual_tree`), which is the thin-view
+contract: the test wall, the healer catalog, the harness and the
+distributed drivers run against the same API either way.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from .events import (
 from .flat import NIL, AliveView, FlatCore, FlatWills
 from .slot_tree import ObjectWills, SlotTree
 from .state import HelperState, NodeState
-from .virtual_tree import VirtualTree, VTHelper
+from .virtual_tree import VirtualTree
 
 TreeInput = Union[Mapping[int, Iterable[int]], Iterable[Tuple[int, int]], object]
 
@@ -159,6 +159,9 @@ class FlatForgivingTree:
         }
         self.initial_nodes: Set[int] = set(adjacency)
         self._ever: Set[int] = set(adjacency)  # ids may never be reused
+        n = len(adjacency)
+        self._c.reserve(n + max(16, n // 8))
+        self._w.reserve(2 * n + 16)
         self._build(adjacency)
 
     def _setup(self, root_id: int, branching: int, will_mode: str, strict: bool) -> None:
@@ -333,12 +336,11 @@ class FlatForgivingTree:
         obj.strict = self.strict
         obj.root_id = self.root_id
         obj._events = []
-        vt = self.virtual_tree()
-        vt.recorder = obj._events.append
-        wills = ObjectWills(self.branching)
+        obj._c = VirtualTree.adopt(self._c)
+        obj._c.recorder = obj._events.append
+        obj._w = ObjectWills(self.branching)
         for owner in self._w._root:
-            wills.adopt(self._w, owner)
-        obj._mount(vt, wills)
+            obj._w.adopt(self._w, owner)
         obj.original_degree = dict(self.original_degree)
         obj.initial_nodes = set(self.initial_nodes)
         obj._ever = set(self._ever)
@@ -348,9 +350,6 @@ class FlatForgivingTree:
 
     def _build(self, adjacency: Mapping[int, Sequence[int]]) -> None:
         c, w = self._c, self._w
-        n = len(adjacency)
-        c.reserve(n + max(16, n // 8))
-        w.reserve(2 * n + 16)
         for nid in adjacency:
             c.add_real(nid, original_degree=self.original_degree[nid])
         c.set_root(c.real(self.root_id))
@@ -373,7 +372,7 @@ class FlatForgivingTree:
     @property
     def alive(self) -> AliveView:
         """Ids of surviving nodes (zero-copy live set view)."""
-        return self._c.alive_view()
+        return AliveView(self._c._reals)
 
     def __len__(self) -> int:
         return len(self._c)
@@ -394,8 +393,9 @@ class FlatForgivingTree:
         return self._c.image_degree(nid)
 
     def degree_increase(self, nid: int) -> int:
-        """Current degree minus original degree (Theorem 1.1 quantity)."""
-        return self.degree(nid) - self.original_degree[nid]
+        """Current degree minus original degree (Theorem 1.1 quantity) —
+        the maintained counter ``check()`` holds to ``original_degree``."""
+        return self._c.degree_increase(nid)
 
     def max_degree_increase(self) -> int:
         """``max_v degree(v, G_t) - degree(v, G_0)`` over survivors — O(1)."""
@@ -427,53 +427,26 @@ class FlatForgivingTree:
         return self._w.heir(nid)
 
     def virtual_tree(self) -> VirtualTree:
-        """An object :class:`VirtualTree` snapshot of the flat structure.
-
-        Unlike the object engine (which returns its live internal tree)
-        this materializes a fresh view — same shape, same hids, same sims,
-        same image counter.  Read it, do not mutate it.
-        """
-        c = self._c
-        vt = VirtualTree()
-        for nid in c._reals:
-            vt.add_real(nid)
-        nodes: Dict[int, object] = {}
-        for slot in c.iter_slots():
-            if c.is_real(slot):
-                nodes[slot] = vt._reals[c.ident[slot]]
-            else:
-                helper = VTHelper(c.ident[slot], c.sim[slot])
-                vt._helpers[helper.hid] = helper
-                vt._role[helper.sim] = helper
-                nodes[slot] = helper
-        for slot in c.iter_slots():
-            for child in c.children(slot):
-                vt.attach(nodes[child], nodes[slot])
-        if c.root != NIL:
-            vt.set_root(nodes[c.root])
-        vt._hid_counter = c._hid_counter
-        # dict orders match the live engine: hids ascending, reals by age
-        vt._helpers = dict(sorted(vt._helpers.items()))
-        return vt
+        """An object :class:`VirtualTree` copy of the flat store (same
+        shape, hids, sims, image and degree counters).  Read it, do not
+        mutate it."""
+        return VirtualTree.adopt(self._c)
 
     def render(self) -> str:
         """ASCII view of the virtual tree (helpers bracketed)."""
-        return self.virtual_tree().render()
+        return self._c.render()
 
     def check(self) -> None:
-        """Validate every invariant of the structure; raise on violation.
-
-        Covers everything the object engine's checker covers, plus the
-        flat-only bookkeeping (free lists, linked child lists, maintained
-        counters) and the object-view builders themselves.
-        """
+        """Validate every invariant of the structure; raise on violation:
+        the tree text's check on this engine's own store (structure,
+        image, degree counters, the store's links), the degree baselines,
+        and the wills."""
         c = self._c
         c.check(branching=self.branching)
-        self.virtual_tree().check(branching=self.branching)
-        for nid, slot in c._reals.items():
-            if c.inc[slot] != c.imgdeg[slot] - self.original_degree[nid]:
+        for nid, x in c._reals.items():
+            if c.inc[x] != c.imgdeg[x] - self.original_degree[nid]:
                 raise InvariantViolationError(
-                    "flat-origdeg", f"node {nid}: inc diverged from original_degree"
+                    "vt-origdeg", f"node {nid}: inc diverged from original_degree"
                 )
         self._check_wills()
 

@@ -12,8 +12,10 @@ The theorem bounds come from :mod:`repro.guarantees`; the graph walks from
 :mod:`repro.graphs`.
 
 ``check_full`` raises :class:`~repro.core.errors.InvariantViolationError`
-with the name of the violated invariant (I1-I6 from DESIGN.md, or the
-theorem bound that failed).
+with the name of the violated invariant (I1-I4, listed in docs/SCALING.md
+"The invariant list", or the theorem bound that failed).  It checks the
+engine's own tree store in place: no object copy of a flat engine is
+built.
 """
 
 from __future__ import annotations
@@ -56,22 +58,24 @@ def check_acyclic_image(ft: ForgivingTree) -> bool:
 
 def check_helper_constraints(ft: ForgivingTree) -> None:
     """I1/I2: sims unique and alive; helper arity within [1, branching]."""
-    vt = ft.virtual_tree()
+    store = ft._c  # the engine's own tree store, whichever engine
     sims: Set[int] = set()
-    for helper in vt.helpers():
-        if helper.sim in sims:
-            raise InvariantViolationError("I1-injective-sims", f"sim {helper.sim} reused")
-        sims.add(helper.sim)
-        if helper.sim not in vt:
-            raise InvariantViolationError("I1-live-sims", f"sim {helper.sim} is dead")
-        if not 1 <= len(helper.children) <= ft.branching:
+    for h in store.helper_slots():
+        sim = store.sim[h]
+        if sim in sims:
+            raise InvariantViolationError("I1-injective-sims", f"sim {sim} reused")
+        sims.add(sim)
+        if sim not in store:
+            raise InvariantViolationError("I1-live-sims", f"sim {sim} is dead")
+        if not 1 <= store.nchild[h] <= ft.branching:
             raise InvariantViolationError(
-                "I2-helper-arity", f"helper has {len(helper.children)} children"
+                "I2-helper-arity", f"helper has {store.nchild[h]} children"
             )
 
 
 def check_slot_invariants(ft: ForgivingTree) -> None:
-    """I3/I4/I6 via the engine's own structural checker."""
+    """I3/I4 (and every unnumbered structural check) via the engine's
+    own checker."""
     ft.check()
 
 
@@ -96,7 +100,6 @@ def check_full(
     max_degree: int | None = None,
 ) -> None:
     """Run every invariant (and the theorem bounds when context is given)."""
-    ft.virtual_tree().check(branching=ft.branching)
     check_slot_invariants(ft)
     check_helper_constraints(ft)
     check_degree_bound(ft)

@@ -8,8 +8,8 @@ and acts **only** on this local state and incoming messages.  The global
 picture (the virtual tree) is never consulted: integration tests recover it
 by running the sequential engine side by side and comparing image graphs.
 
-Protocol summary (binary case, Algorithms 3.1-3.9 with the gap-fills of
-DESIGN.md §2):
+Protocol summary (binary case, Algorithms 3.1-3.9, with the gaps the
+paper leaves filled as the sequential engine fills them):
 
 * A will owner keeps a :class:`~repro.core.slot_tree.SlotTree` over its
   child *stand-ins* and (re)transmits changed portions (``MakeWill``).
@@ -195,7 +195,8 @@ class ProtocolNode:
             # nearest distinct ancestor (the paper's "parent(v) =
             # hparent(v) = p") — or, when my helper is the virtual root,
             # *down* to the surviving sibling, which applies it when I die
-            # (DESIGN.md gap-fill).
+            # (a gap the paper leaves; the sequential engine's
+            # ``_leaf_will_holder`` fills it the same way).
             if self.role.hparent is not None and self.role.hparent[0] != self.nid:
                 holder = self.role.hparent[0]
             else:

@@ -11,8 +11,9 @@ degree is at most ``b + 1 = α``), shrinking RT depth from ``log₂`` to
 ``log_b`` at the price of a larger degree increase — the tradeoff Theorem 2
 proves unavoidable.
 
-The paper gives no maintenance protocol for α > 3; DESIGN.md §2/§5
-documents the donor rules this implementation uses.  The binary case is
+The paper gives no maintenance protocol for α > 3; the donor rules this
+implementation uses are documented on
+:meth:`~repro.core.flat_tree.FlatForgivingTree._find_donor`.  The binary case is
 validated exhaustively; the generalized case is validated by full deletion
 campaigns up to n = 50 and partial campaigns beyond (see tests), with rare
 deep-state simulator-exhaustion corners at larger scales remaining open.

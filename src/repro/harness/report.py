@@ -1,8 +1,9 @@
 """ASCII tables and series rendering for benchmark output.
 
 Benchmarks print their rows through these helpers so the output of
-``pytest benchmarks/ --benchmark-only`` doubles as the data recorded in
-EXPERIMENTS.md.
+``pytest benchmarks/ --benchmark-only`` doubles as the reproduction log
+(and :func:`~benchmarks.conftest.dump_bench` keeps the same tables as
+``benchmarks/out/BENCH_<name>.json``).
 """
 
 from __future__ import annotations

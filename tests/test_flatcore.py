@@ -23,6 +23,7 @@ last object engine that carried its own copy of the text.
 import ast
 import hashlib
 import importlib.util
+import inspect
 import json
 import os
 import pathlib
@@ -41,8 +42,9 @@ from repro.core.errors import (
     NotATreeError,
     SimulationOverError,
 )
-from repro.core.flat import FlatWills
-from repro.core.slot_tree import ObjectWills
+from repro.core.flat import FlatCore, FlatWills
+from repro.core.slot_tree import NIL, ObjectWills
+from repro.core.virtual_tree import VirtualTree
 from repro.graphs import generators
 from repro.graphs.adjacency import is_connected
 from repro.graphs.incremental import DynamicTreeMetrics
@@ -238,11 +240,32 @@ WILL_RULES = (
 )
 
 #: Same-named methods under ``core/`` that are not will rules: the
-#: structure checks and builders of the virtual trees and the engines.
+#: structure checks of the tree text and the engine, the engine's builder.
 NOT_WILL_RULES = {
-    ("VirtualTree", "check"), ("FlatCore", "check"),
+    ("TreeText", "check"),
     ("FlatForgivingTree", "check"), ("FlatForgivingTree", "_build"),
-    ("ForgivingTree", "check"), ("ForgivingTree", "_build"),
+}
+
+
+#: The virtual-tree rules (the helper/real tree, its image graph and its
+#: degree accounting): one text, :class:`TreeText`, run by both tree stores.
+TREE_RULES = (
+    "add_real", "new_helper", "set_root", "attach", "detach",
+    "replace_child", "splice", "transfer_role", "destroy_helper",
+    "remove_real", "_image_add", "_image_remove", "_inc_shift",
+    "_inc_enter", "_inc_leave", "bump_original_degree", "degree_increase",
+    "max_degree_increase", "real", "owner", "role_of", "helper_slots",
+    "helper_alive", "image_adjacency", "image_edges", "image_degree",
+    "iter_nodes", "check", "_check_counters", "render", "adopt",
+)
+
+#: Same-named methods under ``core/`` that are not tree rules: the will
+#: text's copy and check, the engine's public surface over the store.
+NOT_TREE_RULES = {
+    ("WillText", "adopt"), ("WillText", "check"), ("SlotTree", "check"),
+    ("FlatForgivingTree", "check"), ("FlatForgivingTree", "render"),
+    ("FlatForgivingTree", "degree_increase"),
+    ("FlatForgivingTree", "max_degree_increase"),
 }
 
 
@@ -292,6 +315,31 @@ class TestOneAlgorithmText:
                         assert isinstance(call, ast.Call), fn.name
                         assert ast.unparse(call.func) == f"self.store.{fn.name}", fn.name
                     elif (owner, fn.name) not in NOT_WILL_RULES:
+                        defs[fn.name].append(f"{path.name}:{fn.lineno}")
+        for name, sites in defs.items():
+            assert len(sites) == 1, f"{name} defined at {sites}"
+
+    def test_both_tree_stores_run_the_same_function_objects(self):
+        for name in TREE_RULES:
+            assert inspect.getattr_static(FlatCore, name) is inspect.getattr_static(
+                VirtualTree, name
+            ), name
+            assert name not in FlatCore.__dict__, name
+            assert name not in VirtualTree.__dict__, name
+
+    def test_each_tree_rule_is_defined_once_under_core(self):
+        defs = {name: [] for name in TREE_RULES}
+        for path in sorted((self.SRC / "core").glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for cls in ast.walk(tree):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                for fn in cls.body:
+                    if (
+                        isinstance(fn, ast.FunctionDef)
+                        and fn.name in defs
+                        and (cls.name, fn.name) not in NOT_TREE_RULES
+                    ):
                         defs[fn.name].append(f"{path.name}:{fn.lineno}")
         for name, sites in defs.items():
             assert len(sites) == 1, f"{name} defined at {sites}"
@@ -378,6 +426,24 @@ class TestStrictWillCheck:
             engine.check()
 
 
+class TestStrictRoleCheck:
+    """``check()`` reads the role map both ways: a role-free real made to
+    claim a live helper it does not simulate passes the helper ->
+    simulator direction, and only the reverse reading catches it."""
+
+    @pytest.mark.parametrize("engine_cls", [ForgivingTree, FlatForgivingTree])
+    def test_a_stale_role_entry_raises(self, engine_cls):
+        engine = engine_cls(generators.random_tree(60, 2))
+        for nid in random.Random(1).sample(sorted(engine.alive), 20):
+            engine.delete(nid)
+        engine.check()
+        store = engine._c
+        free = next(n for n in sorted(engine.alive) if store.role_of(n) == NIL)
+        store.role[store.real(free)] = store.helper_slots()[0]
+        with pytest.raises(InvariantViolationError, match="vt-role-map"):
+            engine.check()
+
+
 class TestFreeListRecycling:
     """Slot reuse keeps the arena bounded; identities never leak."""
 
@@ -412,7 +478,8 @@ class TestFreeListRecycling:
                 next_id += 1
             else:
                 flat.delete(rng.choice(alive))
-            hids = [h.hid for h in flat.virtual_tree().helpers()]
+            vt = flat.virtual_tree()
+            hids = [vt.ident[h] for h in vt.helper_slots()]
             assert len(hids) == len(set(hids))
             # A freed helper identity never comes back: new helpers
             # always take fresh (higher) ids.

@@ -46,7 +46,8 @@ def test_binary_campaign_invariants(n, tree_seed, order_seed):
     branching=st.integers(3, 6),
 )
 def test_generalized_campaign_invariants(n, tree_seed, order_seed, branching):
-    """The α-extension within its validated envelope (DESIGN.md §5)."""
+    """The α-extension within its validated envelope (see
+    ``repro.extensions.alpha_tree``)."""
     tree = generators.random_tree(n, tree_seed)
     ft = ForgivingTree(tree, strict=True, branching=branching)
     order = sorted(tree)
