@@ -19,7 +19,9 @@ Four layers, mirroring the subsystem's structure:
   message tallies across randomized mixed campaigns.
 """
 
+import json
 import math
+import os
 import random
 
 import pytest
@@ -56,6 +58,7 @@ from repro.fgraph import (
 from repro.graphs import generators
 from repro.graphs.adjacency import bfs_distances, edges as edge_set, is_connected
 from repro.harness import churn_duel, run_campaign, run_churn_campaign
+from tests import fgraph_report_pins
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -516,6 +519,22 @@ class TestDistributedParity:
         assert len(dist) == 4 and 1 in dist and 2 not in dist
         with pytest.raises(NodeNotFoundError):
             dist.delete(2)
+
+
+# ---------------------------------------------------------------------------
+# frozen report streams
+# ---------------------------------------------------------------------------
+PINS_PATH = os.path.join(os.path.dirname(__file__), "data", "fgraph_report_pins.json")
+
+
+class TestReportPins:
+    """Every report, tally and final image equals the one recorded before
+    the engine built its trees in one pass (see ``tests/fgraph_report_pins.py``)."""
+
+    def test_reports_match_the_recorded_streams(self):
+        with open(PINS_PATH) as fh:
+            pinned = json.load(fh)
+        assert fgraph_report_pins.observe() == pinned
 
 
 # ---------------------------------------------------------------------------
