@@ -42,6 +42,8 @@ member.  Tests cross-check the tallies node-for-node.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import starmap
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..core.errors import (
@@ -65,6 +67,8 @@ from ..core.flat import AliveView
 from ..graphs.adjacency import Graph, copy as copy_graph, from_adjacency
 from ..guarantees import degree_increase_bound
 from .rtree import ReconstructionTree
+
+Edge = Tuple[int, int]
 
 
 class ForgivingGraph:
@@ -96,27 +100,29 @@ class ForgivingGraph:
         for u, vs in self._ideal.items():
             for v in vs:
                 if u < v:
-                    self._bump(u, v, +1)
+                    self._img[u][v] = self._img[v][u] = 1
+        # Degree increase -> number of live nodes at it; the max is
+        # repaired lazily, as the Forgiving Tree's multiset does.
+        self._inc: Dict[int, int] = dict(
+            Counter(len(self._img[n]) - len(self._ideal[n]) for n in self._alive)
+        )
+        self._inc_max, self._inc_dirty = max(self._inc), False
         self.rounds = 0
 
     # ------------------------------------------------------------------
-    # image multiset (edge -> number of contributing structures)
+    # image multiset (edge -> number of contributing structures) and the
+    # degree-increase histogram
     # ------------------------------------------------------------------
-    def _bump(self, u: int, v: int, delta: int) -> bool:
-        """Adjust one edge's contribution count; True on a 0-transition."""
-        if u == v:
-            return False
-        row = self._img[u]
-        count = row.get(v, 0) + delta
-        if count < 0:  # pragma: no cover - defensive
-            raise InvariantViolationError("fg-image", f"negative count {(u, v)}")
-        if count == 0:
-            row.pop(v, None)
-            self._img[v].pop(u, None)
+    def _inc_shift(self, val: int, k: int) -> None:
+        """Add ``k`` (+-1) live nodes at degree increase ``val``."""
+        c = self._inc.get(val, 0) + k
+        if c:
+            self._inc[val] = c
+            if val > self._inc_max:
+                self._inc_max = val
         else:
-            row[v] = count
-            self._img[v][u] = count
-        return (count == 0) if delta < 0 else (count == delta)
+            del self._inc[val]
+            self._inc_dirty |= val == self._inc_max
 
     # ------------------------------------------------------------------
     # queries
@@ -169,9 +175,13 @@ class ForgivingGraph:
         return len(self._img[nid]) - len(self._ideal[nid])
 
     def max_degree_increase(self) -> int:
-        if not self._alive:
+        """Max degree increase over survivors, O(1) amortized."""
+        if not self._inc:
             return 0
-        return max(self.degree_increase(n) for n in self._alive)
+        if self._inc_dirty:
+            self._inc_max = max(self._inc)
+            self._inc_dirty = False
+        return self._inc_max
 
     def weight_of(self, nid: int) -> int:
         """Current insertion-subtree weight of ``nid``."""
@@ -199,14 +209,12 @@ class ForgivingGraph:
         tally: Dict[int, int] = {}
 
         img_nbrs = sorted(self._img[nid])
-        direct_alive = sorted(
-            u for u in self._ideal[nid] if u in self._alive
-        )
+        direct_alive = sorted(u for u in self._ideal[nid] if u in self._alive)
         coordinator = min(img_nbrs) if img_nbrs else None
         haft_ids = sorted(
             {self._haft_of[m] for m in (nid, *direct_alive) if m in self._haft_of}
         )
-        old_hafts = [self._hafts[h] for h in haft_ids]
+        old_hafts = [self._hafts.pop(h) for h in haft_ids]
 
         # -- counted flow: Deleted fan-out, reports in, portions out ----
         if img_nbrs:
@@ -223,49 +231,34 @@ class ForgivingGraph:
             refresh={u: self._jw[u] for u in img_nbrs},
         )
 
-        # -- retire the old structures ----------------------------------
-        removed: List[Tuple[int, int]] = []
-        added: List[Tuple[int, int]] = []
-        for u in direct_alive:
-            if self._bump(nid, u, -1):
-                removed.append(edge_key(nid, u))
+        # -- swap the old structures for the freshly balanced RT ---------
+        new_haft = ReconstructionTree.build(leaves) if len(leaves) >= 2 else None
+        retire = {edge_key(nid, u): 1 for u in direct_alive}
         for haft in old_hafts:
-            for a, b in sorted(haft.image_edges()):
-                if self._bump(a, b, -1):
-                    removed.append(edge_key(a, b))
-            for sim in sorted(haft.helper_links):
-                events.append(HelperDestroyed(sim=sim, helper_id=sim))
-        if self._img[nid]:  # pragma: no cover - defensive
-            raise InvariantViolationError(
-                "fg-image", f"victim {nid} still claims {sorted(self._img[nid])}"
+            events.extend(
+                HelperDestroyed(sim=s, helper_id=s) for s in sorted(haft.helper_links)
             )
-        del self._img[nid]
-        for hid in haft_ids:
-            for m in self._hafts[hid].members:
-                self._haft_of.pop(m, None)
-            del self._hafts[hid]
-
-        # -- deploy the freshly balanced RT -----------------------------
-        new_haft: Optional[ReconstructionTree] = None
-        if len(leaves) >= 2:
-            new_haft = ReconstructionTree.build(leaves)
-            hid = self._next_haft
+            for e in haft.image:
+                retire[e] = retire.get(e, 0) + 1
+            for m in haft.weight:
+                del self._haft_of[m]
+        gain = new_haft.image if new_haft is not None else set()
+        removed, added = self._swap_image(nid, retire, gain)
+        if new_haft is not None:
+            self._hafts[self._next_haft] = new_haft
+            self._haft_of.update(dict.fromkeys(new_haft.weight, self._next_haft))
             self._next_haft += 1
-            self._hafts[hid] = new_haft
-            for m in new_haft.members:
-                self._haft_of[m] = hid
-            for a, b in sorted(new_haft.image_edges()):
-                if self._bump(a, b, +1):
-                    added.append(edge_key(a, b))
-            for sim in sorted(new_haft.helper_links):
-                events.append(HelperCreated(sim=sim, helper_id=sim, ready_heir=False))
-            if coordinator not in new_haft.members:
+            events.extend(
+                HelperCreated(sim=s, helper_id=s, ready_heir=False)
+                for s in sorted(new_haft.helper_links)
+            )
+            if coordinator not in new_haft.weight:
                 raise InvariantViolationError(
                     "fg-coordinator",
                     f"coordinator {coordinator} outside the rebuilt haft",
                 )
-            tally[coordinator] = tally.get(coordinator, 0) + len(new_haft.members) - 1
-            for m in sorted(new_haft.members):
+            tally[coordinator] = tally.get(coordinator, 0) + len(new_haft.weight) - 1
+            for m in sorted(new_haft.weight):
                 if m != coordinator:
                     events.append(WillPortionSent(owner=coordinator, recipient=m))
 
@@ -278,8 +271,8 @@ class ForgivingGraph:
             if child in self._alive:
                 self._ins_parent[child] = None
 
-        events.extend(EdgeRemoved(u, v) for u, v in sorted(removed))
-        events.extend(EdgeAdded(u, v) for u, v in sorted(added))
+        events.extend(starmap(EdgeRemoved, sorted(removed)))
+        events.extend(starmap(EdgeAdded, sorted(added)))
         report = HealReport(
             deleted=nid,
             was_internal=bool(old_hafts) or new_haft is not None,
@@ -291,6 +284,49 @@ class ForgivingGraph:
         if self.strict:
             self.check()
         return report
+
+    def _swap_image(
+        self, nid: int, retire: Dict[Edge, int], gain: Set[Edge]
+    ) -> Tuple[List[Edge], List[Edge]]:
+        """Apply one haft swap to the image as one multiset diff: ``retire``
+        counts what leaves (the victim's direct edges, the old hafts'
+        images), ``gain`` is the new haft's image.
+
+        Returns the edges whose count reached 0 and the edges whose count
+        left 0, as retiring everything and then deploying would: an edge
+        the new haft keeps is in both lists.  Keeps the degree-increase
+        histogram: the victim leaves it, each endpoint of an edge that
+        appears or vanishes for good moves by one.
+        """
+        img, ideal = self._img, self._ideal
+        self._inc_shift(len(img[nid]) - len(ideal[nid]), -1)
+        removed: List[Edge] = []
+        added: List[Edge] = []
+        moved: Dict[int, int] = {}
+        for e in retire.keys() | gain:
+            a, b = e
+            c, m = img[a].get(b, 0), retire.get(e, 0)
+            count = c - m + (e in gain)
+            if c == m:  # the count passes through 0
+                if m:
+                    removed.append(e)
+                if count:
+                    added.append(e)
+                if not (m and count):  # the edge vanished or appeared
+                    for x in e:
+                        moved[x] = moved.get(x, 0) + (1 if count else -1)
+            if count:
+                img[a][b] = img[b][a] = count
+            else:
+                del img[a][b], img[b][a]
+        if img.pop(nid):  # pragma: no cover - defensive
+            raise InvariantViolationError("fg-image", f"victim {nid} keeps edges")
+        for x, dx in moved.items():
+            if dx and x != nid:
+                now = len(img[x]) - len(ideal[x])
+                self._inc_shift(now - dx, -1)
+                self._inc_shift(now, +1)
+        return removed, added
 
     # ------------------------------------------------------------------
     # healing: insertion
@@ -306,8 +342,9 @@ class ForgivingGraph:
         self._alive.add(nid)
         self._ideal[nid] = {attach_to}
         self._ideal[attach_to].add(nid)
-        self._img[nid] = {}
-        self._bump(nid, attach_to, +1)
+        self._img[nid] = {attach_to: 1}
+        self._img[attach_to][nid] = 1
+        self._inc_shift(0, +1)  # attach_to gains one ideal and one image edge: net 0
         self._jw[nid] = 1
         self._ins_parent[nid] = attach_to
         self._ins_children.setdefault(attach_to, set()).add(nid)
@@ -391,13 +428,19 @@ class ForgivingGraph:
                 "fg-image",
                 f"multiset drift: {sorted(set(stored) ^ set(fresh))[:6]}",
             )
-        # The paper's Theorem: additive degree increase bounded by 3.
+        # The paper's Theorem: additive degree increase bounded by 3; the
+        # kept histogram and its max match a recount.
         bound = degree_increase_bound()
+        hist: Dict[int, int] = {}
         for n in self._alive:
-            if self.degree_increase(n) > bound:
-                raise InvariantViolationError(
-                    "fg-degree", f"node {n} increase {self.degree_increase(n)}"
-                )
+            inc = self.degree_increase(n)
+            if inc > bound:
+                raise InvariantViolationError("fg-degree", f"node {n} increase {inc}")
+            hist[inc] = hist.get(inc, 0) + 1
+        if hist != self._inc:
+            raise InvariantViolationError("fg-inc-histogram", "histogram diverged")
+        if hist and self.max_degree_increase() != max(hist):
+            raise InvariantViolationError("fg-inc-max", "stale maximum")
         # Weights are consistent with the insertion forest.
         for n, p in self._ins_parent.items():
             if p is not None and p not in self._alive:

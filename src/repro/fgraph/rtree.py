@@ -13,13 +13,14 @@ property the paper's *half-full trees* exist to provide.
 This module realizes the guarantee constructively.  :func:`target_depths`
 computes the Kraft-feasible depth ``d(w) = ceil(log2(W / w))`` per leaf
 (``sum 2^-d <= 1``), and :meth:`ReconstructionTree.build` assembles the
-canonical code tree for those depths, then path-compresses single-child
-chains so every internal node has exactly two children (depths only
-shrink, keeping the bound).  The result is the *freshly balanced* RT the
-engine deploys on every deletion; :meth:`ReconstructionTree.merged_leaves`
-is the merge/split primitive that folds the leaf manifests of every haft
-adjacent to a failure — minus the victim's port, plus the victim's
-surviving direct neighbors — into the leaf list of the next build.
+path-compressed canonical code tree for those depths — every internal
+node has exactly two children and depths only shrink, keeping the bound
+— in one stack pass over the codes' common-prefix lengths.  The result
+is the *freshly balanced* RT the engine deploys on every deletion;
+:meth:`ReconstructionTree.merged_leaves` is the merge/split primitive
+that folds the leaf manifests of every haft adjacent to a failure —
+minus the victim's port, plus the victim's surviving direct neighbors —
+into the leaf list of the next build.
 
 Simulation assignment (who *runs* each virtual node) follows the
 Forgiving Tree's discipline: each internal helper is simulated by its
@@ -34,7 +35,7 @@ degree-increase bound of 3 structurally; see ``docs/FORGIVING_GRAPH.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.errors import InvariantViolationError
@@ -53,10 +54,7 @@ def leaf_depth(weight: int, total: int) -> int:
     """``ceil(log2(total / weight))`` in exact integer arithmetic."""
     if weight < 1:
         raise ValueError("leaf weights must be >= 1")
-    d = 0
-    while (weight << d) < total:
-        d += 1
-    return d
+    return (-(-total // weight) - 1).bit_length()
 
 
 def target_depths(weighted: Sequence[Tuple[int, int]]) -> Dict[int, int]:
@@ -101,20 +99,13 @@ def fold_manifests(
     return sorted(merged.items())
 
 
-@dataclass
-class _TrieNode:
-    """Build-time node: a leaf (``member`` set) or an internal (children)."""
-
-    member: Optional[int] = None
-    children: Dict[int, "_TrieNode"] = field(default_factory=dict)
-
-
 class ReconstructionTree:
     """A deployed weight-balanced RT over the ports of one healed region.
 
     Instances are immutable once built; the engine replaces whole trees
     (merge + fresh build) rather than editing them in place — the
-    "freshly balanced RT" reading of the 2009 healing step.
+    "freshly balanced RT" reading of the 2009 healing step.  Build them
+    with :meth:`build`, which also records the image the links imply.
 
     Attributes
     ----------
@@ -129,7 +120,12 @@ class ReconstructionTree:
         for every helper, keyed by the real node simulating it.
     root_sim:
         The simulator of the RT root helper.
+    image:
+        The canonical image edges this haft contributes (read it, never
+        mutate it; :meth:`image_edges` is a copy).
     """
+
+    image: Set[Tuple[int, int]]
 
     def __init__(
         self,
@@ -144,7 +140,6 @@ class ReconstructionTree:
         self.port_parent = port_parent
         self.helper_links = helper_links
         self.root_sim = root_sim
-        self._image: Set[Tuple[int, int]] = self._derive_image()
 
     # ------------------------------------------------------------------
     # construction
@@ -158,86 +153,71 @@ class ReconstructionTree:
         distributed coordinator arrive at the identical tree from the
         same manifests.  Requires at least two leaves — the engine
         resolves 0/1-leaf regions without deploying any helpers.
+
+        The path-compressed trie of the canonical codes for the target
+        depths is the Cartesian tree of the adjacent codes' common-prefix
+        lengths: internal node ``k`` is where leaf ``k`` and leaf
+        ``k + 1`` branch, and the shallowest branch point of a range is
+        its root.  One stack pass links it, and one walk from the root
+        records depths, port parents, helper links and image edges.
+        Internal ``k``'s in-order predecessor is leaf ``k``, which
+        therefore simulates it.
         """
-        leaves = sorted({int(n): int(w) for n, w in weighted}.items())
-        if len(leaves) < 2:
+        weight = dict(sorted({int(n): int(w) for n, w in weighted}.items()))
+        if len(weight) < 2:
             raise ValueError("an RT needs at least two leaves")
-        total = sum(w for _, w in leaves)
-        depths = {n: leaf_depth(w, total) for n, w in leaves}
-        order = sorted(leaves, key=lambda item: (depths[item[0]], item[0]))
+        total = sum(weight.values())
+        order = sorted(zip(map(leaf_depth, weight.values(), repeat(total)), weight))
+        ids = [nid for _, nid in order]
+        n = len(ids) - 1
 
-        # Canonical prefix codes for the target depths (Kraft-feasible).
-        root = _TrieNode()
+        # lcp[k]: trie depth at which the codes of leaves k and k+1 branch.
+        # Code k+1 is (code k + 1) shifted left, so the two agree on every
+        # bit above the lowest 0 of code k.
+        lcp: List[int] = []
         code = 0
-        prev_d = depths[order[0][0]]
-        for i, (nid, _w) in enumerate(order):
-            d = depths[nid]
-            if i > 0:
-                code = (code + 1) << (d - prev_d)
-            if code >> d:  # pragma: no cover - Kraft guarantees feasibility
-                raise InvariantViolationError("rt-kraft", f"code overflow at {nid}")
-            node = root
-            for bit_pos in range(d - 1, -1, -1):
-                bit = (code >> bit_pos) & 1
-                node = node.children.setdefault(bit, _TrieNode())
-            node.member = nid
-            prev_d = d
+        for k in range(n):
+            d = order[k][0]
+            lcp.append(d - (code ^ (code + 1)).bit_length())
+            code = (code + 1) << (order[k + 1][0] - d)
+        if code >> order[-1][0]:  # pragma: no cover - Kraft guarantees feasibility
+            raise InvariantViolationError("rt-kraft", f"code overflow at {ids[-1]}")
 
-        compressed = cls._compress(root)
-        return cls._from_trie(compressed, dict(leaves))
+        # Children as indices into ids: internal c >= 0, leaf j as ~j.
+        left = [~k for k in range(n)]
+        right = [~(k + 1) for k in range(n)]
+        stack: List[int] = []
+        for k in range(n):
+            while stack and lcp[stack[-1]] > lcp[k]:
+                left[k] = stack.pop()
+            if stack:
+                right[stack[-1]] = k
+            stack.append(k)
 
-    @staticmethod
-    def _compress(node: _TrieNode) -> _TrieNode:
-        """Splice out single-child internals (Kraft slack); depths shrink."""
-        if node.member is not None:
-            return node
-        kids = [
-            ReconstructionTree._compress(node.children[bit])
-            for bit in sorted(node.children)
-        ]
-        if len(kids) == 1:
-            return kids[0]
-        node.children = {0: kids[0], 1: kids[1]}
-        return node
-
-    @classmethod
-    def _from_trie(
-        cls, root: _TrieNode, weight: Dict[int, int]
-    ) -> "ReconstructionTree":
         depth: Dict[int, int] = {}
         port_parent: Dict[int, int] = {}
-        helper_links: Dict[int, Tuple[Optional[Ref], Ref, Ref]] = {}
-
-        def rightmost(node: _TrieNode) -> int:
-            while node.member is None:
-                node = node.children[1]
-            return node.member
-
-        def assign(node: _TrieNode, d: int) -> Ref:
-            """Post-order: record depths, assign sims, return this ref."""
-            if node.member is not None:
-                depth[node.member] = d
-                return (node.member, REAL)
-            sim = rightmost(node.children[0])  # in-order predecessor leaf
-            left = assign(node.children[0], d + 1)
-            right = assign(node.children[1], d + 1)
-            for ref in (left, right):
-                if ref[1] == REAL:
-                    port_parent[ref[0]] = sim
-            helper_links[sim] = (None, left, right)
-            return (sim, HELPER)
-
-        root_ref = assign(root, 0)
-        if root_ref[1] != HELPER:  # pragma: no cover - len >= 2 guarantees
-            raise InvariantViolationError("rt-root", "root is not a helper")
-        # Thread parent refs now that every helper knows its children.
-        for sim, (_par, left, right) in list(helper_links.items()):
-            for ref in (left, right):
-                if ref[1] == HELPER:
-                    child_sim = ref[0]
-                    par, lc, rc = helper_links[child_sim]
-                    helper_links[child_sim] = ((sim, HELPER), lc, rc)
-        return cls(weight, depth, port_parent, helper_links, root_ref[0])
+        links: Dict[int, Tuple[Optional[Ref], Ref, Ref]] = {}
+        image: Set[Tuple[int, int]] = set()
+        walk: List[Tuple[int, Optional[Ref], int]] = [(stack[0], None, 0)]
+        while walk:
+            k, par, d = walk.pop()
+            sim = ids[k]
+            refs: List[Ref] = []
+            for c in (left[k], right[k]):
+                if c < 0:
+                    other = ids[~c]
+                    port_parent[other], depth[other] = sim, d + 1
+                    refs.append((other, REAL))
+                else:
+                    other = ids[c]
+                    walk.append((c, (sim, HELPER), d + 1))
+                    refs.append((other, HELPER))
+                if other != sim:
+                    image.add((sim, other) if sim < other else (other, sim))
+            links[sim] = (par, refs[0], refs[1])
+        tree = cls(weight, depth, port_parent, links, ids[stack[0]])
+        tree.image = image
+        return tree
 
     # ------------------------------------------------------------------
     # merge/split: the leaf-manifest algebra of a healing round
@@ -280,17 +260,7 @@ class ReconstructionTree:
     def image_edges(self) -> Set[Tuple[int, int]]:
         """Canonical image edges this haft contributes (self-loops from a
         node simulating its own port's parent collapse away)."""
-        return set(self._image)
-
-    def _derive_image(self) -> Set[Tuple[int, int]]:
-        out: Set[Tuple[int, int]] = set()
-        for sim, (par, left, right) in self.helper_links.items():
-            for ref in (left, right):
-                if ref[0] != sim:
-                    out.add(edge_key(sim, ref[0]))
-            if par is not None and par[0] != sim:
-                out.add(edge_key(sim, par[0]))
-        return out
+        return set(self.image)
 
     # ------------------------------------------------------------------
     # validation
@@ -342,6 +312,14 @@ class ReconstructionTree:
             raise InvariantViolationError("rt-root", f"{root_seen} roots")
         if any(c != 2 for c in child_count.values()):
             raise InvariantViolationError("rt-arity", "helper without two children")
+        image = {
+            edge_key(sim, ref[0])
+            for sim, (_par, left, right) in self.helper_links.items()
+            for ref in (left, right)
+            if ref[0] != sim
+        }
+        if image != self.image:
+            raise InvariantViolationError("rt-image", "image differs from the links")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

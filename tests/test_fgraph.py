@@ -1,11 +1,12 @@
 """The Forgiving Graph subsystem test wall.
 
-Four layers, mirroring the subsystem's structure:
+Four layers, mirroring the subsystem's structure, and frozen streams:
 
 * **ReconstructionTree** — the half-full build: the
   ``depth <= ceil(log2(W/w))`` guarantee, full-binary shape, injective
   in-order-predecessor simulator assignment, merge/split manifest
-  algebra (property-tested over arbitrary weight profiles).
+  algebra (property-tested over arbitrary weight profiles), and every
+  field equal to the trie construction kept here as ``reference_build``.
 * **ForgivingGraph engine** — the paper's two theorems pinned per round
   over seeded churn traces and arbitrary Hypothesis interleavings:
   additive degree increase <= 3, empirical stretch within the
@@ -17,6 +18,9 @@ Four layers, mirroring the subsystem's structure:
 * **Sequential-vs-distributed parity** — the counted-message runtime
   produces byte-identical image graphs and *node-for-node* identical
   message tallies across randomized mixed campaigns.
+* **Report pins** — every report, tally and final image of four
+  campaigns equals the stream recorded in
+  ``tests/data/fgraph_report_pins.json``.
 """
 
 import json
@@ -61,13 +65,96 @@ from repro.harness import churn_duel, run_campaign, run_churn_campaign
 from tests import fgraph_report_pins
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
 # ReconstructionTree
 # ---------------------------------------------------------------------------
+def reference_build(weighted):
+    """Oracle: the canonical codes inserted bit by bit into a trie, single-child
+    internals spliced out, each helper run by its in-order predecessor leaf."""
+    leaves = sorted(dict(weighted).items())
+    total = sum(w for _, w in leaves)
+    order = sorted((leaf_depth(w, total), nid) for nid, w in leaves)
+    root, code = {}, 0
+    for i, (d, nid) in enumerate(order):
+        if i:
+            code = (code + 1) << (d - order[i - 1][0])
+        node = root
+        for pos in range(d - 1, -1, -1):
+            node = node.setdefault((code >> pos) & 1, {})
+        node["leaf"] = nid
+
+    def compress(node):
+        if "leaf" in node:
+            return node
+        kids = [compress(node[bit]) for bit in sorted(node)]
+        return kids[0] if len(kids) == 1 else {0: kids[0], 1: kids[1]}
+    depth, port_parent, links = {}, {}, {}
+
+    def assign(node, d, par):
+        if "leaf" in node:
+            depth[node["leaf"]], port_parent[node["leaf"]] = d, par[0]
+            return (node["leaf"], "real")
+        pred = node[0]
+        while "leaf" not in pred:
+            pred = pred[1]
+        sim = pred["leaf"]
+        me = (sim, "helper")
+        links[sim] = (par, assign(node[0], d + 1, me), assign(node[1], d + 1, me))
+        return me
+    root_sim = assign(compress(root), 0, None)[0]
+    image = {
+        tuple(sorted((sim, ref[0])))
+        for sim, refs in links.items() for ref in refs if ref and ref[0] != sim
+    }
+    return dict(leaves), depth, port_parent, links, root_sim, image
+
+
+def _leaf_weights():
+    """Weight profiles: arbitrary, many equal, one dominant, powers of two."""
+    n = st.integers(min_value=2, max_value=400)
+    return st.one_of(
+        st.lists(st.integers(1, 10**6), min_size=2, max_size=400),
+        n.flatmap(
+            lambda k: st.lists(st.sampled_from([1, 2, 3]), min_size=k, max_size=k)
+        ),
+        st.builds(
+            lambda big, rest: [big] + rest,
+            st.integers(10**4, 10**6),
+            st.lists(st.integers(1, 4), min_size=1, max_size=399),
+        ),
+        st.lists(st.integers(0, 19).map(lambda e: 2**e), min_size=2, max_size=400),
+    )
+
+
 class TestReconstructionTree:
+    @settings(max_examples=examples(60), deadline=None)
+    @given(weights=_leaf_weights(), seed=st.integers(0, 2**16))
+    @example(weights=[1, 1], seed=0)
+    @example(weights=[10**6] + [1] * 399, seed=1)
+    def test_build_equals_the_trie_reference(self, weights, seed):
+        ids = random.Random(seed).sample(range(10**6), len(weights))
+        leaves = list(zip(ids, weights))
+        rt = ReconstructionTree.build(leaves)
+        got = (
+            rt.weight, rt.depth, rt.port_parent, rt.helper_links, rt.root_sim,
+            rt.image_edges(),
+        )
+        assert got == reference_build(leaves)
+
+    def test_leaf_depth_is_the_old_loop_in_closed_form(self):
+        def loop(weight, total):
+            d = 0
+            while (weight << d) < total:
+                d += 1
+            return d
+
+        for total in range(1, 2049):
+            ws = range(1, total + 1)
+            assert [leaf_depth(w, total) for w in ws] == [loop(w, total) for w in ws]
+
     def test_two_leaves(self):
         rt = ReconstructionTree.build([(5, 1), (9, 1)])
         rt.check()
@@ -556,6 +643,10 @@ class TestSurfaceAndValidators:
         rt.depth[2] = 99
         with pytest.raises(InvariantViolationError):
             rt.check()
+        rt = ReconstructionTree.build([(1, 1), (2, 1), (3, 1)])
+        rt.image.add((1, 99))  # an image edge no link implies
+        with pytest.raises(InvariantViolationError, match="image"):
+            rt.check()
 
     def test_engine_accessors(self):
         engine = ForgivingGraph(generators.path(4))
@@ -575,6 +666,16 @@ class TestSurfaceAndValidators:
         engine._img[0][4] = 1  # corrupt the image multiset
         engine._img[4][0] = 1
         with pytest.raises(InvariantViolationError):
+            engine.check()
+        engine = ForgivingGraph(generators.path(5))
+        engine.delete(2)
+        engine.check()
+        engine._inc[5] = 1  # corrupt the degree-increase histogram
+        with pytest.raises(InvariantViolationError, match="histogram"):
+            engine.check()
+        del engine._inc[5]
+        engine._inc_max = 7  # a stale maximum that claims to be fresh
+        with pytest.raises(InvariantViolationError, match="stale"):
             engine.check()
 
     def test_empty_initial_graphs_are_rejected(self):
