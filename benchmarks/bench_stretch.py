@@ -6,7 +6,7 @@ This bench races the three healer families over identical churn streams
 and records the per-round stretch trajectory (``RoundRecord.stretch``,
 measured by the incremental engine by default):
 
-* **forgiving-graph** — weight-balanced RT healing: degree increase
+* **forgiving-graph** — half-full RT healing: degree increase
   <= 3 *and* stretch inside the ``2 log2 n + 2`` envelope;
 * **forgiving-tree** — spanning-tree wills: same degree bound, but the
   stretch rides the O(log Δ)-per-deletion diameter envelope instead;

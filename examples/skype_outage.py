@@ -18,7 +18,7 @@ healers via the trace-replay adversary — the Forgiving Tree absorbs the
 storm end to end.
 
 Act three brings in the 2009 algorithm: the **Forgiving Graph** healer
-(weight-balanced reconstruction trees, `repro.fgraph`) rides the same
+(half-full reconstruction trees, `repro.fgraph`) rides the same
 trace and is scored on the 2009 paper's metric — per-pair *stretch*
 against the ideal graph.  The FT has no per-pair guarantee at all (its
 theorem bounds only the diameter); the FG certifies every surviving
@@ -96,7 +96,7 @@ def forgiving_graph_act() -> None:
     overlay, trace = synthetic_skype_outage()
     print(
         "\nact three — the Forgiving Graph (PODC 2009) on the same trace:"
-        "\nweight-balanced reconstruction trees heal whole dead regions,"
+        "\nhalf-full reconstruction trees heal whole dead regions,"
         "\nbounding every surviving pair's *stretch*, not just the diameter.\n"
     )
     # One campaign per healer; each run yields both the metrics and the

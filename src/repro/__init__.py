@@ -33,7 +33,7 @@ Public entry points
     campaigns (see docs/CHURN.md).
 :mod:`repro.fgraph`
     The Forgiving Graph healing structure itself (PODC 2009):
-    weight-balanced reconstruction trees over subtree weights for
+    half-full reconstruction trees, merged like binary numbers, for
     degree increase <= 3 *and* O(log n) stretch on general graphs under
     churn, sequential + counted-message distributed runtimes (see
     docs/FORGIVING_GRAPH.md).

@@ -3,9 +3,9 @@
 Implements the PODC 2009 healing algorithm over general connected graphs
 under arbitrary insert/delete churn.  The healed network is the *image*
 of an endpoint graph containing real nodes plus the virtual helpers of
-deployed :class:`~repro.fgraph.rtree.ReconstructionTree`\\ s; every helper
-is simulated by a member of its own haft, and the image maps each helper
-onto its simulator.
+deployed :class:`~repro.fgraph.rtree.ReconstructionTree` hafts; every
+helper is simulated by a member of its own haft, and the image maps each
+helper onto its simulator.
 
 Structure invariants (each checked by :meth:`ForgivingGraph.check`):
 
@@ -13,8 +13,7 @@ Structure invariants (each checked by :meth:`ForgivingGraph.check`):
   connected set of deleted nodes is healed by a single haft whose leaves
   are the region's surviving neighbors.  When a deletion would give a
   node a second port — or joins two regions — the adjacent hafts are
-  *merged* into the next build, so every real node is a leaf of at most
-  one haft at any time.
+  *merged*, so every real node is a leaf of at most one haft at any time.
 * **One helper per node.**  Within a haft, helpers are simulated by
   their in-order predecessor leaves (injective); with at most one haft
   per node, each real node simulates at most one helper *globally*.
@@ -23,15 +22,16 @@ Structure invariants (each checked by :meth:`ForgivingGraph.check`):
   three endpoint edges, so every node's image degree exceeds its ideal
   degree by at most 3 — the Forgiving Tree's bound, now under churn on
   general graphs.
-* **Depth <= ceil(log2(W/w)) per port**, by the RT construction, which
-  is what bounds the stretch at O(log n): a healed path crosses each
-  dead region in at most ``2 log2 n + 2`` hops.
+* **Depth <= floor(log2 L) + 1 per port** in an ``L``-leaf haft, by the
+  haft's shape, which is what bounds the stretch at O(log n): a healed
+  path crosses each dead region in at most ``2 log2 n + 2`` hops.
 
-Weights are *insertion subtree sizes*: ``jw(x) = 1 +`` the number of
-nodes that joined (transitively) under ``x`` in the insertion forest.
-Every insert bumps the weights up the live chain of insertion parents —
-the counted ``FGWeightUpdate`` cascade in the distributed runtime — so a
-port that fronts a large joined population is rebuilt near the root.
+A deletion updates the hafts in place: the victim leaves its haft
+(:meth:`~repro.fgraph.rtree.ReconstructionTree.remove`), and the hafts
+of its surviving direct neighbors merge with one fresh leaf per portless
+neighbor (:meth:`~repro.fgraph.rtree.ReconstructionTree.merge`).  Both
+touch O(log L) helpers per haft, and only those helpers' links reach the
+image diff and the report.
 
 Message accounting is synthesized per round with the exact rules the
 distributed runtime (:mod:`repro.fgraph.distributed`) counts for real:
@@ -43,7 +43,7 @@ member.  Tests cross-check the tallies node-for-node.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import starmap
+from itertools import repeat, starmap
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..core.errors import (
@@ -66,7 +66,7 @@ from ..core.events import (
 from ..core.flat import AliveView
 from ..graphs.adjacency import Graph, copy as copy_graph, from_adjacency
 from ..guarantees import degree_increase_bound
-from .rtree import ReconstructionTree
+from .rtree import Journal, ReconstructionTree, link_edges
 
 Edge = Tuple[int, int]
 
@@ -90,9 +90,6 @@ class ForgivingGraph:
         if not self._ideal:
             raise NodeNotFoundError(-1, "empty initial graph")
         self._alive: Set[int] = set(self._ideal)
-        self._jw: Dict[int, int] = {n: 1 for n in self._ideal}
-        self._ins_parent: Dict[int, Optional[int]] = {n: None for n in self._ideal}
-        self._ins_children: Dict[int, Set[int]] = {}
         self._hafts: Dict[int, ReconstructionTree] = {}
         self._haft_of: Dict[int, int] = {}
         self._next_haft = 0
@@ -110,8 +107,8 @@ class ForgivingGraph:
         self.rounds = 0
 
     # ------------------------------------------------------------------
-    # image multiset (edge -> number of contributing structures) and the
-    # degree-increase histogram
+    # image multiset (edge -> its ideal edge + the helper links mapping
+    # onto it) and the degree-increase histogram
     # ------------------------------------------------------------------
     def _inc_shift(self, val: int, k: int) -> None:
         """Add ``k`` (+-1) live nodes at degree increase ``val``."""
@@ -183,10 +180,6 @@ class ForgivingGraph:
             self._inc_dirty = False
         return self._inc_max
 
-    def weight_of(self, nid: int) -> int:
-        """Current insertion-subtree weight of ``nid``."""
-        return self._jw[nid]
-
     def haft_of(self, nid: int) -> Optional[ReconstructionTree]:
         hid = self._haft_of.get(nid)
         return None if hid is None else self._hafts[hid]
@@ -199,83 +192,56 @@ class ForgivingGraph:
     # healing: deletion
     # ------------------------------------------------------------------
     def delete(self, nid: int) -> HealReport:
-        """The adversary deletes ``nid``; merge + rebuild the region RT."""
+        """The adversary deletes ``nid``; remove it from its haft and
+        merge the region's hafts."""
         if not self._alive:
             raise SimulationOverError("all nodes already deleted")
         if nid not in self._alive:
             raise NodeNotFoundError(nid, "delete")
         self.rounds += 1
-        events: List[object] = []
-        tally: Dict[int, int] = {}
-
         img_nbrs = sorted(self._img[nid])
-        direct_alive = sorted(u for u in self._ideal[nid] if u in self._alive)
-        coordinator = min(img_nbrs) if img_nbrs else None
-        haft_ids = sorted(
-            {self._haft_of[m] for m in (nid, *direct_alive) if m in self._haft_of}
-        )
-        old_hafts = [self._hafts.pop(h) for h in haft_ids]
-
+        coordinator = img_nbrs[0] if img_nbrs else None
         # -- counted flow: Deleted fan-out, reports in, portions out ----
+        tally: Dict[int, int] = {}
         if img_nbrs:
             tally[nid] = len(img_nbrs)
             for u in img_nbrs:
                 if u != coordinator:
-                    tally[u] = tally.get(u, 0) + 1
-
-        # -- merge manifests / split out the victim's port --------------
-        leaves = ReconstructionTree.merged_leaves(
-            old_hafts,
-            drop=(nid,),
-            fresh={u: self._jw[u] for u in direct_alive},
-            refresh={u: self._jw[u] for u in img_nbrs},
-        )
-
-        # -- swap the old structures for the freshly balanced RT ---------
-        new_haft = ReconstructionTree.build(leaves) if len(leaves) >= 2 else None
-        retire = {edge_key(nid, u): 1 for u in direct_alive}
-        for haft in old_hafts:
-            events.extend(
-                HelperDestroyed(sim=s, helper_id=s) for s in sorted(haft.helper_links)
-            )
-            for e in haft.image:
-                retire[e] = retire.get(e, 0) + 1
-            for m in haft.weight:
-                del self._haft_of[m]
-        gain = new_haft.image if new_haft is not None else set()
-        removed, added = self._swap_image(nid, retire, gain)
-        if new_haft is not None:
-            self._hafts[self._next_haft] = new_haft
-            self._haft_of.update(dict.fromkeys(new_haft.weight, self._next_haft))
-            self._next_haft += 1
-            events.extend(
-                HelperCreated(sim=s, helper_id=s, ready_heir=False)
-                for s in sorted(new_haft.helper_links)
-            )
-            if coordinator not in new_haft.weight:
+                    tally[u] = 1
+        internal, haft, changed, removed, added = self._heal(nid)
+        links = haft.helper_links if haft else {}
+        events: List[object] = [
+            HelperDestroyed(sim=s, helper_id=s) for s in changed if changed[s]
+        ]
+        events += [
+            HelperCreated(sim=s, helper_id=s, ready_heir=False)
+            for s in changed
+            if s in links
+        ]
+        relisted: Set[Edge] = set()
+        if haft is not None:
+            if coordinator not in haft.members:
                 raise InvariantViolationError(
                     "fg-coordinator",
-                    f"coordinator {coordinator} outside the rebuilt haft",
+                    f"coordinator {coordinator} outside the merged haft",
                 )
-            tally[coordinator] = tally.get(coordinator, 0) + len(new_haft.weight) - 1
-            for m in sorted(new_haft.weight):
-                if m != coordinator:
-                    events.append(WillPortionSent(owner=coordinator, recipient=m))
-
-        # -- bookkeeping -------------------------------------------------
-        self._alive.discard(nid)
-        parent = self._ins_parent.pop(nid, None)
-        if parent is not None:
-            self._ins_children.get(parent, set()).discard(nid)
-        for child in self._ins_children.pop(nid, set()):
-            if child in self._alive:
-                self._ins_parent[child] = None
-
-        events.extend(starmap(EdgeRemoved, sorted(removed)))
-        events.extend(starmap(EdgeAdded, sorted(added)))
+            tally[coordinator] = tally.get(coordinator, 0) + len(haft.members) - 1
+            recipients = sorted(haft.members - {coordinator})
+            events += map(WillPortionSent, repeat(coordinator), recipients)
+            # Every portion recipient is an endpoint of a touched edge:
+            # its port edge (or, collapsed, its helper's right link) is
+            # listed removed and re-added unless it really is new.
+            pp, new_edges = haft.port_parent, set(added)
+            for m in recipients:
+                p = pp[m] if pp[m] != m else links[m][2][0]
+                e = (m, p) if m < p else (p, m)
+                if e not in new_edges:
+                    relisted.add(e)
+        events += starmap(EdgeRemoved, sorted(relisted.union(removed)))
+        events += starmap(EdgeAdded, sorted(relisted.union(added)))
         report = HealReport(
             deleted=nid,
-            was_internal=bool(old_hafts) or new_haft is not None,
+            was_internal=internal,
             edges_added=frozenset(added),
             edges_removed=frozenset(removed),
             events=tuple(events),
@@ -285,36 +251,85 @@ class ForgivingGraph:
             self.check()
         return report
 
-    def _swap_image(
-        self, nid: int, retire: Dict[Edge, int], gain: Set[Edge]
-    ) -> Tuple[List[Edge], List[Edge]]:
-        """Apply one haft swap to the image as one multiset diff: ``retire``
-        counts what leaves (the victim's direct edges, the old hafts'
-        images), ``gain`` is the new haft's image.
+    def _heal(
+        self, nid: int
+    ) -> Tuple[bool, Optional[ReconstructionTree], Journal, List[Edge], List[Edge]]:
+        """The structural half of a deletion, O(log L + degree) amortized:
+        remove ``nid`` from its haft, merge the hafts of its surviving
+        direct neighbors with one fresh leaf per portless one, and swap
+        the changed helpers' links in the image.
 
-        Returns the edges whose count reached 0 and the edges whose count
-        left 0, as retiring everything and then deploying would: an edge
-        the new haft keeps is in both lists.  Keeps the degree-increase
-        histogram: the victim leaves it, each endpoint of an edge that
-        appears or vanishes for good moves by one.
+        Returns whether any haft took part or formed, the merged haft
+        (None if the region dissolved), the changed helpers' old links
+        (sorted by simulator; ``None``: no helper before), and the edges
+        removed from and added to the image.
+        """
+        direct_alive = sorted(u for u in self._ideal[nid] if u in self._alive)
+        haft_of = self._haft_of
+        popped = {
+            h: self._hafts.pop(h)
+            for h in {haft_of[m] for m in (nid, *direct_alive) if m in haft_of}
+        }
+        journal: Journal = {}
+        own = haft_of.pop(nid, None)
+        if own is not None:
+            popped[own].remove(nid, journal)
+        fresh = [u for u in direct_alive if u not in haft_of]
+        haft: Optional[ReconstructionTree] = ReconstructionTree.merge(
+            popped.values(), fresh, journal
+        )
+        if len(haft.members) >= 2:
+            hid = next((h for h, t in popped.items() if t is haft), None)
+            if hid is None:
+                hid, self._next_haft = self._next_haft, self._next_haft + 1
+            self._hafts[hid] = haft
+            for t in popped.values():
+                if t is not haft:
+                    haft_of.update(dict.fromkeys(t.members, hid))
+            haft_of.update(dict.fromkeys(fresh, hid))
+        else:  # 0 or 1 members: the region dissolves (heir promotion)
+            for m in haft.members:
+                haft_of.pop(m, None)
+            haft = None
+        links = haft.helper_links if haft else {}
+        changed = {
+            s: journal[s] for s in sorted(journal) if journal[s] != links.get(s)
+        }
+        retire = {edge_key(nid, u): 1 for u in direct_alive}
+        gain: Dict[Edge, int] = {}
+        for s, old in changed.items():
+            for acc, helper in ((retire, old), (gain, links.get(s))):
+                for e in link_edges(s, helper):
+                    acc[e] = acc.get(e, 0) + 1
+        removed, added = self._swap_image(nid, retire, gain)
+        self._alive.discard(nid)
+        return bool(popped) or haft is not None, haft, changed, removed, added
+
+    def _swap_image(
+        self, nid: int, retire: Dict[Edge, int], gain: Dict[Edge, int]
+    ) -> Tuple[List[Edge], List[Edge]]:
+        """Apply one heal to the image as one multiset diff: ``retire``
+        counts what leaves (the victim's direct edges, the changed
+        helpers' old links), ``gain`` what arrives (their new links).
+
+        Returns the edges whose count fell to 0 and the edges whose count
+        rose from 0.  Keeps the degree-increase histogram: the victim
+        leaves it, each endpoint of an edge that appears or vanishes moves
+        by one.
         """
         img, ideal = self._img, self._ideal
         self._inc_shift(len(img[nid]) - len(ideal[nid]), -1)
         removed: List[Edge] = []
         added: List[Edge] = []
         moved: Dict[int, int] = {}
-        for e in retire.keys() | gain:
+        for e in retire.keys() | gain.keys():
             a, b = e
-            c, m = img[a].get(b, 0), retire.get(e, 0)
-            count = c - m + (e in gain)
-            if c == m:  # the count passes through 0
-                if m:
-                    removed.append(e)
-                if count:
-                    added.append(e)
-                if not (m and count):  # the edge vanished or appeared
-                    for x in e:
-                        moved[x] = moved.get(x, 0) + (1 if count else -1)
+            c = img[a].get(b, 0)
+            count = c - retire.get(e, 0) + gain.get(e, 0)
+            if not (c and count):  # the edge vanished or appeared
+                (added if count else removed).append(e)
+                for x in e:
+                    moved[x] = moved.get(x, 0) + (1 if count else -1)
             if count:
                 img[a][b] = img[b][a] = count
             else:
@@ -345,20 +360,6 @@ class ForgivingGraph:
         self._img[nid] = {attach_to: 1}
         self._img[attach_to][nid] = 1
         self._inc_shift(0, +1)  # attach_to gains one ideal and one image edge: net 0
-        self._jw[nid] = 1
-        self._ins_parent[nid] = attach_to
-        self._ins_children.setdefault(attach_to, set()).add(nid)
-
-        # INSERT handshake + the weight-update cascade up the live chain
-        # of insertion parents (each hop is one counted message).
-        tally: Dict[int, int] = {nid: 1, attach_to: 1}  # request + ack
-        self._jw[attach_to] += 1
-        cur, up = attach_to, self._ins_parent[attach_to]
-        while up is not None:
-            tally[cur] = tally.get(cur, 0) + 1
-            self._jw[up] += 1
-            cur, up = up, self._ins_parent[up]
-
         report = HealReport(
             deleted=-1,
             edges_added=frozenset({edge_key(nid, attach_to)}),
@@ -366,7 +367,7 @@ class ForgivingGraph:
                 NodeInserted(nid, attach_to),
                 EdgeAdded(*edge_key(nid, attach_to)),
             ),
-            messages_per_node=tally,
+            messages_per_node={nid: 1, attach_to: 1},  # request + ack
             inserted=nid,
             attached_to=attach_to,
         )
@@ -386,7 +387,9 @@ class ForgivingGraph:
     # ------------------------------------------------------------------
     def check(self) -> None:
         """Recompute every derived structure and verify the invariants."""
-        # Hafts: pairwise disjoint, internally valid, membership-indexed.
+        # Hafts: pairwise disjoint, canonical over their in-order
+        # sequences (shape, injective simulators, the depth bound),
+        # membership-indexed.
         seen: Set[int] = set()
         for hid, haft in self._hafts.items():
             haft.check()
@@ -415,8 +418,9 @@ class ForgivingGraph:
                 if u < v and v in self._alive:
                     fresh[(u, v)] = fresh.get((u, v), 0) + 1
         for haft in self._hafts.values():
-            for e in haft.image_edges():
-                fresh[e] = fresh.get(e, 0) + 1
+            for s, links in haft.helper_links.items():
+                for e in link_edges(s, links):
+                    fresh[e] = fresh.get(e, 0) + 1
         stored = {
             (u, v): c
             for u, row in self._img.items()
@@ -441,10 +445,6 @@ class ForgivingGraph:
             raise InvariantViolationError("fg-inc-histogram", "histogram diverged")
         if hist and self.max_degree_increase() != max(hist):
             raise InvariantViolationError("fg-inc-max", "stale maximum")
-        # Weights are consistent with the insertion forest.
-        for n, p in self._ins_parent.items():
-            if p is not None and p not in self._alive:
-                raise InvariantViolationError("fg-ins-forest", f"stale parent of {n}")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -36,10 +36,12 @@ def diameter_envelope(original_diameter: int, max_degree: int, branching: int = 
 
 
 #: Theorem 1.3 envelope: no node sends more than this many messages per
-#: delete heal (the measured worst across the committed benchmarks is 4;
-#: 12 leaves headroom for generalized branching without ever scaling in
-#: n).  Batch-insert waves scale it by the wave size — each joiner runs
-#: its own O(1) handshake.
+#: delete heal.  The measured protocol peak is 8: random trees of 30 and
+#: 80 nodes, seeds 0–299, each deleted down to one node in a seeded
+#: random order (5 of 32,400 deletions reach 8, 59 reach 7).  12 leaves
+#: headroom for generalized branching without ever scaling in n.
+#: Batch-insert waves scale it by the wave size — each joiner runs its
+#: own O(1) handshake.
 FT_NODE_MESSAGE_BUDGET = 12
 
 #: The FT word budget: no message names more than 8 node ids
@@ -47,10 +49,13 @@ FT_NODE_MESSAGE_BUDGET = 12
 FT_MESSAGE_ID_BUDGET = 8
 
 #: The FG manifest budget is ``FG_ID_BASE + FG_IDS_PER_NODE · |alive|``:
-#: manifests enumerate region members, and a region can never exceed the
-#: alive node set — the honest O(L) deviation (docs/FORGIVING_GRAPH.md).
+#: a manifest is a haft's in-order member sequence (one id per member),
+#: and a region can never exceed the alive node set — the honest O(L)
+#: deviation (docs/FORGIVING_GRAPH.md).  The base is what an ``FGPortion``
+#: carries besides its manifest: sender, recipient, port parent and the
+#: three links of the helper it simulates.
 FG_ID_BASE = 6
-FG_IDS_PER_NODE = 2
+FG_IDS_PER_NODE = 1
 
 
 def fg_stretch_envelope(n: int) -> float:

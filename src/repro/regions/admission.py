@@ -68,12 +68,12 @@ def heal_footprint(report: HealReport, graph=None) -> Set[int]:
     log), every node named by a heal event (portion and leaf-will
     recipients, helper simulators and transfer targets) — and, when the
     post-event image ``graph`` is given, the image neighbors of every
-    sender.  That last closure covers *receive-only* participants (the
-    weight cascade's terminal hop, a ``ReplaceChild`` holder whose will
-    changes without retransmissions): every protocol message travels
-    along an image edge, so each receiver is adjacent to its sender in
-    the pre-, mid- (transient, evented) or post-heal image, and the
-    first two are already covered by the event endpoints.
+    sender.  That last closure covers *receive-only* participants (a
+    ``ReplaceChild`` holder whose will changes without retransmissions):
+    every protocol message travels along an image edge, so each receiver
+    is adjacent to its sender in the pre-, mid- (transient, evented) or
+    post-heal image, and the first two are already covered by the event
+    endpoints.
     """
     fp: Set[int] = set()
     if report.deleted >= 0:

@@ -12,6 +12,8 @@ seeded corruption with the offending heal and event-id window named.
 
 import ast
 import pathlib
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -257,6 +259,29 @@ class TestCertificates:
     def test_fg_protocol_tagged(self):
         res = _audited_run(ForgivingGraphHealer, n=16, events=10)
         assert res.audit.protocol == "fg"
+
+    def test_fg_message_one_id_over_the_budget_is_flagged(self):
+        """The FG budget is what an ``FGPortion`` needs besides its
+        manifest plus one id per alive node: a send one id over it is
+        flagged, one exactly at it is not."""
+        inputs = _audited_run(ForgivingGraphHealer, n=16, events=10).audit_inputs
+        log = list(inputs.records)
+        i = next(
+            k for k, rec in enumerate(log)
+            if isinstance(rec, SendRecord) and rec.msg == "FGPortion"
+        )
+
+        def budget_violations(ids):
+            forged = log[:i] + [replace(log[i], ids=ids)] + log[i + 1:]
+            return [v for v in inputs.certify(forged).violations if v.cert == "budget"]
+
+        (overflow,) = budget_violations(10**6)
+        budget = int(re.search(r"\(budget (\d+)\)", overflow.detail).group(1))
+        assert log[i].ids <= budget
+        assert budget_violations(budget) == []
+        (flagged,) = budget_violations(budget + 1)
+        assert flagged.window == (i, i)
+        assert f"carries {budget + 1} ids" in flagged.detail
 
     def test_inputs_kept_for_recertification(self, audited_ft):
         inputs = audited_ft.audit_inputs

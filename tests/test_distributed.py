@@ -241,7 +241,7 @@ class TestOneDriverShell:
         fields = [where for where, _ in holder.pointer_refs()]
         assert fields[-2:] == ["helper.left", "helper.right"]
         assert "port_parent_sim" in fields
-        assert dist.network.nodes[4].pointer_refs() == [("direct", 3), ("ins_parent", 3)]
+        assert dist.network.nodes[4].pointer_refs() == [("direct", 3)]
         dead = left[0] if left[0] != holder.nid else _right[0]
         dist.network.remove(dead)
         side = "left" if dead == left[0] else "right"

@@ -2,16 +2,18 @@
 
 Four layers, mirroring the subsystem's structure, and frozen streams:
 
-* **ReconstructionTree** — the half-full build: the
-  ``depth <= ceil(log2(W/w))`` guarantee, full-binary shape, injective
-  in-order-predecessor simulator assignment, merge/split manifest
-  algebra (property-tested over arbitrary weight profiles), and every
-  field equal to the trie construction kept here as ``reference_build``.
+* **ReconstructionTree** — the haft: removals, merges and fresh leaves
+  applied in place equal the haft built from scratch over the resulting
+  in-order sequence (property-tested, with each operation's journal
+  naming exactly the helpers it changed), and every removal from every
+  haft of up to 64 leaves keeps the ``floor(log2 L) + 1`` depth bound,
+  injective simulators and one free member.
 * **ForgivingGraph engine** — the paper's two theorems pinned per round
   over seeded churn traces and arbitrary Hypothesis interleavings:
   additive degree increase <= 3, empirical stretch within the
   ``2 log2 n + 2`` envelope against the ideal graph (dead nodes
-  routable), connectivity, and the full structural ``check()``.
+  routable), connectivity, the full structural ``check()``, and heal
+  work flat in the region size.
 * **Healer integration** — the catalog, every churn adversary and both
   campaign runners driving ``forgiving-graph`` unmodified, batch wave
   semantics, and the incremental-metrics fast path.
@@ -45,23 +47,19 @@ from repro.adversaries import (
 )
 from repro.baselines import ForgivingGraphHealer, ForgivingTreeHealer, healer_catalog
 from repro.churn import synthetic_skype_outage
+from repro.audit import HealDelta
+from repro.core.events import WillPortionSent
 from repro.core.errors import (
     DuplicateNodeError,
     InvariantViolationError,
     NodeNotFoundError,
     ReproError,
 )
-from repro.fgraph import (
-    DistributedForgivingGraph,
-    ForgivingGraph,
-    ReconstructionTree,
-    fold_manifests,
-    leaf_depth,
-    target_depths,
-)
+from repro.fgraph import DistributedForgivingGraph, ForgivingGraph, ReconstructionTree
 from repro.graphs import generators
 from repro.graphs.adjacency import bfs_distances, edges as edge_set, is_connected
 from repro.harness import churn_duel, run_campaign, run_churn_campaign
+from repro.regions.admission import heal_footprint
 from tests import fgraph_report_pins
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -71,153 +69,130 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 # ---------------------------------------------------------------------------
 # ReconstructionTree
 # ---------------------------------------------------------------------------
-def reference_build(weighted):
-    """Oracle: the canonical codes inserted bit by bit into a trie, single-child
-    internals spliced out, each helper run by its in-order predecessor leaf."""
-    leaves = sorted(dict(weighted).items())
-    total = sum(w for _, w in leaves)
-    order = sorted((leaf_depth(w, total), nid) for nid, w in leaves)
-    root, code = {}, 0
-    for i, (d, nid) in enumerate(order):
-        if i:
-            code = (code + 1) << (d - order[i - 1][0])
-        node = root
-        for pos in range(d - 1, -1, -1):
-            node = node.setdefault((code >> pos) & 1, {})
-        node["leaf"] = nid
-
-    def compress(node):
-        if "leaf" in node:
-            return node
-        kids = [compress(node[bit]) for bit in sorted(node)]
-        return kids[0] if len(kids) == 1 else {0: kids[0], 1: kids[1]}
-    depth, port_parent, links = {}, {}, {}
-
-    def assign(node, d, par):
-        if "leaf" in node:
-            depth[node["leaf"]], port_parent[node["leaf"]] = d, par[0]
-            return (node["leaf"], "real")
-        pred = node[0]
-        while "leaf" not in pred:
-            pred = pred[1]
-        sim = pred["leaf"]
-        me = (sim, "helper")
-        links[sim] = (par, assign(node[0], d + 1, me), assign(node[1], d + 1, me))
-        return me
-    root_sim = assign(compress(root), 0, None)[0]
-    image = {
-        tuple(sorted((sim, ref[0])))
-        for sim, refs in links.items() for ref in refs if ref and ref[0] != sim
-    }
-    return dict(leaves), depth, port_parent, links, root_sim, image
-
-
-def _leaf_weights():
-    """Weight profiles: arbitrary, many equal, one dominant, powers of two."""
-    n = st.integers(min_value=2, max_value=400)
-    return st.one_of(
-        st.lists(st.integers(1, 10**6), min_size=2, max_size=400),
-        n.flatmap(
-            lambda k: st.lists(st.sampled_from([1, 2, 3]), min_size=k, max_size=k)
-        ),
-        st.builds(
-            lambda big, rest: [big] + rest,
-            st.integers(10**4, 10**6),
-            st.lists(st.integers(1, 4), min_size=1, max_size=399),
-        ),
-        st.lists(st.integers(0, 19).map(lambda e: 2**e), min_size=2, max_size=400),
+def _fields(haft):
+    """Everything a haft is: links, simulators, depths and image."""
+    return (
+        haft.members, haft.trees, haft.port_parent, haft.helper_links,
+        dict(haft.walk()), haft.image_edges(),
     )
+
+
+def _changed(before, after):
+    """Helpers whose simulator or links differ between two link maps."""
+    return {s for s in before.keys() | after.keys() if before.get(s) != after.get(s)}
+
+
+def _snapshot(hafts):
+    links = {}
+    for haft in hafts:
+        links.update(haft.helper_links)
+    return links
 
 
 class TestReconstructionTree:
     @settings(max_examples=examples(60), deadline=None)
-    @given(weights=_leaf_weights(), seed=st.integers(0, 2**16))
-    @example(weights=[1, 1], seed=0)
-    @example(weights=[10**6] + [1] * 399, seed=1)
-    def test_build_equals_the_trie_reference(self, weights, seed):
-        ids = random.Random(seed).sample(range(10**6), len(weights))
-        leaves = list(zip(ids, weights))
-        rt = ReconstructionTree.build(leaves)
-        got = (
-            rt.weight, rt.depth, rt.port_parent, rt.helper_links, rt.root_sim,
-            rt.image_edges(),
-        )
-        assert got == reference_build(leaves)
+    @given(
+        first=st.integers(1, 40),
+        script=st.lists(
+            st.tuples(
+                st.sampled_from(["remove", "merge", "fresh"]),
+                st.integers(0, 10**6),
+                st.integers(0, 40),
+            ),
+            max_size=30,
+        ),
+    )
+    @example(first=1, script=[("fresh", 0, 1)])
+    @example(first=32, script=[("remove", 0, 0), ("merge", 0, 31)])
+    def test_incremental_hafts_equal_the_from_scratch_build(self, first, script):
+        """Removals, merges with other hafts and fresh leaves, applied in
+        place, leave exactly the haft built from the resulting in-order
+        sequence, and each operation's journal names exactly the helpers
+        it dissolved, created or relinked."""
+        nxt = iter(range(10**7))
+        haft = ReconstructionTree.build([next(nxt) for _ in range(first)])
+        for op, pick, size in script:
+            members = sorted(haft.members)
+            if op == "remove" and len(members) < 2:
+                op = "fresh"
+            others = []
+            if op == "merge":
+                others = [ReconstructionTree.build([next(nxt) for _ in range(size + 1)])]
+            fresh = [next(nxt) for _ in range(size % 4)] if op != "remove" else []
+            before = _snapshot([haft] + others)
+            journal = {}
+            if op == "remove":
+                haft.remove(members[pick % len(members)], journal)
+            else:
+                haft = ReconstructionTree.merge([haft] + others, fresh, journal)
+            changed = {s for s, old in journal.items() if old != haft.helper_links.get(s)}
+            assert changed == _changed(before, haft.helper_links)
+            assert _fields(haft) == _fields(ReconstructionTree.build(haft.manifest()))
+            if len(haft.members) >= 2:
+                haft.check()
 
-    def test_leaf_depth_is_the_old_loop_in_closed_form(self):
-        def loop(weight, total):
-            d = 0
-            while (weight << d) < total:
-                d += 1
-            return d
-
-        for total in range(1, 2049):
-            ws = range(1, total + 1)
-            assert [leaf_depth(w, total) for w in ws] == [loop(w, total) for w in ws]
+    def test_every_removal_up_to_64_leaves(self):
+        """Exhaustive: every L <= 64, every removal position keeps the
+        depth bound, injective simulators and exactly one free member,
+        and changes O(log L) helpers."""
+        for size in range(3, 65):
+            for pos in range(size):
+                haft = ReconstructionTree.build(range(size))
+                before = dict(haft.helper_links)
+                journal = {}
+                haft.remove(pos, journal)
+                haft.check()  # canonical shape, injectivity, depth bound
+                left = size - 1
+                assert max(d for _, d in haft.walk()) <= left.bit_length()
+                sims = list(haft.helper_links)
+                assert len(sims) == len(set(sims)) == left - 1
+                assert len(haft.members - set(sims)) == 1
+                assert len(_changed(before, haft.helper_links)) <= 2 * size.bit_length() + 1
 
     def test_two_leaves(self):
-        rt = ReconstructionTree.build([(5, 1), (9, 1)])
+        rt = ReconstructionTree.build([5, 9])
         rt.check()
         assert rt.n_helpers == 1
         assert rt.members == {5, 9}
-        # The lone helper is simulated by a member; the image collapses
-        # to the single surviving real-real edge.
+        # The lone helper is simulated by its in-order predecessor, 5;
+        # the image collapses to the single surviving real-real edge.
+        assert rt.helper_links == {5: (None, (5, "real"), (9, "real"))}
         assert rt.image_edges() == {(5, 9)}
 
-    def test_heavy_leaf_sits_at_the_root(self):
-        rt = ReconstructionTree.build([(1, 100), (2, 1), (3, 1), (4, 1)])
+    def test_haft_is_a_row_of_complete_trees(self):
+        # 11 = 8 + 2 + 1: three complete trees, largest first, on a spine.
+        rt = ReconstructionTree.build(range(11))
         rt.check()
-        assert rt.depth[1] == 1
-        assert all(rt.depth[n] >= 2 for n in (2, 3, 4))
+        assert [(h, last) for h, _root, last in rt.trees] == [(3, 7), (1, 9), (0, 10)]
+        depth = dict(rt.walk())
+        assert {depth[m] for m in range(8)} == {4}
+        assert (depth[8], depth[9], depth[10]) == (3, 3, 2)
+        assert rt.root == (7, "helper")  # the spine head: tree 0's last leaf
+        assert rt.manifest() == tuple(range(11))
 
-    def test_build_rejects_degenerate_input(self):
-        with pytest.raises(ValueError):
-            ReconstructionTree.build([(1, 1)])
-        with pytest.raises(ValueError):
-            ReconstructionTree.build([(1, 0), (2, 1)])
+    def test_check_rejects_degenerate_hafts(self):
+        with pytest.raises(InvariantViolationError, match="fewer than two"):
+            ReconstructionTree.build([1]).check()
+        with pytest.raises(InvariantViolationError):
+            ReconstructionTree.build([1, 2, 1]).check()
 
-    def test_deterministic_in_input_set(self):
-        leaves = [(3, 4), (1, 1), (7, 2), (2, 9)]
-        a = ReconstructionTree.build(leaves)
-        b = ReconstructionTree.build(list(reversed(leaves)))
-        assert a.port_parent == b.port_parent
-        assert a.helper_links == b.helper_links
-        assert a.image_edges() == b.image_edges()
+    def test_merge_order_is_computed_from_contents(self):
+        def parts():
+            return [
+                ReconstructionTree.build([4, 1, 7]),
+                ReconstructionTree.build([9, 3]),
+                ReconstructionTree.build([2, 8, 6]),
+            ]
 
-    def test_fold_manifests_merge_split_refresh(self):
-        folded = fold_manifests(
-            [{1: 2, 2: 3}, {4: 1}],
-            drop=(2,),
-            fresh={5: 7},
-            refresh={1: 10, 99: 5},  # 99 is no member: ignored
-        )
-        assert folded == [(1, 10), (4, 1), (5, 7)]
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        weights=st.lists(
-            st.integers(min_value=1, max_value=10**6), min_size=2, max_size=64
-        )
-    )
-    def test_depth_bound_and_shape_for_any_weights(self, weights):
-        leaves = list(enumerate(weights))
-        rt = ReconstructionTree.build(leaves)
-        rt.check()  # full binary, injective sims, parent refs thread
-        total = sum(weights)
-        for nid, w in leaves:
-            assert rt.depth[nid] <= leaf_depth(w, total)
-            assert rt.depth[nid] <= math.log2(total / w) + 1 + 1e-9
-        # One helper per internal node of a full binary tree.
-        assert rt.n_helpers == len(leaves) - 1
+        a = ReconstructionTree.merge(parts(), [5, 0], {})
+        b = ReconstructionTree.merge(parts()[::-1], [5, 0], {})
+        assert _fields(a) == _fields(b)
+        a.check()
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        weights=st.lists(
-            st.integers(min_value=1, max_value=50), min_size=2, max_size=24
-        )
-    )
-    def test_image_is_connected_and_sparse(self, weights):
-        rt = ReconstructionTree.build(list(enumerate(weights)))
+    @given(size=st.integers(min_value=2, max_value=40))
+    def test_image_is_connected_and_sparse(self, size):
+        rt = ReconstructionTree.build(range(size))
         img = {n: set() for n in rt.members}
         for u, v in rt.image_edges():
             img[u].add(v)
@@ -326,43 +301,80 @@ class TestForgivingGraphEngine:
         assert engine.hafts == []
         assert engine.graph() == {0: set()}
 
-    def test_insert_updates_weights_up_the_live_chain(self):
+    def test_insert_is_the_two_message_handshake(self):
         engine = ForgivingGraph(generators.star(3), strict=True)
         engine.insert(10, 1)
         engine.insert(11, 10)
-        engine.insert(12, 11)
-        assert engine.weight_of(12) == 1
-        assert engine.weight_of(11) == 2
-        assert engine.weight_of(10) == 3
-        assert engine.weight_of(1) == 4
-        # Initial nodes are insertion-forest roots: the cascade stops at 1.
-        assert engine.weight_of(0) == 1
-        # The cascade pays one message per live hop (request, ack+forward,
-        # then one forward per ancestor that has a parent of its own).
-        report = engine.insert(13, 12)
-        assert report.messages_per_node == {13: 1, 12: 2, 11: 1, 10: 1}
-        assert engine.weight_of(1) == 5
-
-    def test_dead_insertion_parent_truncates_the_cascade(self):
-        engine = ForgivingGraph(generators.star(3), strict=True)
-        engine.insert(10, 1)
-        engine.insert(11, 10)
-        engine.delete(10)  # 11 becomes an insertion-forest root
         report = engine.insert(12, 11)
-        assert report.messages_per_node == {12: 1, 11: 1}
-        assert engine.weight_of(11) == 2
+        assert report.messages_per_node == {12: 1, 11: 1}  # request + ack
+        assert report.edges_added == {(11, 12)}
 
-    def test_port_weights_key_the_rebuild(self):
-        # Grow a heavy population under one neighbor of the victim: its
-        # port must sit strictly shallower than the light neighbors'.
-        star = generators.star(6)  # center 0, leaves 1..6
-        engine = ForgivingGraph(star, strict=True)
-        for i in range(40):
-            engine.insert(100 + i, 1)
-        engine.delete(0)
-        haft = engine.hafts[0]
-        assert haft.weight[1] == 41
-        assert haft.depth[1] < min(haft.depth[n] for n in (2, 3, 4, 5, 6))
+    @pytest.mark.parametrize(
+        "n,min_region", [(500, 300), (5_000, 3_000), (30_000, 20_000)]
+    )
+    def test_heal_work_is_flat_in_region_size(self, n, min_region):
+        """Per delete, helpers created + destroyed + net image edge
+        changes stay within 4 * (alive degree + ceil(log2 L) + 1) while
+        the hub massacre grows one region to L ~ n * 3/4 leaves.  (The
+        report's one portion per member is the message model's O(L),
+        not the structure's, so this drives the structural half.)"""
+        g = generators.preferential_attachment(n, 2, seed=3)
+        engine = ForgivingGraph(g)
+        biggest = 0
+        for v in sorted(g, key=lambda v: (-len(g[v]), v))[: n // 5]:
+            degree = sum(1 for u in g[v] if u in engine.alive)
+            _internal, haft, changed, removed, added = engine._heal(v)
+            size = len(haft.members) if haft else 1
+            biggest = max(biggest, size)
+            links = haft.helper_links if haft else {}
+            work = len(removed) + len(added) + sum(
+                (old is not None) + (s in links) for s, old in changed.items()
+            )
+            assert work <= 4 * (degree + math.ceil(math.log2(size)) + 1), v
+        assert biggest >= min_region
+        engine.check()
+
+    def test_merge_keeps_the_largest_haft(self):
+        # Small-to-large: the big region's haft absorbs the small one,
+        # so only the small one's members are relabelled.
+        engine = ForgivingGraph(generators.path(12), strict=True)
+        for v in (1, 3, 5):
+            engine.delete(v)  # one haft over 0, 2, 4, 6
+        big = engine.haft_of(0)
+        engine.delete(9)  # a second haft over 8, 10
+        assert engine.haft_of(8) is not big
+        engine.delete(7)  # joins both regions through 6 and 8
+        assert engine.haft_of(10) is big
+        assert big.members == {0, 2, 4, 6, 8, 10}
+
+    def test_reports_list_real_changes_and_cover_every_recipient(self):
+        """``edges_added`` / ``edges_removed`` are the exact image delta,
+        and every portion recipient is in the audit's heal region and the
+        admission footprint (its port edge is listed removed and re-added
+        in the event log when it did not change)."""
+        g = generators.random_connected_gnp(60, 0.08, seed=4)
+        engine = ForgivingGraph(g, strict=True)
+        rng = random.Random(4)
+        nxt, recipients = 1_000, 0
+        for _ in range(120):
+            alive = sorted(engine.alive)
+            if len(alive) > 2 and rng.random() < 0.6:
+                before = edge_set(engine.graph())
+                report = engine.delete(rng.choice(alive))
+                after = edge_set(engine.graph())
+                assert set(report.edges_added) == after - before
+                assert set(report.edges_removed) == before - after
+                region = HealDelta.from_report(report).region
+                footprint = heal_footprint(report)
+                for event in report.events:
+                    if isinstance(event, WillPortionSent):
+                        recipients += 1
+                        assert event.recipient in region
+                        assert event.recipient in footprint
+            else:
+                engine.insert(nxt, rng.choice(alive))
+                nxt += 1
+        assert recipients > 100
 
     def test_id_and_liveness_validation(self):
         engine = ForgivingGraph({0: [1], 1: [0]})
@@ -543,6 +555,37 @@ class TestDistributedParity:
             assert edge_set(seq.graph()) == dist.edges()
             assert seq.alive == dist.alive
 
+    def test_nodes_hold_the_engine_haft_portion_for_portion(self):
+        """Each member's manifest is its haft's in-order member sequence
+        (one id per member), and its port parent and simulated helper are
+        the engine's, after every event."""
+        g = generators.random_connected_gnp(30, 0.12, seed=8)
+        seq = ForgivingGraph(g, strict=True)
+        dist = DistributedForgivingGraph({k: set(v) for k, v in g.items()})
+        rng = random.Random(8)
+        nxt = 100
+        for _ in range(60):
+            alive = sorted(seq.alive)
+            if len(alive) > 2 and rng.random() < 0.6:
+                victim = rng.choice(alive)
+                seq.delete(victim)
+                dist.delete(victim)
+            else:
+                target = rng.choice(alive)
+                seq.insert(nxt, target)
+                dist.insert(nxt, target)
+                nxt += 1
+            for nid in seq.alive:
+                node, haft = dist.network.nodes[nid], seq.haft_of(nid)
+                if haft is None:
+                    assert (node.manifest, node.port_parent_sim, node.helper) == (
+                        None, None, None
+                    )
+                else:
+                    assert node.manifest == haft.manifest()
+                    assert node.port_parent_sim == haft.port_parent[nid]
+                    assert node.helper == haft.helper_links.get(nid)
+
     def test_single_insert_is_a_wave_of_one(self):
         g = generators.path(4)
         seq = ForgivingGraph(g)
@@ -578,23 +621,6 @@ class TestDistributedParity:
         assert stats.sub_rounds <= 3
         assert stats.bits > 0
 
-    def test_deep_insertion_chains_are_rejected_loudly(self):
-        # The weight cascade pays one sub-round per insertion-forest hop;
-        # a chain deeper than the livelock guard must be refused up front
-        # (clear error, no half-applied round) rather than aborting with
-        # an opaque quiescence failure mid-cascade.
-        from repro.core.errors import ProtocolError
-
-        dist = DistributedForgivingGraph({0: {1}, 1: {0}})
-        dist.network.max_sub_rounds = 8
-        nxt = 2
-        with pytest.raises(ProtocolError, match="insertion-forest chain"):
-            for _ in range(12):  # each joiner chains under the previous
-                dist.insert(nxt, nxt - 1)
-                nxt += 1
-        assert nxt > 5  # shallow part of the chain was fine
-        assert nxt not in dist.alive  # the rejected round left no state
-
     def test_round_stats_accessors(self):
         g = generators.path(5)
         dist = DistributedForgivingGraph({k: set(v) for k, v in g.items()})
@@ -629,23 +655,21 @@ class TestReportPins:
 # ---------------------------------------------------------------------------
 class TestSurfaceAndValidators:
     def test_rtree_accessors(self):
-        leaves = [(1, 3), (2, 1), (3, 1)]
-        assert target_depths(leaves) == {1: 1, 2: 3, 3: 3}
-        rt = ReconstructionTree.build(leaves)
-        assert rt.total_weight == 5
-        assert rt.manifest() == ((1, 3), (2, 1), (3, 1))
+        rt = ReconstructionTree.build([3, 1, 2])
+        assert rt.manifest() == (3, 1, 2)
         sims = [m for m in rt.members if rt.sim_of(m) is not None]
         assert len(sims) == rt.n_helpers  # one helper per simulator
+        assert rt.sim_of(2) is None  # the rightmost leaf simulates nothing
         assert repr(rt)
 
     def test_rtree_check_has_teeth(self):
-        rt = ReconstructionTree.build([(1, 1), (2, 1), (3, 1)])
-        rt.depth[2] = 99
-        with pytest.raises(InvariantViolationError):
+        rt = ReconstructionTree.build([1, 2, 3])
+        rt.helper_links[3] = (None, (1, "real"), (2, "real"))  # a second free-rider
+        with pytest.raises(InvariantViolationError, match="free members"):
             rt.check()
-        rt = ReconstructionTree.build([(1, 1), (2, 1), (3, 1)])
-        rt.image.add((1, 99))  # an image edge no link implies
-        with pytest.raises(InvariantViolationError, match="image"):
+        rt = ReconstructionTree.build([1, 2, 3])
+        rt.helper_links[9] = rt.helper_links.pop(2)  # a helper no member runs
+        with pytest.raises(InvariantViolationError, match="no helper"):
             rt.check()
 
     def test_engine_accessors(self):
@@ -661,6 +685,38 @@ class TestSurfaceAndValidators:
         assert repr(engine)
 
     def test_engine_check_has_teeth(self):
+        def massacred():
+            engine = ForgivingGraph(generators.star(8))
+            engine.delete(0)  # one haft over 1..8: a complete tree of height 3
+            return engine, engine.hafts[0]
+
+        engine, haft = massacred()
+        engine.check()
+        root = haft.root[0]
+        up, left, _right = haft.helper_links[root]
+        haft.helper_links[root] = (up, left, left)  # one helper reached twice
+        with pytest.raises(InvariantViolationError, match="reached twice"):
+            engine.check()
+        engine, haft = massacred()
+        seq = haft.manifest()  # re-hang the same sequence as a caterpillar
+        haft.helper_links = {
+            s: (
+                (seq[i - 1], "helper") if i else None,
+                (s, "real"),
+                (seq[i + 1], "helper") if i < 6 else (seq[7], "real"),
+            )
+            for i, s in enumerate(seq[:7])
+        }
+        haft.port_parent = {s: s for s in seq[:7]}
+        haft.port_parent[seq[7]] = seq[6]
+        haft.trees = [(3, (seq[0], "helper"), seq[7])]
+        with pytest.raises(InvariantViolationError, match="depth"):
+            engine.check()
+        engine, haft = massacred()
+        up, left, right = haft.helper_links[haft.root[0]]
+        haft.helper_links[haft.root[0]] = (up, right, left)  # sims out of order
+        with pytest.raises(InvariantViolationError, match="canonical"):
+            engine.check()
         engine = ForgivingGraph(generators.path(5))
         engine.delete(2)
         engine._img[0][4] = 1  # corrupt the image multiset

@@ -213,21 +213,18 @@ class TestAsyncNetworkDropIn:
         assert net.samples  # record_samples keeps the time series
 
     def test_depth_guard_trips_and_network_survives(self):
-        """A heal deeper than max_depth raises instead of livelocking —
-        and the rejection happens *before* any accounting window opens,
-        so the network stays usable afterwards."""
+        """A heal deeper than max_depth raises instead of livelocking,
+        and the network stays usable afterwards."""
         from repro.fgraph import DistributedForgivingGraph
 
-        g = {0: {1}, 1: {0}}
-        dfg = DistributedForgivingGraph(g, network=AsyncNetwork(max_depth=4))
-        # build a deep insertion chain: each cascade climbs the chain
-        nxt = 10
-        with pytest.raises(ProtocolError):
-            for _ in range(10):
-                dfg.insert(nxt, nxt - 1 if nxt > 10 else 1)
-                nxt += 1
-        dfg.insert(50, 0)  # a clean validation failure poisons nothing
+        g = {0: {1, 2, 3}, 1: {0}, 2: {0}, 3: {0}}
+        dfg = DistributedForgivingGraph(g, network=AsyncNetwork(max_depth=1))
+        # fan-out, then reports and portions: two layers below the injection
+        with pytest.raises(ProtocolError, match="no quiescence after 1 layers"):
+            dfg.delete(0)
+        dfg.insert(50, 1)  # a two-message handshake fits in one layer
         dfg.delete(50)
+        assert dfg.alive == {1, 2, 3}
 
     def test_insert_batch_accepts_one_shot_iterables(self):
         """Waves may arrive as generators; validation must not consume
