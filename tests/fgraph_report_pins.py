@@ -1,11 +1,15 @@
 """What ``tests/data/fgraph_report_pins.json`` pins, and how it was taken.
 
-The file was written by running this module against the commit *before*
-the reconstruction tree was built in one stack pass and the haft swap
-was applied as one image diff::
+The file was re-recorded when in-place haft merges (remove + binary
+addition) replaced the rebuild of each region: that change moves the
+heals themselves — other hafts, images, reports and insert tallies — so
+the streams were taken from the merging engine::
 
-    PYTHONPATH=<parent>/src python -m tests.fgraph_report_pins tests/data/fgraph_report_pins.json
+    PYTHONPATH=src python -m tests.fgraph_report_pins tests/data/fgraph_report_pins.json
 
+A change that must *not* move them (a refactor, a speed-up) records
+nothing: it runs the same command against a checkout of its parent
+(``PYTHONPATH=<parent>/src``) only when the file itself is suspect.
 ``tests/test_fgraph.py::TestReportPins`` recomputes :func:`observe` on
 the current tree and requires equality.  Every :class:`HealReport` of a
 campaign — its ordered ``events``, both edge sets and its per-node

@@ -19,7 +19,10 @@ with / without the crash (``ft/lease/crash`` *is* the ``latency`` entry,
 so it is not recorded twice).  They were taken the same way at the commit
 before the drivers shared one shell and admission moved behind one object
 per overlap policy: which message each driver sends when, and when each
-policy lets an event inject, is what that refactor must not move.
+policy lets an event inject, is what that refactor must not move.  The
+four ``fg/*`` entries were re-recorded when in-place haft merges replaced
+the Forgiving Graph's region rebuild, which changes its heals and insert
+tallies; every other entry stayed byte-identical.
 """
 
 from __future__ import annotations

@@ -641,8 +641,9 @@ PINS_PATH = os.path.join(os.path.dirname(__file__), "data", "fgraph_report_pins.
 
 
 class TestReportPins:
-    """Every report, tally and final image equals the one recorded before
-    the engine built its trees in one pass (see ``tests/fgraph_report_pins.py``)."""
+    """Every report, tally and final image equals the one recorded when
+    in-place haft merges replaced the region rebuild (see
+    ``tests/fgraph_report_pins.py``)."""
 
     def test_reports_match_the_recorded_streams(self):
         with open(PINS_PATH) as fh:
