@@ -220,7 +220,8 @@ class ReconstructionTree:
                 base._set(sim, (None, a, b), journal)
                 base._hang(a, sim, journal)
                 base._hang(b, sim, journal)
-                by_height.setdefault(height + 1, []).append((height + 1, (sim, HELPER), last))
+                up = (height + 1, (sim, HELPER), last)
+                by_height.setdefault(height + 1, []).append(up)
             if len(level) % 2:
                 out.append(level[-1])
             height += 1
@@ -255,7 +256,7 @@ class ReconstructionTree:
                 raise InvariantViolationError("rt-sims", f"helper {nid} reached twice")
             seen.add(nid)
             if nid not in self.helper_links:
-                raise InvariantViolationError("rt-links", f"no helper simulated by {nid}")
+                raise InvariantViolationError("rt-links", f"no helper run by {nid}")
             _, left, right = self.helper_links[nid]
             stack += ((right, d + 1), (left, d + 1))
         return out
@@ -273,7 +274,8 @@ class ReconstructionTree:
     def image_edges(self) -> Set[Tuple[int, int]]:
         """Canonical image edges this haft contributes (a self-loop from
         a node simulating its own port's parent collapses away)."""
-        return {e for s, links in self.helper_links.items() for e in link_edges(s, links)}
+        links = self.helper_links
+        return {e for s in links for e in link_edges(s, links[s])}
 
     # ------------------------------------------------------------------
     # validation
@@ -286,7 +288,7 @@ class ReconstructionTree:
         walk = self.walk()
         sequence: Sequence[int] = [m for m, _ in walk]
         if len(sequence) != size or set(sequence) != self.members:
-            raise InvariantViolationError("rt-members", "leaves differ from the members")
+            raise InvariantViolationError("rt-members", "leaves are not the members")
         bound = size.bit_length()  # floor(log2 L) + 1
         for m, d in walk:
             if d > bound:
@@ -307,4 +309,7 @@ class ReconstructionTree:
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"ReconstructionTree(leaves={len(self.members)}, helpers={self.n_helpers})"
+        return (
+            f"ReconstructionTree(leaves={len(self.members)}, "
+            f"helpers={self.n_helpers})"
+        )

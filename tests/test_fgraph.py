@@ -117,7 +117,8 @@ class TestReconstructionTree:
                 op = "fresh"
             others = []
             if op == "merge":
-                others = [ReconstructionTree.build([next(nxt) for _ in range(size + 1)])]
+                other = [next(nxt) for _ in range(size + 1)]
+                others = [ReconstructionTree.build(other)]
             fresh = [next(nxt) for _ in range(size % 4)] if op != "remove" else []
             before = _snapshot([haft] + others)
             journal = {}
@@ -125,8 +126,9 @@ class TestReconstructionTree:
                 haft.remove(members[pick % len(members)], journal)
             else:
                 haft = ReconstructionTree.merge([haft] + others, fresh, journal)
-            changed = {s for s, old in journal.items() if old != haft.helper_links.get(s)}
-            assert changed == _changed(before, haft.helper_links)
+            links = haft.helper_links
+            changed = {s for s, old in journal.items() if old != links.get(s)}
+            assert changed == _changed(before, links)
             assert _fields(haft) == _fields(ReconstructionTree.build(haft.manifest()))
             if len(haft.members) >= 2:
                 haft.check()
@@ -139,15 +141,16 @@ class TestReconstructionTree:
             for pos in range(size):
                 haft = ReconstructionTree.build(range(size))
                 before = dict(haft.helper_links)
-                journal = {}
-                haft.remove(pos, journal)
-                haft.check()  # canonical shape, injectivity, depth bound
+                haft.remove(pos, {})
+                # canonical shape; the walk reaches each helper once
+                # (injective simulators)
+                haft.check()
                 left = size - 1
                 assert max(d for _, d in haft.walk()) <= left.bit_length()
-                sims = list(haft.helper_links)
-                assert len(sims) == len(set(sims)) == left - 1
-                assert len(haft.members - set(sims)) == 1
-                assert len(_changed(before, haft.helper_links)) <= 2 * size.bit_length() + 1
+                assert len(haft.helper_links) == left - 1
+                assert len(haft.members - haft.helper_links.keys()) == 1
+                changed = _changed(before, haft.helper_links)
+                assert len(changed) <= 2 * size.bit_length() + 1
 
     def test_two_leaves(self):
         rt = ReconstructionTree.build([5, 9])
