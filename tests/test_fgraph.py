@@ -123,7 +123,13 @@ class TestReconstructionTree:
             before = _snapshot([haft] + others)
             journal = {}
             if op == "remove":
-                haft.remove(members[pick % len(members)], journal)
+                # The rightmost leaf takes the removed member's slot.
+                expect = list(haft.manifest())
+                gone = members[pick % len(members)]
+                expect[expect.index(gone)] = expect[-1]
+                expect.pop()
+                haft.remove(gone, journal)
+                assert haft.manifest() == tuple(expect)
             else:
                 haft = ReconstructionTree.merge([haft] + others, fresh, journal)
             links = haft.helper_links
