@@ -8,31 +8,36 @@ the sequential engine's synthesized ones **exactly** (the cross-check the
 tests pin node-for-node), the same discipline the Forgiving Tree's
 insert/delete handshakes established.
 
-One heal round, ``delete(v)``:
+A member's local state is its **portion** of its haft: its port parent,
+the links of the helper it simulates and that helper's left height —
+O(1) ids, no member list.  One heal round, ``delete(v)``:
 
 1. **Failure fan-out** — the detector notifies every image neighbor of
    ``v`` (:class:`FGDeleted`, attributed to the victim, as in the FT
    protocol).  The notification names the round's *coordinator* — the
    smallest-id image neighbor — and how many reports it should expect.
-2. **Reports in** — each notified node prunes the victim from its local
-   state and sends the coordinator one :class:`FGReport` carrying
-   whether it was a direct neighbor of the victim and the **manifest**
-   of the haft it belongs to: the haft's in-order member sequence (the
-   FG analog of a Forgiving Tree will: state shipped ahead of failures
-   so any survivor can rebuild the region).
-3. **Portions out** — the coordinator rebuilds each reported haft from
-   its manifest, runs the sequential engine's ``remove`` (the victim)
-   and ``merge`` (the hafts plus the portless direct neighbors) on them,
-   and ships each surviving member its new portion (:class:`FGPortion`,
-   ``WillPortionMsg``-style): its port parent, the helper it now
-   simulates (if any), and the new manifest.
+2. **Reports in** — each notified node prunes the victim and sends the
+   coordinator one :class:`FGReport` with whether it was a direct
+   neighbor and its own portion.  The victim's neighbours in its haft
+   are exactly the nodes whose portions point at it, so the reports
+   rebuild the victim's slot.
+3. **Probe walk** — at the same time every notified member climbs
+   (:class:`FGClimb`) from its port toward its haft's root, each helper
+   forwarding once per heal; a root walks its right path down to the
+   rightmost leaf (:class:`FGDescend`), probing the tree roots and the
+   last tree's left subtrees on the way (:class:`FGTreeRoot`).  Every
+   probe is answered to the coordinator with the recipient's portion
+   (:class:`FGProbeReply`); the rules are
+   :func:`~repro.fgraph.rtree.probe_walk`, which the coordinator replays
+   over what it has heard to know how many answers to await.
+4. **Portions out** — the coordinator assembles each haft's row, last
+   tree and tree roots into a partial haft, runs the sequential engine's
+   ``remove`` (the victim) and ``merge`` (the hafts plus the portless
+   direct neighbors) on them, and ships an :class:`FGPortion` only to
+   the members whose port parent or helper changed.
 
 Insertions run the FT-style two-message handshake
 (:class:`FGInsertRequest` / :class:`FGInsertAck`).
-
-Message sizes are accounted honestly: reports and portions carry a
-manifest, so unlike the FT's O(1)-id messages they are O(L) ids for an
-L-leaf haft, one per member; see ``docs/FORGIVING_GRAPH.md``.
 
 :class:`DistributedForgivingGraph` keeps only what is protocol — the
 empty setup round, the coordinator-naming fan-out and the handshake
@@ -44,22 +49,19 @@ the Forgiving Tree runtime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.errors import NodeNotFoundError, ProtocolError
 from ..distributed.driver import ProtocolDriver, Wave
 from ..distributed.messages import Message
 from ..distributed.network import Network
 from ..graphs.adjacency import Graph
-from .rtree import Links, ReconstructionTree
-
-#: A haft's in-order member sequence, as carried by reports and portions.
-Manifest = Tuple[int, ...]
+from .rtree import HELPER, REAL, Links, ReconstructionTree, probe_walk
 
 
-def _manifest_ids(manifest: Optional[Manifest]) -> int:
-    return 0 if manifest is None else len(manifest)
+def _links_ids(links: Optional[Links]) -> int:
+    return 0 if links is None else 3
 
 
 @dataclass(frozen=True)
@@ -77,28 +79,65 @@ class FGDeleted(Message):
 @dataclass(frozen=True)
 class FGReport(Message):
     """A notified neighbor's contribution to the heal: whether it was a
-    direct ideal neighbor of the victim, and the manifest of the haft it
-    belongs to (None if portless)."""
+    direct ideal neighbor of the victim, and its own portion."""
 
     is_direct: bool
-    manifest: Optional[Manifest]
+    port_parent_sim: Optional[int]
+    helper: Optional[Links]
+    left_height: Optional[int]
 
     def id_count(self) -> int:
-        return 2 + _manifest_ids(self.manifest)
+        return 3 + _links_ids(self.helper)
+
+
+@dataclass(frozen=True)
+class FGClimb(Message):
+    """Walk probe: climb from the recipient's helper toward its root."""
+
+    victim: int
+    coordinator: int
+
+    def id_count(self) -> int:
+        return 4
+
+
+@dataclass(frozen=True)
+class FGDescend(FGClimb):
+    """Walk probe: descend the right path from the recipient's helper."""
+
+
+@dataclass(frozen=True)
+class FGTreeRoot(FGClimb):
+    """Walk probe: one hop to a left child off the right path."""
+
+
+@dataclass(frozen=True)
+class FGProbeReply(Message):
+    """A probe recipient answers the coordinator with its helper."""
+
+    helper: Optional[Links]
+    left_height: Optional[int]
+
+    def id_count(self) -> int:
+        return 2 + _links_ids(self.helper)
 
 
 @dataclass(frozen=True)
 class FGPortion(Message):
-    """The coordinator ships one member its new portion: the new
-    port parent, the helper it simulates (if any), and the manifest.
-    A portion with no manifest dissolves the member's haft state."""
+    """The coordinator ships one member the parts of its portion that
+    changed: its port parent (``new_port``) and/or the helper it
+    simulates with that helper's left height (``new_helper``; None
+    dissolves it)."""
 
+    new_port: bool
     port_parent_sim: Optional[int]
+    new_helper: bool
     helper: Optional[Links]
-    manifest: Optional[Manifest]
+    left_height: Optional[int]
 
     def id_count(self) -> int:
-        return 3 + (0 if self.helper is None else 3) + _manifest_ids(self.manifest)
+        port = self.new_port and self.port_parent_sim is not None
+        return 2 + port + _links_ids(self.helper)
 
 
 @dataclass(frozen=True)
@@ -117,6 +156,145 @@ class FGInsertAck(Message):
         return 2
 
 
+#: A notified node's report as the coordinator files it.
+Report = Tuple[bool, Optional[int], Optional[Links], Optional[int]]
+
+
+@dataclass
+class _Gather:
+    """The coordinator's view of one heal while the walk runs."""
+
+    victim: int
+    reports: Dict[int, Report] = field(default_factory=dict)
+    helpers: Dict[int, Tuple[Optional[Links], Optional[int]]] = field(
+        default_factory=dict
+    )
+    answers: int = 0
+    resumed: Set[int] = field(default_factory=set)
+
+    # -- what the coordinator can see ------------------------------------
+    def port_of(self, nid: int) -> Optional[int]:
+        return self.reports[nid][1]
+
+    def links_of(self, nid: int) -> Optional[Links]:
+        if nid == self.victim:
+            return self.victim_slot()[1]
+        if nid in self.reports:
+            return self.reports[nid][2]
+        return self.helpers[nid][0]
+
+    def height_of(self, nid: int) -> int:
+        if nid in self.reports:
+            return self.reports[nid][3]  # type: ignore[return-value]
+        return self.helpers[nid][1]  # type: ignore[return-value]
+
+    def victim_slot(self) -> Tuple[Optional[int], Optional[Links], Optional[int]]:
+        """The victim's portion, rebuilt from the pointers at it.
+
+        Its helper's parent and children, and the holder of its port,
+        all reported (they were its image neighbours).  With two
+        children the left one is where the port holder's climb ends, so
+        this raises ``KeyError`` until that chain is heard."""
+        x = self.victim
+        up = port = None
+        kids: List[Tuple[int, str]] = []
+        for nid in sorted(self.reports):
+            _direct, pp, links, _h = self.reports[nid]
+            if pp == x:
+                kids.append((nid, REAL))
+            if links is None:
+                continue
+            if links[0] is not None and links[0][0] == x:
+                kids.append((nid, HELPER))
+            for c, kind in links[1:]:
+                if c == x:
+                    if kind == HELPER:
+                        up = (nid, HELPER)
+                    else:
+                        port = nid
+        if not kids:
+            return port, None, None
+        if len(kids) == 1:
+            left, right = (x, REAL), kids[0]
+        else:
+            s = port
+            while self.links_of(s)[0][0] != x:  # type: ignore[index]
+                s = self.links_of(s)[0][0]  # type: ignore[index]
+            left = (s, HELPER)
+            right = kids[1] if kids[0] == left else kids[0]
+        height = 0 if left[1] == REAL else self.height_of(left[0]) + 1
+        return (x if port is None else port), (up, left, right), height
+
+    def walk(self):
+        notified = sorted(self.reports)
+        return probe_walk(self.victim, notified, self.port_of, self.links_of)
+
+    # -- the partial hafts -------------------------------------------------
+    def hafts(self, roots: List[int]) -> Tuple[List[ReconstructionTree], Optional[ReconstructionTree]]:
+        """One partial haft per root reached — its row, read off the right
+        path, and every helper heard from under it — and the one holding
+        the victim (None if it had no port)."""
+        x = self.victim
+        port, xlinks, xheight = self.victim_slot()
+        known = {s: lh for s, lh in self.helpers.items() if lh[0] is not None}
+        for nid, (_d, _pp, links, height) in self.reports.items():
+            if links is not None:
+                known[nid] = (links, height)
+        if xlinks is not None:
+            known[x] = (xlinks, xheight)
+        root_of: Dict[int, int] = {}
+
+        def find(s: int) -> int:
+            path = []
+            while s not in root_of:
+                up = known[s][0][0]
+                if up is None:
+                    root_of[s] = s
+                    break
+                path.append(s)
+                s = up[0]
+            for p in path:
+                root_of[p] = root_of[s]
+            return root_of[s]
+
+        by_root = {r: ReconstructionTree() for r in roots}
+        for s, (links, height) in known.items():
+            haft = by_root[find(s)]
+            haft.helper_links[s] = links
+            haft.left_height[s] = height
+            for c, kind in links[1:]:
+                if kind == REAL:
+                    haft.port_parent[c] = s
+                    haft.members.add(c)
+        for r, haft in by_root.items():
+            haft.trees = _row(r, known)
+        own = None
+        if port is not None:
+            own = by_root[find(x if xlinks is not None else port)]
+        return list(by_root.values()), own
+
+
+def _row(root: int, known: Dict[int, Tuple[Links, int]]) -> List[Tuple[int, Tuple[int, str], int]]:
+    """A haft's row of complete trees from its right path: left heights
+    fall strictly along it, and the last tree's own path is the suffix
+    ``h - 1, ..., 0``; the helpers above it are the spine."""
+    path: List[int] = []
+    ref: Tuple[int, str] = (root, HELPER)
+    while ref[1] == HELPER:
+        path.append(ref[0])
+        ref = known[ref[0]][0][2]
+    last = ref[0]
+    heights = [known[s][1] for s in path]
+    h = 0
+    while h < len(heights) and heights[-1 - h] == h:
+        h += 1
+    spine = path[: len(path) - h]
+    trees = [(known[s][1], known[s][0][1], s) for s in spine]
+    tip = known[spine[-1]][0][2] if spine else (root, HELPER)
+    trees.append((h, tip, last))
+    return trees
+
+
 class FGNode:
     """Local state and handlers of one real node in the FG protocol."""
 
@@ -126,18 +304,22 @@ class FGNode:
         self.direct: Set[int] = set()
         self.port_parent_sim: Optional[int] = None
         self.helper: Optional[Links] = None
-        self.manifest: Optional[Manifest] = None
-        # Coordinator duty (at most one heal round at a time).
-        self._await_reports: int = 0
-        self._gather: List[Tuple[int, bool, Optional[Manifest]]] = []
+        self.left_height: Optional[int] = None
+        # The heal (victim id) this node last climbed for.
+        self._climbed: Optional[int] = None
+        # Coordinator duty (at most one heal round at a time): the
+        # victim, the reports still due, and what the walk has heard.
         self._victim: Optional[int] = None
-        self._victim_was_direct = False
+        self._await_reports = 0
+        self._gather: Optional[_Gather] = None
 
     # -- plumbing ----------------------------------------------------------
     @property
     def pending(self) -> Set[str]:
         """Outstanding obligations (empty at quiescence)."""
-        return {"reports"} if self._await_reports else set()
+        if self._await_reports:
+            return {"reports"}
+        return {"probes"} if self._victim is not None else set()
 
     def _send(self, message: Message) -> None:
         assert self.network is not None
@@ -179,6 +361,10 @@ class FGNode:
             self._on_deleted(message)
         elif isinstance(message, FGReport):
             self._on_report(message)
+        elif isinstance(message, FGClimb):
+            self._on_probe(message)
+        elif isinstance(message, FGProbeReply):
+            self._on_reply(message)
         elif isinstance(message, FGPortion):
             self._on_portion(message)
         elif isinstance(message, FGInsertRequest):
@@ -190,9 +376,11 @@ class FGNode:
 
     # -- failure handling --------------------------------------------------
     def _on_deleted(self, msg: FGDeleted) -> None:
-        was_direct = msg.victim in self.direct
-        self.direct.discard(msg.victim)
-        if msg.coordinator == self.nid:
+        victim, coordinator = msg.victim, msg.coordinator
+        was_direct = victim in self.direct
+        self.direct.discard(victim)
+        report = (was_direct, self.port_parent_sim, self.helper, self.left_height)
+        if coordinator == self.nid:
             if self._await_reports or self._victim is not None:
                 # Coordinator duty is single-slot: a second heal naming
                 # this node coordinator mid-gather would clobber the
@@ -204,96 +392,165 @@ class FGNode:
                 # admitted unsafely.  Fail loudly instead of corrupting.
                 raise ProtocolError(
                     f"node {self.nid}: asked to coordinate the heal of "
-                    f"{msg.victim} while still coordinating {self._victim} "
+                    f"{victim} while still coordinating {self._victim} "
                     "(overlapping heal admitted without a lease handoff)"
                 )
-            self._victim = msg.victim
-            self._victim_was_direct = was_direct
-            self._await_reports = msg.n_reports - 1  # everyone but itself
-            self._gather = []
-            if self._await_reports == 0:
-                self._finalize()
+            self._victim, self._await_reports = victim, msg.n_reports - 1
+            self._gather = _Gather(victim, {self.nid: report})
         else:
             self._send(
                 FGReport(
                     sender=self.nid,
-                    recipient=msg.coordinator,
+                    recipient=coordinator,
                     is_direct=was_direct,
-                    manifest=self.manifest,
+                    port_parent_sim=report[1],
+                    helper=report[2],
+                    left_height=report[3],
+                )
+            )
+        # Walk duties: climb from the port, and from the own helper when
+        # it held the victim.
+        port, helper = self.port_parent_sim, self.helper
+        if port == self.nid:
+            self._climb(victim, coordinator)
+        elif port is not None and port != victim:
+            self._probe(FGClimb, port, victim, coordinator)
+        if helper is not None and victim in (helper[1][0], helper[2][0]):
+            self._climb(victim, coordinator)
+        if coordinator == self.nid:
+            self._progress()
+
+    def _probe(self, kind, to: int, victim: int, coordinator: int) -> None:
+        self._send(kind(sender=self.nid, recipient=to, victim=victim, coordinator=coordinator))
+
+    def _climb(self, victim: int, coordinator: int) -> None:
+        if self._climbed == victim or self.helper is None:
+            return  # (no helper: a half-applied earlier heal ends the branch)
+        self._climbed = victim
+        up = self.helper[0]
+        if up is None:
+            self._descend(victim, coordinator)
+        elif up[0] != victim:
+            self._probe(FGClimb, up[0], victim, coordinator)
+
+    def _descend(self, victim: int, coordinator: int) -> None:
+        if self.helper is None:
+            return
+        _, left, right = self.helper
+        if left[1] == HELPER and left[0] != victim:
+            self._probe(FGTreeRoot, left[0], victim, coordinator)
+        if right[1] == HELPER and right[0] != victim:
+            self._probe(FGDescend, right[0], victim, coordinator)
+
+    def _on_probe(self, msg: FGClimb) -> None:
+        if isinstance(msg, FGDescend):
+            self._descend(msg.victim, msg.coordinator)
+        elif not isinstance(msg, FGTreeRoot):
+            self._climb(msg.victim, msg.coordinator)
+        if msg.coordinator == self.nid:
+            self._gather.answers += 1  # type: ignore[union-attr]
+            self._progress()
+        else:
+            self._send(
+                FGProbeReply(
+                    sender=self.nid,
+                    recipient=msg.coordinator,
+                    helper=self.helper,
+                    left_height=self.left_height,
                 )
             )
 
     def _on_report(self, msg: FGReport) -> None:
         if self._await_reports <= 0:  # pragma: no cover - defensive
             raise ProtocolError(f"node {self.nid}: unexpected report")
-        self._gather.append((msg.sender, msg.is_direct, msg.manifest))
+        self._gather.reports[msg.sender] = (  # type: ignore[union-attr]
+            msg.is_direct, msg.port_parent_sim, msg.helper, msg.left_height
+        )
         self._await_reports -= 1
-        if self._await_reports == 0:
-            self._finalize()
+        self._progress()
 
-    def _finalize(self) -> None:
-        """Coordinator: rebuild the reported hafts, remove the victim,
-        merge, ship the portions."""
-        victim = self._victim
-        assert victim is not None
-        contributions = self._gather + [
-            (self.nid, self._victim_was_direct, self.manifest)
-        ]
-        hafts = [
-            ReconstructionTree.build(m)
-            for m in {m for _, _, m in contributions if m is not None}
-        ]
-        for haft in hafts:
-            if victim in haft.members:
-                haft.remove(victim, {})
-        fresh = sorted(n for n, direct, m in contributions if direct and m is None)
-        rt = ReconstructionTree.merge(hafts, fresh, {})
-        self._victim = None
-        self._gather = []
-        members = sorted(rt.members)
-        if len(members) >= 2:
-            manifest = rt.manifest()
-            for member in members:
-                portion = (
-                    rt.port_parent[member],
-                    rt.helper_links.get(member),
-                    manifest,
-                )
-                if member == self.nid:
-                    self._apply_portion(*portion)
+    def _on_reply(self, msg: FGProbeReply) -> None:
+        heal = self._gather
+        if heal is None:  # pragma: no cover - defensive
+            raise ProtocolError(f"node {self.nid}: unexpected probe reply")
+        heal.helpers[msg.sender] = (msg.helper, msg.left_height)
+        heal.answers += 1
+        self._progress()
+
+    def _progress(self) -> None:
+        """Coordinator: replay the walk over what has been heard; resume
+        the descent below the victim once its slot is known; finish when
+        every report and every probe's answer is in."""
+        heal = self._gather
+        assert heal is not None
+        if self._await_reports:
+            return
+        probes, resumes, roots, complete = heal.walk()
+        for to in resumes:
+            if to not in heal.resumed:
+                heal.resumed.add(to)
+                if to == self.nid:
+                    self._descend(heal.victim, self.nid)
                 else:
-                    self._send(
-                        FGPortion(
-                            sender=self.nid,
-                            recipient=member,
-                            port_parent_sim=portion[0],
-                            helper=portion[1],
-                            manifest=portion[2],
-                        )
-                    )
-        else:
+                    self._probe(FGDescend, to, heal.victim, self.nid)
+        expected = len(probes) + sum(1 for to in resumes if to != self.nid)
+        if complete and heal.answers == expected:
+            self._finalize(roots)
+
+    def _finalize(self, roots: List[int]) -> None:
+        """Coordinator: remove the victim from its partial haft, merge,
+        ship each member whose portion changed its new parts."""
+        heal = self._gather
+        assert heal is not None
+        self._victim = self._gather = None
+        hafts, own = heal.hafts(roots)
+        journal: Dict = {}
+        if own is not None:
+            own.remove(heal.victim, journal)
+        fresh = sorted(
+            n for n, (direct, port, _l, _h) in heal.reports.items()
+            if direct and port is None
+        )
+        rt = ReconstructionTree.merge(hafts, fresh, journal)
+        if rt.size < 2:
             # 0 or 1 members: the region dissolves; the lone survivor (if
             # any) can only be the coordinator itself.  Heir promotion
             # without a message.
-            if members and members[0] != self.nid:
-                raise ProtocolError(
-                    f"node {self.nid}: lone survivor {members[0]} is "
-                    "not the coordinator"
-                )
-            self._apply_portion(None, None, None)
+            self._apply(True, None, True, None, None)
+            return
+        helpers, ports = rt.changed_portions(journal)
+        for member in sorted((helpers | ports) - {heal.victim}):
+            portion = (
+                member in ports,
+                rt.port_parent.get(member),
+                member in helpers,
+                rt.helper_links.get(member),
+                rt.left_height.get(member),
+            )
+            if member == self.nid:
+                self._apply(*portion)
+            else:
+                self._send(FGPortion(self.nid, member, *portion))
 
-    def _apply_portion(
+    def _apply(
         self,
+        new_port: bool,
         port_parent_sim: Optional[int],
+        new_helper: bool,
         helper: Optional[Links],
-        manifest: Optional[Manifest],
+        left_height: Optional[int],
     ) -> None:
-        self.port_parent_sim = port_parent_sim
-        self.helper = helper
-        self.manifest = manifest
+        if new_port:
+            self.port_parent_sim = port_parent_sim
+        if new_helper:
+            self.helper = helper
+            self.left_height = left_height
 
     def _on_portion(self, msg: FGPortion) -> None:
-        self._apply_portion(msg.port_parent_sim, msg.helper, msg.manifest)
+        self._apply(
+            msg.new_port, msg.port_parent_sim, msg.new_helper, msg.helper,
+            msg.left_height,
+        )
 
     # -- churn handling ----------------------------------------------------
     def _on_insert_request(self, msg: FGInsertRequest) -> None:
@@ -322,7 +579,7 @@ class DistributedForgivingGraph(ProtocolDriver):
         for nid, neigh in graph.items():
             node = self.network.nodes[nid]
             node.direct = {int(m) for m in neigh if int(m) != nid}
-        # No setup traffic: hafts (and their manifests) only exist after
+        # No setup traffic: hafts (and their portions) only exist after
         # the first failure.  The empty round keeps stats indexing
         # aligned with the FT runtime (round 0 = setup).
         self.network.begin_round(0)

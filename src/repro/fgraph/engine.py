@@ -66,7 +66,7 @@ from ..core.events import (
 from ..core.flat import AliveView
 from ..graphs.adjacency import Graph, copy as copy_graph, from_adjacency
 from ..guarantees import degree_increase_bound
-from .rtree import Journal, ReconstructionTree, link_edges
+from .rtree import Journal, Links, ReconstructionTree, link_edges, probe_walk
 
 Edge = Tuple[int, int]
 
@@ -201,13 +201,16 @@ class ForgivingGraph:
         self.rounds += 1
         img_nbrs = sorted(self._img[nid])
         coordinator = img_nbrs[0] if img_nbrs else None
-        # -- counted flow: Deleted fan-out, reports in, portions out ----
+        # -- counted flow: Deleted fan-out, reports in, the probe walk,
+        # portions out to the members whose portion changed ------------
         tally: Dict[int, int] = {}
+        hops: Set[Edge] = set()
         if img_nbrs:
             tally[nid] = len(img_nbrs)
             for u in img_nbrs:
                 if u != coordinator:
                     tally[u] = 1
+            self._probe_walk(nid, img_nbrs, tally, hops)
         internal, haft, changed, removed, added = self._heal(nid)
         links = haft.helper_links if haft else {}
         events: List[object] = [
@@ -218,15 +221,18 @@ class ForgivingGraph:
             for s in changed
             if s in links
         ]
-        relisted: Set[Edge] = set()
+        gone = set(removed)
+        relisted = {e for e in hops if e not in gone}
         if haft is not None:
             if coordinator not in haft.members:
                 raise InvariantViolationError(
                     "fg-coordinator",
                     f"coordinator {coordinator} outside the merged haft",
                 )
-            tally[coordinator] = tally.get(coordinator, 0) + len(haft.members) - 1
-            recipients = sorted(haft.members - {coordinator})
+            helpers, ports = haft.changed_portions(changed)
+            recipients = sorted((helpers | ports) - {nid, coordinator})
+            if recipients:
+                tally[coordinator] = tally.get(coordinator, 0) + len(recipients)
             events += map(WillPortionSent, repeat(coordinator), recipients)
             # Every portion recipient is an endpoint of a touched edge:
             # its port edge (or, collapsed, its helper's right link) is
@@ -250,6 +256,39 @@ class ForgivingGraph:
         if self.strict:
             self.check()
         return report
+
+    def _probe_walk(
+        self, nid: int, notified: List[int], tally: Dict[int, int], hops: Set[Edge]
+    ) -> None:
+        """Synthesize the heal's probe walk over the pre-heal hafts
+        (:func:`~repro.fgraph.rtree.probe_walk`, the rules the distributed
+        nodes follow): each probe counts for its sender and its image
+        edge goes into ``hops``; each resume counts for the coordinator;
+        each recipient answers the coordinator once per probe (the
+        coordinator's own answers are local)."""
+        coordinator = notified[0]
+        haft_of, hafts = self._haft_of, self._hafts
+
+        def port_of(e: int) -> Optional[int]:
+            hid = haft_of.get(e)
+            return None if hid is None else hafts[hid].port_parent[e]
+
+        def links_of(s: int) -> Optional[Links]:
+            hid = haft_of.get(s)
+            return None if hid is None else hafts[hid].helper_links.get(s)
+
+        probes, resumes, _roots, _ = probe_walk(nid, notified, port_of, links_of)
+        for src, dst in probes:
+            tally[src] = tally.get(src, 0) + 1
+            hops.add((src, dst) if src < dst else (dst, src))
+        received = [dst for _, dst in probes]
+        for dst in resumes:
+            if dst != coordinator:
+                tally[coordinator] = tally.get(coordinator, 0) + 1
+                received.append(dst)
+        for dst in received:
+            if dst != coordinator:
+                tally[dst] = tally.get(dst, 0) + 1
 
     def _heal(
         self, nid: int

@@ -29,7 +29,11 @@ two operations keep them so with ``O(log L)`` local changes:
 
 Both record in a caller's *journal* the links each helper had before its
 first change, so the caller diffs exactly the helpers that were
-dissolved, created or relinked.  The engine keeps each real node in at
+dissolved, created or relinked (:meth:`~ReconstructionTree.changed_portions`
+adds the members whose port moved).  Neither reads more than the row,
+the last tree's right path, the tree roots and the removed member's
+neighbourhood, so both run unchanged on the *partial* haft the
+distributed coordinator assembles from its probe walk.  The engine keeps each real node in at
 most one haft, so each real node simulates at most one helper globally,
 and a helper carries at most three endpoint edges: the additive degree
 bound of 3 (``docs/FORGIVING_GRAPH.md``).
@@ -37,7 +41,7 @@ bound of 3 (``docs/FORGIVING_GRAPH.md``).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import InvariantViolationError
 
@@ -64,6 +68,103 @@ def link_edges(sim: int, links: Optional[Links]) -> Iterator[Tuple[int, int]]:
             yield (sim, c) if sim < c else (c, sim)
 
 
+def probe_walk(
+    victim: int,
+    notified: Sequence[int],
+    port_of: Callable[[int], Optional[int]],
+    links_of: Callable[[int], Optional[Links]],
+) -> Tuple[List[Tuple[int, int]], List[int], List[int], bool]:
+    """The probe walk of one heal, as a pure function of local pointers.
+
+    ``notified`` are the victim's image neighbours, ``port_of`` their
+    port parents, ``links_of`` any helper's links (None: the node
+    simulates none); the victim's own links are whatever the caller
+    knows or rebuilt.  Rules, one per local pointer:
+
+    * **climb** — a notified member probes its port parent, and a
+      notified node whose helper is the victim's parent or holds the
+      victim's port climbs from its own helper; a climbing helper probes
+      its parent, once per heal, and stops at the victim or a root;
+    * **descend** — a root reached walks its right path to the
+      rightmost leaf, probing each right child and each helper left
+      child on it; below the victim's helper the coordinator *resumes*
+      the descent at the victim's right child.
+
+    Returns ``(probes, resumes, roots, complete)``: the ``(sender,
+    recipient)`` probe messages, the resume targets, the roots reached,
+    and whether every pointer was known (``links_of`` raising
+    ``KeyError`` marks a branch the caller cannot see yet).
+    """
+    probes: List[Tuple[int, int]] = []
+    resumes: List[int] = []
+    roots: List[int] = []
+    climbed: Set[int] = set()
+    complete = True
+
+    def climb(s: int) -> None:
+        while s not in climbed:
+            climbed.add(s)
+            links = links_of(s)
+            if links is None:  # a half-applied earlier heal: branch ends
+                return
+            up = links[0]
+            if up is None:
+                roots.append(s)
+                return
+            if up[0] == victim:
+                return
+            probes.append((s, up[0]))
+            s = up[0]
+
+    def descend(s: int) -> None:
+        while True:
+            links = links_of(s)
+            if links is None:
+                return
+            _, left, right = links
+            if s == victim:
+                if right[1] != HELPER:
+                    return
+                s = right[0]
+                resumes.append(s)
+                continue
+            if left[1] == HELPER and left[0] != victim:
+                probes.append((s, left[0]))
+            if right[1] != HELPER:
+                return
+            if right[0] != victim:
+                probes.append((s, right[0]))
+            s = right[0]
+
+    for e in notified:
+        p = port_of(e)
+        if p is None:
+            continue
+        try:
+            if p == e:
+                climb(e)
+            elif p != victim:
+                probes.append((e, p))
+                climb(p)
+            own = links_of(e)
+            if own is not None and victim in (own[1][0], own[2][0]):
+                climb(e)
+        except KeyError:
+            complete = False
+    try:
+        own = links_of(victim)
+        if own is not None and own[0] is None:
+            roots.append(victim)
+    except KeyError:
+        complete = False
+    for r in roots:
+        try:
+            descend(r)
+        except KeyError:
+            complete = False
+    return probes, resumes, roots, complete
+
+
 class ReconstructionTree:
     """One haft over the members of a healed region.
 
@@ -78,6 +179,10 @@ class ReconstructionTree:
     helper_links:
         ``sim -> (parent ref | None, left child ref, right child ref)``
         for every helper, keyed by the real node simulating it.
+    left_height:
+        ``sim -> height of the helper's left subtree``: a spine helper's
+        left tree, ``h - 1`` for a helper of height ``h`` inside a
+        complete tree.  It changes only when the left link does.
     """
 
     def __init__(self) -> None:
@@ -85,6 +190,7 @@ class ReconstructionTree:
         self.trees: List[Tree] = []
         self.port_parent: Dict[int, int] = {}
         self.helper_links: Dict[int, Links] = {}
+        self.left_height: Dict[int, int] = {}
 
     @classmethod
     def build(cls, sequence: Iterable[int]) -> "ReconstructionTree":
@@ -94,13 +200,24 @@ class ReconstructionTree:
     # ------------------------------------------------------------------
     # journaled writes
     # ------------------------------------------------------------------
-    def _set(self, sim: int, links: Optional[Links], journal: Journal) -> None:
+    def _set(
+        self,
+        sim: int,
+        links: Optional[Links],
+        journal: Journal,
+        height: Optional[int] = None,
+    ) -> None:
+        """Write helper ``sim``'s links (None: dissolve it); ``height``
+        sets its left height when the left link is new."""
         if sim not in journal:
             journal[sim] = self.helper_links.get(sim)
         if links is None:
             del self.helper_links[sim]
+            del self.left_height[sim]
         else:
             self.helper_links[sim] = links
+            if height is not None:
+                self.left_height[sim] = height
 
     def _hang(self, ref: Ref, parent: Optional[int], journal: Journal) -> None:
         """Make the helper simulated by ``parent`` (None: nothing) the
@@ -133,10 +250,10 @@ class ReconstructionTree:
         simulated by that tree's rightmost member."""
         trees = self.trees
         spine = [last for _h, _root, last in trees[:-1]]
-        for i, (_h, root, last) in enumerate(trees[:-1]):
+        for i, (h, root, last) in enumerate(trees[:-1]):
             up = (spine[i - 1], HELPER) if i else None
             right = (spine[i + 1], HELPER) if i + 2 < len(trees) else trees[-1][1]
-            self._set(last, (up, root, right), journal)
+            self._set(last, (up, root, right), journal, h)
             self._hang(root, last, journal)
         if trees:
             self._hang(trees[-1][1], spine[-1] if spine else None, journal)
@@ -166,8 +283,9 @@ class ReconstructionTree:
                 self._relabel_child(parent, x, y, journal)
             moved = links.get(x)
             if moved is not None:
+                height = self.left_height[x]
                 self._set(x, None, journal)
-                self._set(y, moved, journal)
+                self._set(y, moved, journal, height)
                 up, left, right = moved
                 if up is not None:
                     self._relabel_child(up[0], x, y, journal)
@@ -195,7 +313,7 @@ class ReconstructionTree:
         same result.  The largest haft absorbs the others and is returned
         (a new haft if ``hafts`` is empty).
         """
-        hafts = sorted(hafts, key=lambda t: (-len(t.members), t.trees[-1][2]))
+        hafts = sorted(hafts, key=lambda t: (-t.size, t.trees[-1][2]))
         base = hafts[0] if hafts else cls()
         row: List[Tree] = []
         for haft in hafts:
@@ -205,6 +323,7 @@ class ReconstructionTree:
                 base.members |= haft.members
                 base.port_parent.update(haft.port_parent)
                 base.helper_links.update(haft.helper_links)
+                base.left_height.update(haft.left_height)
         for nid in fresh:
             base.members.add(nid)
             row.append((0, (nid, REAL), nid))
@@ -217,7 +336,7 @@ class ReconstructionTree:
             level = by_height.pop(height, [])
             for i in range(1, len(level), 2):
                 (_, a, sim), (_, b, last) = level[i - 1], level[i]
-                base._set(sim, (None, a, b), journal)
+                base._set(sim, (None, a, b), journal, height)
                 base._hang(a, sim, journal)
                 base._hang(b, sim, journal)
                 up = (height + 1, (sim, HELPER), last)
@@ -235,6 +354,12 @@ class ReconstructionTree:
     @property
     def n_helpers(self) -> int:
         return len(self.helper_links)
+
+    @property
+    def size(self) -> int:
+        """The number of leaves, read off the row (a partial haft knows
+        its row but not every member)."""
+        return sum(1 << h for h, _root, _last in self.trees)
 
     @property
     def root(self) -> Ref:
@@ -261,11 +386,44 @@ class ReconstructionTree:
             stack += ((right, d + 1), (left, d + 1))
         return out
 
-    def manifest(self) -> Tuple[int, ...]:
-        """The in-order member sequence every member carries (the FG
-        analog of a Forgiving Tree will: enough shipped-ahead state for
-        any survivor to rebuild the haft)."""
+    def sequence(self) -> Tuple[int, ...]:
+        """The in-order member sequence (the haft is a pure function of
+        it: :meth:`build`)."""
         return tuple(m for m, _ in self.walk())
+
+    def portion(self, member: int) -> Tuple[Optional[int], Optional[Links], Optional[int]]:
+        """What ``member`` holds of this haft: its port parent, the links
+        of the helper it simulates and that helper's left height."""
+        return (
+            self.port_parent.get(member),
+            self.helper_links.get(member),
+            self.left_height.get(member),
+        )
+
+    def changed_portions(self, journal: Journal) -> Tuple[Set[int], Set[int]]:
+        """``(helper changed, port changed)``: the members whose simulated
+        helper or port parent differs from before the journaled
+        operations.  Read off the journal alone: a leaf's port moves
+        exactly when it leaves or joins the children of a changed helper,
+        so a partial haft answers the same as the full one."""
+        links = self.helper_links
+        helpers: Set[int] = set()
+        old_port: Dict[int, int] = {}
+        new_port: Dict[int, int] = {}
+        for sim, old in journal.items():
+            new = links.get(sim)
+            if old == new:
+                continue
+            helpers.add(sim)
+            for acc, l in ((old_port, old), (new_port, new)):
+                for c, kind in l[1:] if l else ():
+                    if kind == REAL:
+                        acc[c] = sim
+        ports = {
+            m for m in old_port.keys() | new_port.keys()
+            if old_port.get(m) != new_port.get(m)
+        }
+        return helpers, ports
 
     def sim_of(self, member: int) -> Optional[int]:
         """The helper ``member`` simulates, as its own id (or None)."""
@@ -301,8 +459,8 @@ class ReconstructionTree:
                 "rt-sims", f"{len(free)} free members for {self.n_helpers} helpers"
             )
         canon = self.build(sequence)
-        if (self.trees, self.port_parent, self.helper_links) != (
-            canon.trees, canon.port_parent, canon.helper_links
+        if (self.trees, self.port_parent, self.helper_links, self.left_height) != (
+            canon.trees, canon.port_parent, canon.helper_links, canon.left_height
         ):
             raise InvariantViolationError(
                 "rt-shape", "haft differs from the canonical one over its sequence"

@@ -124,18 +124,18 @@ class TestReconstructionTree:
             journal = {}
             if op == "remove":
                 # The rightmost leaf takes the removed member's slot.
-                expect = list(haft.manifest())
+                expect = list(haft.sequence())
                 gone = members[pick % len(members)]
                 expect[expect.index(gone)] = expect[-1]
                 expect.pop()
                 haft.remove(gone, journal)
-                assert haft.manifest() == tuple(expect)
+                assert haft.sequence() == tuple(expect)
             else:
                 haft = ReconstructionTree.merge([haft] + others, fresh, journal)
             links = haft.helper_links
             changed = {s for s, old in journal.items() if old != links.get(s)}
             assert changed == _changed(before, links)
-            assert _fields(haft) == _fields(ReconstructionTree.build(haft.manifest()))
+            assert _fields(haft) == _fields(ReconstructionTree.build(haft.sequence()))
             if len(haft.members) >= 2:
                 haft.check()
 
@@ -177,7 +177,7 @@ class TestReconstructionTree:
         assert {depth[m] for m in range(8)} == {4}
         assert (depth[8], depth[9], depth[10]) == (3, 3, 2)
         assert rt.root == (7, "helper")  # the spine head: tree 0's last leaf
-        assert rt.manifest() == tuple(range(11))
+        assert rt.sequence() == tuple(range(11))
 
     def test_check_rejects_degenerate_hafts(self):
         with pytest.raises(InvariantViolationError, match="fewer than two"):
@@ -565,9 +565,9 @@ class TestDistributedParity:
             assert seq.alive == dist.alive
 
     def test_nodes_hold_the_engine_haft_portion_for_portion(self):
-        """Each member's manifest is its haft's in-order member sequence
-        (one id per member), and its port parent and simulated helper are
-        the engine's, after every event."""
+        """Each node's local state is its engine portion — port parent,
+        simulated helper and that helper's left height, O(1) ids — after
+        every event."""
         g = generators.random_connected_gnp(30, 0.12, seed=8)
         seq = ForgivingGraph(g, strict=True)
         dist = DistributedForgivingGraph({k: set(v) for k, v in g.items()})
@@ -586,14 +586,11 @@ class TestDistributedParity:
                 nxt += 1
             for nid in seq.alive:
                 node, haft = dist.network.nodes[nid], seq.haft_of(nid)
+                held = (node.port_parent_sim, node.helper, node.left_height)
                 if haft is None:
-                    assert (node.manifest, node.port_parent_sim, node.helper) == (
-                        None, None, None
-                    )
+                    assert held == (None, None, None)
                 else:
-                    assert node.manifest == haft.manifest()
-                    assert node.port_parent_sim == haft.port_parent[nid]
-                    assert node.helper == haft.helper_links.get(nid)
+                    assert held == haft.portion(nid)
 
     def test_single_insert_is_a_wave_of_one(self):
         g = generators.path(4)
@@ -666,7 +663,7 @@ class TestReportPins:
 class TestSurfaceAndValidators:
     def test_rtree_accessors(self):
         rt = ReconstructionTree.build([3, 1, 2])
-        assert rt.manifest() == (3, 1, 2)
+        assert rt.sequence() == (3, 1, 2)
         sims = [m for m in rt.members if rt.sim_of(m) is not None]
         assert len(sims) == rt.n_helpers  # one helper per simulator
         assert rt.sim_of(2) is None  # the rightmost leaf simulates nothing
@@ -708,7 +705,7 @@ class TestSurfaceAndValidators:
         with pytest.raises(InvariantViolationError, match="reached twice"):
             engine.check()
         engine, haft = massacred()
-        seq = haft.manifest()  # re-hang the same sequence as a caterpillar
+        seq = haft.sequence()  # re-hang the same sequence as a caterpillar
         haft.helper_links = {
             s: (
                 (seq[i - 1], "helper") if i else None,

@@ -222,7 +222,10 @@ class TestAsyncNetworkDropIn:
         # fan-out, then reports and portions: two layers below the injection
         with pytest.raises(ProtocolError, match="no quiescence after 1 layers"):
             dfg.delete(0)
-        dfg.insert(50, 1)  # a two-message handshake fits in one layer
+        # A two-message handshake fits in one layer, and so does the heal
+        # of a leaf hung off portless node 3 (a heal touching node 1 walks
+        # the haft the tripped heal left half-applied: more layers).
+        dfg.insert(50, 3)
         dfg.delete(50)
         assert dfg.alive == {1, 2, 3}
 
