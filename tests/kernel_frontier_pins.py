@@ -22,7 +22,10 @@ per overlap policy: which message each driver sends when, and when each
 policy lets an event inject, is what that refactor must not move.  The
 four ``fg/*`` entries were re-recorded when in-place haft merges replaced
 the Forgiving Graph's region rebuild, which changes its heals and insert
-tallies; every other entry stayed byte-identical.
+tallies, and again when its heals stopped shipping every member the
+haft's member list (a probe walk finds the haft, portions go to the
+changed members only: other messages, other depths); every other entry
+stayed byte-identical both times.
 """
 
 from __future__ import annotations
