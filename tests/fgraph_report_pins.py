@@ -1,9 +1,13 @@
 """What ``tests/data/fgraph_report_pins.json`` pins, and how it was taken.
 
 The file was re-recorded when in-place haft merges (remove + binary
-addition) replaced the rebuild of each region: that change moves the
-heals themselves — other hafts, images, reports and insert tallies — so
-the streams were taken from the merging engine::
+addition) replaced the rebuild of each region — that change moves the
+heals themselves: other hafts, images, reports and insert tallies — and
+again when heals stopped shipping every member the haft's member list
+(a probe walk finds the haft, portions go to the changed members only:
+the tallies and the events that name message recipients move, the edge
+sets and images do not).  Both times the streams were taken from the
+changed engine::
 
     PYTHONPATH=src python -m tests.fgraph_report_pins tests/data/fgraph_report_pins.json
 
