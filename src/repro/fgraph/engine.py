@@ -65,6 +65,7 @@ from ..core.events import (
 )
 from ..core.flat import AliveView
 from ..graphs.adjacency import Graph, copy as copy_graph, from_adjacency
+from ..graphs.view import OverlayView
 from ..guarantees import degree_increase_bound
 from .rtree import Journal, Links, ReconstructionTree, link_edges, probe_walk
 
@@ -93,7 +94,10 @@ class ForgivingGraph:
         self._hafts: Dict[int, ReconstructionTree] = {}
         self._haft_of: Dict[int, int] = {}
         self._next_haft = 0
-        self._img: Dict[int, Dict[int, int]] = {n: {} for n in self._ideal}
+        # The image: ``node -> {neighbour: multiplicity}``, kept as an
+        # :class:`OverlayView` so adversaries' degree and roster questions
+        # are answered from its index (built on the first question).
+        self._img = OverlayView({n: {} for n in self._ideal})
         for u, vs in self._ideal.items():
             for v in vs:
                 if u < v:
@@ -145,8 +149,9 @@ class ForgivingGraph:
 
     def view(self) -> Mapping[int, Mapping[int, int]]:
         """The live image ``node -> {neighbour: multiplicity}``: what
-        :meth:`graph` copies.  Read it, never mutate it, and do not hold
-        it across an event."""
+        :meth:`graph` copies, an :class:`~repro.graphs.view.OverlayView`
+        (``max_degree_nodes`` / ``sorted_nodes`` answer from its index).
+        Read it, never mutate it, and do not hold it across an event."""
         return self._img
 
     def ideal_graph(self, include_dead: bool = False) -> Graph:
@@ -373,13 +378,15 @@ class ForgivingGraph:
                 img[a][b] = img[b][a] = count
             else:
                 del img[a][b], img[b][a]
-        if img.pop(nid):  # pragma: no cover - defensive
-            raise InvariantViolationError("fg-image", f"victim {nid} keeps edges")
         for x, dx in moved.items():
-            if dx and x != nid:
-                now = len(img[x]) - len(ideal[x])
-                self._inc_shift(now - dx, -1)
-                self._inc_shift(now, +1)
+            if dx:
+                img.resized(x, len(img[x]) - dx)
+                if x != nid:
+                    now = len(img[x]) - len(ideal[x])
+                    self._inc_shift(now - dx, -1)
+                    self._inc_shift(now, +1)
+        if img.pop_row(nid):  # pragma: no cover - defensive
+            raise InvariantViolationError("fg-image", f"victim {nid} keeps edges")
         return removed, added
 
     # ------------------------------------------------------------------
@@ -396,8 +403,9 @@ class ForgivingGraph:
         self._alive.add(nid)
         self._ideal[nid] = {attach_to}
         self._ideal[attach_to].add(nid)
-        self._img[nid] = {attach_to: 1}
+        self._img.put_row(nid, {attach_to: 1})
         self._img[attach_to][nid] = 1
+        self._img.resized(attach_to, len(self._img[attach_to]) - 1)
         self._inc_shift(0, +1)  # attach_to gains one ideal and one image edge: net 0
         report = HealReport(
             deleted=-1,
@@ -471,6 +479,8 @@ class ForgivingGraph:
                 "fg-image",
                 f"multiset drift: {sorted(set(stored) ^ set(fresh))[:6]}",
             )
+        if self._img.index_is_stale() or self._img.roster_is_stale():
+            raise InvariantViolationError("fg-view", "degree index or roster drifted")
         # The paper's Theorem: additive degree increase bounded by 3; the
         # kept histogram and its max match a recount.
         bound = degree_increase_bound()

@@ -10,10 +10,11 @@ stretch between two graphs, and eccentricities.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.errors import DisconnectedGraphError, EmptyStructureError
 from .adjacency import Graph, bfs_distances
+from .view import sorted_nodes
 
 
 def eccentricity(graph: Graph, source: int) -> int:
@@ -56,16 +57,33 @@ def diameter_double_sweep(graph: Graph, seed: int = 0) -> int:
         raise EmptyStructureError("diameter of empty graph")
     if len(graph) == 1:
         return 0
-    rng = random.Random(seed)
-    start = rng.choice(sorted(graph))
-    dist = bfs_distances(graph, start)
-    if len(dist) != len(graph):
-        raise DisconnectedGraphError("double sweep on disconnected graph")
+    start = random.Random(seed).choice(sorted_nodes(graph))
+    last, _ = _sweep(graph, start)
     # The farthest node, largest id among ties.
-    reach = max(dist.values())
-    far = max(n for n, d in dist.items() if d == reach)
-    dist2 = bfs_distances(graph, far)
-    return max(dist2.values())
+    _, ecc = _sweep(graph, max(last))
+    return ecc
+
+
+def _sweep(graph: Graph, source: int) -> Tuple[List[int], int]:
+    """BFS from ``source`` level by level, keeping only a ``seen`` set:
+    the last (farthest) level and its distance, the eccentricity."""
+    seen = {source}
+    level = [source]
+    ecc = 0
+    while True:
+        nxt = []
+        for u in level:
+            for v in graph[u]:
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        if not nxt:
+            break
+        level = nxt
+        ecc += 1
+    if len(seen) != len(graph):
+        raise DisconnectedGraphError("double sweep on disconnected graph")
+    return level, ecc
 
 
 def diameter(graph: Graph, exact: bool = True, seed: int = 0) -> int:

@@ -58,9 +58,7 @@ class OverlayView(dict):
         for a, b in ((u, v), (v, u)):
             row = self.get(a)
             if row is None:
-                row = self[a] = set()
-                if self._roster is not None:
-                    insort(self._roster, a)  # fresh ids grow: an append
+                row = self.put_row(a, set())
             self._moved(a, len(row), len(row) + 1)
             row.add(b)
         return True
@@ -77,21 +75,42 @@ class OverlayView(dict):
 
     def drop_node(self, nid: int) -> Collection[int]:
         """Remove ``nid`` and its edges; returns its former neighbours."""
-        row = self.pop(nid, None)
-        if row is None:
+        if nid not in self:
             return ()
-        self._moved(nid, len(row), None)
-        if self._roster is not None:
-            del self._roster[bisect_left(self._roster, nid)]
+        row = self.pop_row(nid)
         for m in row:
             other = self[m]
             self._moved(m, len(other), len(other) - 1)
             other.discard(nid)
         return row
 
-    def _moved(self, node: int, old: int, new: Optional[int]) -> None:
+    # Owners whose rows are not plain neighbour sets (the Forgiving
+    # Graph's ``{neighbour: multiplicity}`` rows) edit rows in place and
+    # keep the bookkeeping with these three.
+    def put_row(self, nid: int, row):
+        """Add node ``nid`` with its (new) neighbour row; returns the row."""
+        self[nid] = row
+        if self._roster is not None:
+            insort(self._roster, nid)  # fresh ids grow: an append
+        self._moved(nid, None, len(row))
+        return row
+
+    def pop_row(self, nid: int):
+        """Remove node ``nid`` and return its row (neighbours' rows are
+        the caller's)."""
+        row = self.pop(nid)
+        self._moved(nid, len(row), None)
+        if self._roster is not None:
+            del self._roster[bisect_left(self._roster, nid)]
+        return row
+
+    def resized(self, nid: int, old: int) -> None:
+        """Re-file ``nid`` after its row changed size in place from ``old``."""
+        self._moved(nid, old, len(self[nid]))
+
+    def _moved(self, node: int, old: Optional[int], new: Optional[int]) -> None:
         index = self._by_degree
-        if index is None:
+        if index is None or old == new:
             return
         bucket = index.get(old)
         if bucket is not None:
@@ -105,6 +124,15 @@ class OverlayView(dict):
         """Whether a built roster has stopped being the sorted node ids
         (``strict`` healers ask after every event)."""
         return self._roster is not None and self._roster != sorted(self)
+
+    def index_is_stale(self) -> bool:
+        """Whether a built degree index has stopped matching a recount."""
+        if self._by_degree is None:
+            return False
+        recount: Dict[int, Set[int]] = {}
+        for node, row in self.items():
+            recount.setdefault(len(row), set()).add(node)
+        return recount != self._by_degree
 
     # -- the degree index (the reader's side) -------------------------------
     def _index(self) -> Dict[int, Set[int]]:

@@ -47,6 +47,7 @@ from repro.adversaries import (
 )
 from repro.baselines import ForgivingGraphHealer, ForgivingTreeHealer, healer_catalog
 from repro.churn import synthetic_skype_outage
+from repro.churn.events import Insert, InsertWave
 from repro.audit import HealDelta
 from repro.core.events import WillPortionSent
 from repro.core.errors import (
@@ -58,6 +59,7 @@ from repro.core.errors import (
 from repro.fgraph import DistributedForgivingGraph, ForgivingGraph, ReconstructionTree
 from repro.graphs import generators
 from repro.graphs.adjacency import bfs_distances, edges as edge_set, is_connected
+from repro.graphs.view import max_degree_nodes, min_degree_nodes, sorted_nodes
 from repro.harness import churn_duel, run_campaign, run_churn_campaign
 from repro.regions.admission import heal_footprint
 from tests import fgraph_report_pins
@@ -514,6 +516,30 @@ class TestHealerIntegration:
             healer.insert_batch([(13, 14), (14, 0)])  # attach to same-wave joiner
         with pytest.raises(ReproError):
             healer.insert_batch([(10, 0)])  # ids never reused
+
+    def test_view_answers_degree_and_roster_questions_from_its_index(self):
+        """The view's degree index and roster, built by the first
+        question, equal a scan of a plain copy after every event of a
+        mixed campaign: a growth wave, the hub massacre, then churn with
+        batch waves."""
+        healer = ForgivingGraphHealer(generators.preferential_attachment(120, 2, seed=6))
+        view = healer.view()
+        max_degree_nodes(view), sorted_nodes(view)  # build both
+        massacre = GrowthThenMassacreAdversary(growth=20, seed=6)
+        churn = WaveChurnAdversary(wave=4, p_wave=0.3, seed=6)
+        for r in range(150):
+            event = (massacre if r < 90 else churn).next_event(healer)
+            if isinstance(event, InsertWave):
+                healer.insert_batch(event.joiners)
+            elif isinstance(event, Insert):
+                healer.insert(event.nid, event.attach_to)
+            else:
+                healer.delete(event.nid)
+            plain = {n: set(row) for n, row in view.items()}
+            assert set(max_degree_nodes(view)) == set(max_degree_nodes(plain))
+            assert set(min_degree_nodes(view)) == set(min_degree_nodes(plain))
+            assert list(sorted_nodes(view)) == sorted(plain)
+            healer.engine.check()  # recounts the index and the roster
 
     def test_ideal_graph_views(self):
         g = generators.path(4)

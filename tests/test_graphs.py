@@ -1,13 +1,18 @@
 """Tests for generators, metrics and spanning trees (networkx as oracle)."""
 
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from tests.conftest import examples
 
 from repro.core.errors import DisconnectedGraphError, EmptyStructureError
 from repro.graphs import adjacency as adj
 from repro.graphs import generators as gen
 from repro.graphs import metrics, spanning
+from repro.graphs.view import OverlayView
 
 
 class TestGenerators:
@@ -161,6 +166,42 @@ class TestMetrics:
             assert metrics.diameter_double_sweep(g, seed) == metrics.diameter_double_sweep(
                 g, seed
             )
+
+    @settings(max_examples=examples(60), deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        p=st.floats(0.0, 0.4),
+        graph_seed=st.integers(0, 10**6),
+        seed=st.integers(0, 10**6),
+        view=st.booleans(),
+    )
+    def test_double_sweep_matches_the_bfs_distances_reference(
+        self, n, p, graph_seed, seed, view
+    ):
+        """The level-by-level sweep keeps no distance dict: its answer is
+        the reference double sweep's over ``bfs_distances`` (start drawn
+        from the sorted ids, farthest node = largest id at the maximum
+        distance), on plain graphs and on an :class:`OverlayView`, and
+        it raises on every disconnected graph."""
+        draw = random.Random(graph_seed)
+        g = {v: set() for v in range(n)}
+        for u in range(n):
+            for v in range(u + 1, n):
+                if draw.random() < p:
+                    g[u].add(v)
+                    g[v].add(u)
+        rng = random.Random(seed)
+        start = rng.choice(sorted(g))
+        dist = adj.bfs_distances(g, start)
+        graph = OverlayView(adj.copy(g)) if view else g
+        if len(dist) != len(g):
+            with pytest.raises(DisconnectedGraphError):
+                metrics.diameter_double_sweep(graph, seed)
+            return
+        reach = max(dist.values())
+        far = max(v for v, d in dist.items() if d == reach)
+        expected = max(adj.bfs_distances(g, far).values())
+        assert metrics.diameter_double_sweep(graph, seed) == expected
 
     def test_radius_center_on_paths_and_stars(self):
         even = gen.path(10)  # two central nodes

@@ -377,8 +377,10 @@ def test_materialisations_per_campaign_are_constant(materialisations):
     assert materialisations["graph"] + materialisations["tree_overlay"] <= 4
     assert materialisations["adjacency"] <= 4
     assert healer._tree_view is None  # the sync mirror takes no footprints
-    # Hub questions build the degree index; nobody asked for a roster.
-    assert healer.view()._by_degree is not None and healer.view()._roster is None
+    # Hub questions build the degree index; the double sweep picks its
+    # start from the roster.
+    assert healer.view()._by_degree is not None and healer.view()._roster is not None
+    assert not healer.view().roster_is_stale() and not healer.view().index_is_stale()
 
 
 # -- (e) + satellite pins: nothing simulated moved ---------------------------
