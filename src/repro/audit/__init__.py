@@ -18,7 +18,7 @@ proves them.
   ``python -m repro.audit.query`` CLI (per-heal message flows,
   per-link traffic tables, queue-depth timelines from a JSONL export).
 * :mod:`repro.audit.certify` — per-heal certificates: message budgets
-  (Theorem 1.3 for the FT, the manifest-id budget for the FG),
+  (Theorem 1.3 for the FT, the per-node and O(1)-id budgets for the FG),
   payload locality, lease mutual exclusion, happens-before
   well-formedness, and fault accounting — recomputed from the log and
   cross-checked against the kernel tallies.

@@ -13,9 +13,12 @@ Five certificate classes (:data:`CERTIFICATE_KINDS`):
     Message budgets.  FT: per-node sends stay under the Theorem 1.3
     constant (scaled by wave size for batch inserts) and every message
     carries at most :attr:`AuditParams.ft_msg_ids` node ids.  FG: every
-    message's id count stays under the manifest budget
-    ``fg_id_base + fg_ids_per_node · |alive|`` — the honest O(L)
-    deviation (docs/FORGIVING_GRAPH.md) made checkable.
+    node but the victim sends at most
+    :func:`~repro.guarantees.fg_node_message_budget` messages (``n`` the
+    alive count, ``fresh`` bounded by the victim's own fan-out; the wave
+    size for batch inserts) and every message carries at most
+    :attr:`AuditParams.fg_msg_ids` node ids — O(1)-id portions, no
+    member lists.
 ``locality``
     Every payload travels a current-overlay or heal-introduced edge —
     the overlay universe is reconstructed by replaying the oracle edge
@@ -76,15 +79,14 @@ class AuditParams:
     The budgets default to the ones :mod:`repro.guarantees` states (and
     justifies): ``ft_node_budget`` is the Theorem 1.3 per-node send
     envelope per delete heal, scaled by the wave size for batch inserts;
-    ``ft_msg_ids`` the FT word budget; the FG manifest budget is
-    ``fg_id_base + fg_ids_per_node · |alive|`` over the alive node set
-    the delta replay tracks.
+    ``ft_msg_ids`` the FT word budget, ``fg_msg_ids`` the FG's; the FG
+    per-node budget is :func:`~repro.guarantees.fg_node_message_budget`
+    over the alive node set the delta replay tracks.
     """
 
     ft_node_budget: int = guarantees.FT_NODE_MESSAGE_BUDGET
     ft_msg_ids: int = guarantees.FT_MESSAGE_ID_BUDGET
-    fg_id_base: int = guarantees.FG_ID_BASE
-    fg_ids_per_node: int = guarantees.FG_IDS_PER_NODE
+    fg_msg_ids: int = guarantees.FG_MESSAGE_ID_BUDGET
     clock_eps: float = 1e-6
 
 
@@ -520,23 +522,27 @@ def _check_budget(
                 "messages arrived but the log holds no send record to bound",
             )
         )
+    wave = max(1, len(delta.joiners)) if delta.kind == "insert" else 1
+    per_node: Counter = Counter(rec.src for _, rec in sends)
     if protocol == "ft":
-        wave = max(1, len(delta.joiners)) if delta.kind == "insert" else 1
-        budget = params.ft_node_budget * wave
-        per_node: Counter = Counter(rec.src for _, rec in sends)
-        for node, count in sorted(per_node.items()):
-            if count > budget:
-                idxs = [i for i, rec in sends if rec.src == node]
-                cert.violations.append(
-                    Violation(
-                        "budget", hid, (idxs[0], idxs[-1]),
-                        f"node {node} sent {count} messages "
-                        f"(Theorem 1.3 budget {budget})",
-                    )
-                )
+        budget, why = params.ft_node_budget * wave, "Theorem 1.3 budget"
         id_budget = params.ft_msg_ids
     else:
-        id_budget = params.fg_id_base + params.fg_ids_per_node * alive_count
+        # The victim's fan-out is its own; it also bounds the fresh
+        # neighbours joining the merged haft.
+        fresh = per_node.pop(delta.victim, 0) if delta.kind == "delete" else wave
+        budget = guarantees.fg_node_message_budget(alive_count, fresh)
+        why = "FG node budget"
+        id_budget = params.fg_msg_ids
+    for node, count in sorted(per_node.items()):
+        if count > budget:
+            idxs = [i for i, rec in sends if rec.src == node]
+            cert.violations.append(
+                Violation(
+                    "budget", hid, (idxs[0], idxs[-1]),
+                    f"node {node} sent {count} messages ({why} {budget})",
+                )
+            )
     for i, rec in sends:
         if rec.ids >= 0 and rec.ids > id_budget:
             cert.violations.append(

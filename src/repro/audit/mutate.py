@@ -19,10 +19,16 @@ corruption             certificate   seeded defect
 ``phantom-drop``       accounting    a :class:`DropRecord` duplicated
 ``strip-sends``        budget        every :class:`SendRecord` removed (an
                                      arrival-only log proves no budget)
+``fg-member-list``     budget        one Forgiving Graph portion re-inflated
+                                     to carry its haft's member list
+``fg-over-budget``     budget        one Forgiving Graph node's sends
+                                     repeated past its per-node budget
 =====================  ============  =========================================
 
-:func:`run_self_test` drives the whole table over a seeded
-lease + drop/dup campaign; ``python -m repro.audit.mutate`` is the CLI
+:func:`run_self_test` drives the whole table over seeded lease +
+drop/dup campaigns — the ``fg-*`` rows over a Forgiving Graph one
+(:data:`CORRUPTION_PROTOCOL`), the rest over a Forgiving Tree one;
+``python -m repro.audit.mutate`` is the CLI
 the ``audit-smoke`` CI job runs.  The campaign harness is imported
 lazily so :mod:`repro.audit` itself stays importable from telemetry
 alone.
@@ -147,6 +153,29 @@ def corrupt_phantom_drop(
     return None
 
 
+def corrupt_fg_member_list(
+    log: List[LogRecord], inputs: AuditInputs
+) -> Optional[List[LogRecord]]:
+    """One portion carries the member list it shipped before portions
+    were O(1) ids: one more id per node of the campaign."""
+    nodes = {u for edge in inputs.initial_edges for u in edge}
+    for i, rec in enumerate(log):
+        if isinstance(rec, SendRecord) and rec.msg == "FGPortion" and _heal_of(rec, inputs):
+            return log[:i] + [replace(rec, ids=rec.ids + len(nodes))] + log[i + 1:]
+    return None
+
+
+def corrupt_fg_over_budget(
+    log: List[LogRecord], inputs: AuditInputs
+) -> Optional[List[LogRecord]]:
+    """One report is sent again and again: its sender, a notified
+    neighbour, exceeds any per-node budget the campaign's size allows."""
+    for i, rec in enumerate(log):
+        if isinstance(rec, SendRecord) and rec.msg == "FGReport" and _heal_of(rec, inputs):
+            return log[: i + 1] + [rec] * 200 + log[i + 1:]
+    return None
+
+
 def corrupt_strip_sends(
     log: List[LogRecord], inputs: AuditInputs
 ) -> Optional[List[LogRecord]]:
@@ -166,11 +195,22 @@ CORRUPTIONS: Dict[str, Tuple[str, Corruption]] = {
     "lease-overlap": ("exclusion", corrupt_lease_overlap),
     "phantom-drop": ("accounting", corrupt_phantom_drop),
     "strip-sends": ("budget", corrupt_strip_sends),
+    "fg-member-list": ("budget", corrupt_fg_member_list),
+    "fg-over-budget": ("budget", corrupt_fg_over_budget),
 }
 
+#: The protocol whose campaign a corruption is seeded into (default FT).
+CORRUPTION_PROTOCOL: Dict[str, str] = {"fg-member-list": "fg", "fg-over-budget": "fg"}
 
-def _self_test_inputs(seed: int = 11) -> AuditInputs:
-    """One clean lease + drop/dup FT campaign's telemetry bundle.
+
+def protocol_of(name: str) -> str:
+    return CORRUPTION_PROTOCOL.get(name, "ft")
+
+
+def _self_test_inputs(seed: int = 11, protocol: str = "ft") -> AuditInputs:
+    """One clean lease + drop/dup campaign's telemetry bundle: the
+    Forgiving Tree over a random tree, or (``protocol="fg"``) the
+    Forgiving Graph over a scale-free graph.
 
     Harness imports live here (not at module top) so the audit package
     itself never depends on the engines it audits.
@@ -178,13 +218,19 @@ def _self_test_inputs(seed: int = 11) -> AuditInputs:
     from ..adversaries.churn import RandomChurnAdversary
     from ..baselines.forgiving import ForgivingTreeHealer
     from ..faults.plan import FaultPlan
+    from ..fgraph.healer import ForgivingGraphHealer
     from ..graphs import generators
     from ..harness.experiment import run_churn_campaign
     from ..simnet.transport import TransportSpec
 
-    graph = {k: set(v) for k, v in generators.random_tree(24, seed).items()}
+    if protocol == "fg":
+        healer = ForgivingGraphHealer(generators.preferential_attachment(40, 2, seed))
+    else:
+        healer = ForgivingTreeHealer(
+            {k: set(v) for k, v in generators.random_tree(24, seed).items()}
+        )
     result = run_churn_campaign(
-        ForgivingTreeHealer(graph),
+        healer,
         RandomChurnAdversary(p_insert=0.3, seed=seed),
         events=16,
         seed=seed,
@@ -235,11 +281,14 @@ def check_corruption(
 
 def run_self_test(seed: int = 11) -> Dict[str, str]:
     """Run every corruption; raise :class:`AuditError` on any escape."""
-    inputs = _self_test_inputs(seed)
+    inputs: Dict[str, AuditInputs] = {}
     outcomes: Dict[str, str] = {}
     escaped: List[str] = []
     for name in CORRUPTIONS:
-        caught, detail, _ = check_corruption(inputs, name)
+        protocol = protocol_of(name)
+        if protocol not in inputs:
+            inputs[protocol] = _self_test_inputs(seed, protocol)
+        caught, detail, _ = check_corruption(inputs[protocol], name)
         outcomes[name] = detail
         if not caught:
             escaped.append(f"{name}: {detail}")

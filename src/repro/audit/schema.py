@@ -82,7 +82,7 @@ class SendRecord(_MessageRecord):
     number delivery records carry, so a delivery is matched to its send
     exactly); ``ids`` the message's id count
     (:meth:`~repro.distributed.messages.Message.id_count`), the quantity
-    the FT's O(1)-id and the FG's manifest-id budgets bound.
+    the FT's and the FG's O(1)-id budgets bound.
     """
 
     seq: int = -1

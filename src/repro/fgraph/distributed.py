@@ -171,6 +171,9 @@ class _Gather:
     )
     answers: int = 0
     resumed: Set[int] = field(default_factory=set)
+    # The last replay of the walk, and the nodes it could not see.
+    walked: Optional[Tuple] = None
+    unknown: Set[int] = field(default_factory=set)
 
     # -- what the coordinator can see ------------------------------------
     def port_of(self, nid: int) -> Optional[int]:
@@ -225,9 +228,14 @@ class _Gather:
         height = 0 if left[1] == REAL else self.height_of(left[0]) + 1
         return (x if port is None else port), (up, left, right), height
 
-    def walk(self):
-        notified = sorted(self.reports)
-        return probe_walk(self.victim, notified, self.port_of, self.links_of)
+    def walk(self, heard: Optional[int] = None):
+        """Replay the walk over what has been heard — again only when
+        ``heard`` is a node the last replay could not see."""
+        if self.walked is None or heard in self.unknown:
+            notified = sorted(self.reports)
+            self.walked = probe_walk(self.victim, notified, self.port_of, self.links_of)
+            self.unknown = self.walked[3]
+        return self.walked
 
     # -- the partial hafts -------------------------------------------------
     def hafts(self, roots: List[int]) -> Tuple[List[ReconstructionTree], Optional[ReconstructionTree]]:
@@ -475,9 +483,9 @@ class FGNode:
             raise ProtocolError(f"node {self.nid}: unexpected probe reply")
         heal.helpers[msg.sender] = (msg.helper, msg.left_height)
         heal.answers += 1
-        self._progress()
+        self._progress(msg.sender)
 
-    def _progress(self) -> None:
+    def _progress(self, heard: Optional[int] = None) -> None:
         """Coordinator: replay the walk over what has been heard; resume
         the descent below the victim once its slot is known; finish when
         every report and every probe's answer is in."""
@@ -485,7 +493,7 @@ class FGNode:
         assert heal is not None
         if self._await_reports:
             return
-        probes, resumes, roots, complete = heal.walk()
+        probes, resumes, roots, unknown = heal.walk(heard)
         for to in resumes:
             if to not in heal.resumed:
                 heal.resumed.add(to)
@@ -494,7 +502,7 @@ class FGNode:
                 else:
                     self._probe(FGDescend, to, heal.victim, self.nid)
         expected = len(probes) + sum(1 for to in resumes if to != self.nid)
-        if complete and heal.answers == expected:
+        if not unknown and heal.answers == expected:
             self._finalize(roots)
 
     def _finalize(self, roots: List[int]) -> None:

@@ -73,7 +73,7 @@ def probe_walk(
     notified: Sequence[int],
     port_of: Callable[[int], Optional[int]],
     links_of: Callable[[int], Optional[Links]],
-) -> Tuple[List[Tuple[int, int]], List[int], List[int], bool]:
+) -> Tuple[List[Tuple[int, int]], List[int], List[int], Set[int]]:
     """The probe walk of one heal, as a pure function of local pointers.
 
     ``notified`` are the victim's image neighbours, ``port_of`` their
@@ -90,16 +90,17 @@ def probe_walk(
       child on it; below the victim's helper the coordinator *resumes*
       the descent at the victim's right child.
 
-    Returns ``(probes, resumes, roots, complete)``: the ``(sender,
+    Returns ``(probes, resumes, roots, unknown)``: the ``(sender,
     recipient)`` probe messages, the resume targets, the roots reached,
-    and whether every pointer was known (``links_of`` raising
-    ``KeyError`` marks a branch the caller cannot see yet).
+    and the nodes whose links the caller could not supply (``links_of``
+    raising ``KeyError(node)`` ends that branch; empty: the walk is
+    complete).
     """
     probes: List[Tuple[int, int]] = []
     resumes: List[int] = []
     roots: List[int] = []
     climbed: Set[int] = set()
-    complete = True
+    unknown: Set[int] = set()
 
     def climb(s: int) -> None:
         while s not in climbed:
@@ -149,20 +150,20 @@ def probe_walk(
             own = links_of(e)
             if own is not None and victim in (own[1][0], own[2][0]):
                 climb(e)
-        except KeyError:
-            complete = False
+        except KeyError as exc:
+            unknown.add(exc.args[0])
     try:
         own = links_of(victim)
         if own is not None and own[0] is None:
             roots.append(victim)
-    except KeyError:
-        complete = False
+    except KeyError as exc:
+        unknown.add(exc.args[0])
     for r in roots:
         try:
             descend(r)
-        except KeyError:
-            complete = False
-    return probes, resumes, roots, complete
+        except KeyError as exc:
+            unknown.add(exc.args[0])
+    return probes, resumes, roots, unknown
 
 
 class ReconstructionTree:

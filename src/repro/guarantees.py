@@ -48,14 +48,32 @@ FT_NODE_MESSAGE_BUDGET = 12
 #: (``WillPortionMsg`` is the widest).
 FT_MESSAGE_ID_BUDGET = 8
 
-#: The FG manifest budget is ``FG_ID_BASE + FG_IDS_PER_NODE · |alive|``:
-#: a manifest is a haft's in-order member sequence (one id per member),
-#: and a region can never exceed the alive node set — the honest O(L)
-#: deviation (docs/FORGIVING_GRAPH.md).  The base is what an ``FGPortion``
-#: carries besides its manifest: sender, recipient, port parent and the
-#: three links of the helper it simulates.
-FG_ID_BASE = 6
-FG_IDS_PER_NODE = 1
+#: The FG word budget: no message names more than 6 node ids.  A heal
+#: ships O(1)-id portions — a report or portion carries sender,
+#: recipient, port parent and the three links of one helper; probes and
+#: their answers carry fewer — never a haft's member list.
+FG_MESSAGE_ID_BUDGET = 6
+
+#: Base of :func:`fg_node_message_budget`: a notified node's report,
+#: climb and descent forwards and one answer per probe it receives.
+FG_NODE_MESSAGE_BASE = 8
+
+
+def fg_node_message_budget(n: int, fresh: int) -> int:
+    """No node but the victim sends more than this many messages in one
+    Forgiving Graph delete heal (the victim's fan-out is its own, as in
+    the FT).
+
+    Walkers send O(1) each (:data:`FG_NODE_MESSAGE_BASE`); the
+    coordinator also ships one portion per member whose port or helper
+    changed: the O(log L) helpers the haft's remove and merge touch —
+    two per level at most, ``L <= n`` — plus one per ``fresh`` direct
+    neighbour joining as a new leaf.  The measured peak of ``sends -
+    fresh`` is 12 on the hub-massacre ladder up to n = 30,000 (one haft
+    of 22,640 members) and stays under ``2 log2 n + 5`` on random churn
+    merging up to six hafts at once; callers that cannot tell fresh
+    neighbours apart pass the victim's fan-out, which bounds it."""
+    return FG_NODE_MESSAGE_BASE + 2 * math.ceil(math.log2(max(n, 2))) + fresh
 
 
 def fg_stretch_envelope(n: int) -> float:

@@ -17,6 +17,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro import guarantees
 from repro.adversaries.churn import RandomChurnAdversary
 from repro.audit import (
     CERTIFICATE_KINDS,
@@ -261,9 +262,10 @@ class TestCertificates:
         assert res.audit.protocol == "fg"
 
     def test_fg_message_one_id_over_the_budget_is_flagged(self):
-        """The FG budget is what an ``FGPortion`` needs besides its
-        manifest plus one id per alive node: a send one id over it is
-        flagged, one exactly at it is not."""
+        """The FG word budget is the constant an ``FGPortion`` needs —
+        sender, recipient, port parent, one helper's three links — not a
+        member list: a send one id over it is flagged, one exactly at it
+        is not."""
         inputs = _audited_run(ForgivingGraphHealer, n=16, events=10).audit_inputs
         log = list(inputs.records)
         i = next(
@@ -277,6 +279,7 @@ class TestCertificates:
 
         (overflow,) = budget_violations(10**6)
         budget = int(re.search(r"\(budget (\d+)\)", overflow.detail).group(1))
+        assert budget == guarantees.FG_MESSAGE_ID_BUDGET
         assert log[i].ids <= budget
         assert budget_violations(budget) == []
         (flagged,) = budget_violations(budget + 1)
@@ -337,11 +340,12 @@ class TestCertificates:
 class TestMutation:
     @pytest.fixture(scope="class")
     def clean_inputs(self):
-        return mutate_mod._self_test_inputs(seed=11)
+        return {p: mutate_mod._self_test_inputs(seed=11, protocol=p) for p in ("ft", "fg")}
 
     @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
     def test_each_corruption_is_caught(self, clean_inputs, name):
-        caught, detail, violation = check_corruption(clean_inputs, name)
+        inputs = clean_inputs[mutate_mod.protocol_of(name)]
+        caught, detail, violation = check_corruption(inputs, name)
         expected_cert = CORRUPTIONS[name][0]
         assert caught, detail
         assert violation.cert == expected_cert
@@ -357,7 +361,8 @@ class TestMutation:
         assert mutate_mod.main(["--seed", "11"]) == 0
         out = capsys.readouterr().out
         assert "caught  strip-sends" in out
-        assert "7/7 corruptions caught" in out
+        assert "caught  fg-member-list" in out
+        assert "9/9 corruptions caught" in out
 
     def test_undetected_corruption_raises(self, clean_inputs, monkeypatch):
         monkeypatch.setitem(
