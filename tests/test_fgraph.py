@@ -13,13 +13,14 @@ Four layers, mirroring the subsystem's structure, and frozen streams:
   additive degree increase <= 3, empirical stretch within the
   ``2 log2 n + 2`` envelope against the ideal graph (dead nodes
   routable), connectivity, the full structural ``check()``, and heal
-  work flat in the region size.
+  work and heal messages flat in the region size.
 * **Healer integration** — the catalog, every churn adversary and both
   campaign runners driving ``forgiving-graph`` unmodified, batch wave
   semantics, and the incremental-metrics fast path.
 * **Sequential-vs-distributed parity** — the counted-message runtime
   produces byte-identical image graphs and *node-for-node* identical
-  message tallies across randomized mixed campaigns.
+  message tallies across randomized mixed campaigns and a hub massacre
+  whose probe walks span large hafts.
 * **Report pins** — every report, tally and final image of four
   campaigns equals the stream recorded in
   ``tests/data/fgraph_report_pins.json``.
@@ -57,6 +58,7 @@ from repro.core.errors import (
     ReproError,
 )
 from repro.fgraph import DistributedForgivingGraph, ForgivingGraph, ReconstructionTree
+from repro.distributed.network import Network
 from repro.graphs import generators
 from repro.graphs.adjacency import bfs_distances, edges as edge_set, is_connected
 from repro.graphs.view import max_degree_nodes, min_degree_nodes, sorted_nodes
@@ -326,9 +328,9 @@ class TestForgivingGraphEngine:
     def test_heal_work_is_flat_in_region_size(self, n, min_region):
         """Per delete, helpers created + destroyed + net image edge
         changes stay within 4 * (alive degree + ceil(log2 L) + 1) while
-        the hub massacre grows one region to L ~ n * 3/4 leaves.  (The
-        report's one portion per member is the message model's O(L),
-        not the structure's, so this drives the structural half.)"""
+        the hub massacre grows one region to L ~ n * 3/4 leaves.  (This
+        drives the structural half; the messages have their own ladder
+        below.)"""
         g = generators.preferential_attachment(n, 2, seed=3)
         engine = ForgivingGraph(g)
         biggest = 0
@@ -344,6 +346,34 @@ class TestForgivingGraphEngine:
             assert work <= 4 * (degree + math.ceil(math.log2(size)) + 1), v
         assert biggest >= min_region
         engine.check()
+
+    @pytest.mark.parametrize(
+        "n,min_region", [(500, 300), (5_000, 3_000), (30_000, 20_000)]
+    )
+    def test_heal_messages_are_flat_in_region_size(self, n, min_region):
+        """Per delete, no node but the victim (whose fan-out is its own,
+        as in the FT) sends more than ``fg_node_message_budget(n,
+        fresh)`` — O(log n) plus one portion per fresh direct neighbour —
+        while the hub massacre grows one haft to L ~ n * 3/4 members:
+        the walk and the changed members' portions, not one portion per
+        member.  (Every message's id count is a constant of its type; the
+        distributed parity massacre checks it.)"""
+        g = generators.preferential_attachment(n, 2, seed=3)
+        engine = ForgivingGraph(g)
+        biggest = peak = 0
+        for v in sorted(g, key=lambda v: (-len(g[v]), v))[: n // 5]:
+            fresh = sum(
+                1 for u in g[v] if u in engine.alive and engine.haft_of(u) is None
+            )
+            report = engine.delete(v)
+            sends = [c for u, c in report.messages_per_node.items() if u != v]
+            if sends:
+                assert max(sends) <= guarantees.fg_node_message_budget(n, fresh), v
+                peak = max(peak, max(sends) - fresh)
+            haft = engine.hafts[0] if engine.hafts else None
+            biggest = max(biggest, len(haft.members) if haft else 0)
+        assert biggest >= min_region
+        assert peak <= 12  # the measured peak at every rung: flat in L
 
     def test_merge_keeps_the_largest_haft(self):
         # Small-to-large: the big region's haft absorbs the small one,
@@ -617,6 +647,38 @@ class TestDistributedParity:
                     assert held == (None, None, None)
                 else:
                     assert held == haft.portion(nid)
+
+    def test_massacre_parity_on_large_hafts(self):
+        """The hub massacre grows one haft past 200 members, so climbs
+        and descents run eight and more hops: tallies stay node-for-node
+        equal, images equal, every message carries at most
+        ``FG_MESSAGE_ID_BUDGET`` ids, every receiver is in the heal's
+        audit region and admission footprint, and a heal quiesces well
+        within the network's sub-round limit."""
+
+        class CountingNetwork(Network):
+            max_ids = 0
+
+            def send(self, message):
+                self.max_ids = max(self.max_ids, message.id_count())
+                super().send(message)
+
+        g = generators.preferential_attachment(400, 2, seed=3)
+        seq = ForgivingGraph(g, strict=True)
+        net = CountingNetwork()
+        dist = DistributedForgivingGraph({k: set(v) for k, v in g.items()}, network=net)
+        rounds = []
+        for v in sorted(g, key=lambda v: (-len(g[v]), v))[:80]:
+            report, stats = seq.delete(v), dist.delete(v)
+            assert report.messages_per_node == stats.sent
+            region = HealDelta.from_report(report).region
+            assert set(stats.received) <= region & heal_footprint(report)
+            rounds.append(stats.sub_rounds)
+        assert edge_set(seq.graph()) == dist.edges()
+        assert len(seq.hafts[0].members) >= 200
+        assert max(rounds) >= 10  # walks of eight hops and more
+        assert max(rounds) < net.max_sub_rounds
+        assert net.max_ids <= guarantees.FG_MESSAGE_ID_BUDGET
 
     def test_single_insert_is_a_wave_of_one(self):
         g = generators.path(4)
