@@ -36,8 +36,9 @@ image diff and the report.
 Message accounting is synthesized per round with the exact rules the
 distributed runtime (:mod:`repro.fgraph.distributed`) counts for real:
 failure notifications attributed to the victim, one report per notified
-neighbor to the round's coordinator, one shipped portion per surviving
-member.  Tests cross-check the tallies node-for-node.
+neighbor to the round's coordinator, the probe walk's probes and
+answers, one shipped portion per member whose port or helper changed.
+Tests cross-check the tallies node-for-node.
 """
 
 from __future__ import annotations

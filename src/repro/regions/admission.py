@@ -65,8 +65,9 @@ def heal_footprint(report: HealReport, graph=None) -> Set[int]:
     Union of: the victim / the joiners and their attachment points, every
     node that sent a message (tally keys), every endpoint of a touched
     image edge (including mid-heal transient edges, via the raw event
-    log), every node named by a heal event (portion and leaf-will
-    recipients, helper simulators and transfer targets) — and, when the
+    log, and the edges a Forgiving Graph probe walk travels, which its
+    report relists), every node named by a heal event (portion and
+    leaf-will recipients, helper simulators and transfer targets) — and, when the
     post-event image ``graph`` is given, the image neighbors of every
     sender.  That last closure covers *receive-only* participants (a
     ``ReplaceChild`` holder whose will changes without retransmissions):
