@@ -57,7 +57,7 @@ from ..distributed.driver import ProtocolDriver, Wave
 from ..distributed.messages import Message
 from ..distributed.network import Network
 from ..graphs.adjacency import Graph
-from .rtree import HELPER, REAL, Links, ReconstructionTree, probe_walk
+from .rtree import HELPER, REAL, Links, ReconstructionTree, Ref, Tree, probe_walk
 
 
 def _links_ids(links: Optional[Links]) -> int:
@@ -115,11 +115,11 @@ class FGTreeRoot(FGClimb):
 class FGProbeReply(Message):
     """A probe recipient answers the coordinator with its helper."""
 
-    helper: Optional[Links]
-    left_height: Optional[int]
+    helper: Links
+    left_height: int
 
     def id_count(self) -> int:
-        return 2 + _links_ids(self.helper)
+        return 5
 
 
 @dataclass(frozen=True)
@@ -166,14 +166,9 @@ class _Gather:
 
     victim: int
     reports: Dict[int, Report] = field(default_factory=dict)
-    helpers: Dict[int, Tuple[Optional[Links], Optional[int]]] = field(
-        default_factory=dict
-    )
+    helpers: Dict[int, Tuple[Links, int]] = field(default_factory=dict)
     answers: int = 0
     resumed: Set[int] = field(default_factory=set)
-    # The last replay of the walk, and the nodes it could not see.
-    walked: Optional[Tuple] = None
-    unknown: Set[int] = field(default_factory=set)
 
     # -- what the coordinator can see ------------------------------------
     def port_of(self, nid: int) -> Optional[int]:
@@ -189,7 +184,7 @@ class _Gather:
     def height_of(self, nid: int) -> int:
         if nid in self.reports:
             return self.reports[nid][3]  # type: ignore[return-value]
-        return self.helpers[nid][1]  # type: ignore[return-value]
+        return self.helpers[nid][1]
 
     def victim_slot(self) -> Tuple[Optional[int], Optional[Links], Optional[int]]:
         """The victim's portion, rebuilt from the pointers at it.
@@ -228,23 +223,21 @@ class _Gather:
         height = 0 if left[1] == REAL else self.height_of(left[0]) + 1
         return (x if port is None else port), (up, left, right), height
 
-    def walk(self, heard: Optional[int] = None):
-        """Replay the walk over what has been heard — again only when
-        ``heard`` is a node the last replay could not see."""
-        if self.walked is None or heard in self.unknown:
-            notified = sorted(self.reports)
-            self.walked = probe_walk(self.victim, notified, self.port_of, self.links_of)
-            self.unknown = self.walked[3]
-        return self.walked
+    def walk(self):
+        """Replay the walk over what has been heard."""
+        notified = sorted(self.reports)
+        return probe_walk(self.victim, notified, self.port_of, self.links_of)
 
     # -- the partial hafts -------------------------------------------------
-    def hafts(self, roots: List[int]) -> Tuple[List[ReconstructionTree], Optional[ReconstructionTree]]:
+    def hafts(
+        self, roots: List[int]
+    ) -> Tuple[List[ReconstructionTree], Optional[ReconstructionTree]]:
         """One partial haft per root reached — its row, read off the right
         path, and every helper heard from under it — and the one holding
         the victim (None if it had no port)."""
         x = self.victim
         port, xlinks, xheight = self.victim_slot()
-        known = {s: lh for s, lh in self.helpers.items() if lh[0] is not None}
+        known = dict(self.helpers)
         for nid, (_d, _pp, links, height) in self.reports.items():
             if links is not None:
                 known[nid] = (links, height)
@@ -282,12 +275,12 @@ class _Gather:
         return list(by_root.values()), own
 
 
-def _row(root: int, known: Dict[int, Tuple[Links, int]]) -> List[Tuple[int, Tuple[int, str], int]]:
+def _row(root: int, known: Dict[int, Tuple[Links, int]]) -> List[Tree]:
     """A haft's row of complete trees from its right path: left heights
     fall strictly along it, and the last tree's own path is the suffix
     ``h - 1, ..., 0``; the helpers above it are the spine."""
     path: List[int] = []
-    ref: Tuple[int, str] = (root, HELPER)
+    ref: Ref = (root, HELPER)
     while ref[1] == HELPER:
         path.append(ref[0])
         ref = known[ref[0]][0][2]
@@ -429,22 +422,22 @@ class FGNode:
             self._progress()
 
     def _probe(self, kind, to: int, victim: int, coordinator: int) -> None:
-        self._send(kind(sender=self.nid, recipient=to, victim=victim, coordinator=coordinator))
+        self._send(
+            kind(sender=self.nid, recipient=to, victim=victim, coordinator=coordinator)
+        )
 
     def _climb(self, victim: int, coordinator: int) -> None:
-        if self._climbed == victim or self.helper is None:
-            return  # (no helper: a half-applied earlier heal ends the branch)
+        if self._climbed == victim:
+            return
         self._climbed = victim
-        up = self.helper[0]
+        up = self.helper[0]  # type: ignore[index]
         if up is None:
             self._descend(victim, coordinator)
         elif up[0] != victim:
             self._probe(FGClimb, up[0], victim, coordinator)
 
     def _descend(self, victim: int, coordinator: int) -> None:
-        if self.helper is None:
-            return
-        _, left, right = self.helper
+        _, left, right = self.helper  # type: ignore[misc]
         if left[1] == HELPER and left[0] != victim:
             self._probe(FGTreeRoot, left[0], victim, coordinator)
         if right[1] == HELPER and right[0] != victim:
@@ -463,8 +456,8 @@ class FGNode:
                 FGProbeReply(
                     sender=self.nid,
                     recipient=msg.coordinator,
-                    helper=self.helper,
-                    left_height=self.left_height,
+                    helper=self.helper,  # type: ignore[arg-type]
+                    left_height=self.left_height,  # type: ignore[arg-type]
                 )
             )
 
@@ -483,9 +476,9 @@ class FGNode:
             raise ProtocolError(f"node {self.nid}: unexpected probe reply")
         heal.helpers[msg.sender] = (msg.helper, msg.left_height)
         heal.answers += 1
-        self._progress(msg.sender)
+        self._progress()
 
-    def _progress(self, heard: Optional[int] = None) -> None:
+    def _progress(self) -> None:
         """Coordinator: replay the walk over what has been heard; resume
         the descent below the victim once its slot is known; finish when
         every report and every probe's answer is in."""
@@ -493,7 +486,7 @@ class FGNode:
         assert heal is not None
         if self._await_reports:
             return
-        probes, resumes, roots, unknown = heal.walk(heard)
+        probes, resumes, roots, unknown = heal.walk()
         for to in resumes:
             if to not in heal.resumed:
                 heal.resumed.add(to)
@@ -528,13 +521,8 @@ class FGNode:
             return
         helpers, ports = rt.changed_portions(journal)
         for member in sorted((helpers | ports) - {heal.victim}):
-            portion = (
-                member in ports,
-                rt.port_parent.get(member),
-                member in helpers,
-                rt.helper_links.get(member),
-                rt.left_height.get(member),
-            )
+            port, helper, height = rt.portion(member)
+            portion = (member in ports, port, member in helpers, helper, height)
             if member == self.nid:
                 self._apply(*portion)
             else:

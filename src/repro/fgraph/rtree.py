@@ -105,10 +105,7 @@ def probe_walk(
     def climb(s: int) -> None:
         while s not in climbed:
             climbed.add(s)
-            links = links_of(s)
-            if links is None:  # a half-applied earlier heal: branch ends
-                return
-            up = links[0]
+            up = links_of(s)[0]  # type: ignore[index]
             if up is None:
                 roots.append(s)
                 return
@@ -119,10 +116,7 @@ def probe_walk(
 
     def descend(s: int) -> None:
         while True:
-            links = links_of(s)
-            if links is None:
-                return
-            _, left, right = links
+            _, left, right = links_of(s)  # type: ignore[misc]
             if s == victim:
                 if right[1] != HELPER:
                     return
