@@ -29,14 +29,15 @@ two operations keep them so with ``O(log L)`` local changes:
 
 Both record in a caller's *journal* the links each helper had before its
 first change, so the caller diffs exactly the helpers that were
-dissolved, created or relinked (:meth:`~ReconstructionTree.changed_portions`
-adds the members whose port moved).  Neither reads more than the row,
-the last tree's right path, the tree roots and the removed member's
-neighbourhood, so both run unchanged on the *partial* haft the
-distributed coordinator assembles from its probe walk.  The engine keeps each real node in at
-most one haft, so each real node simulates at most one helper globally,
-and a helper carries at most three endpoint edges: the additive degree
-bound of 3 (``docs/FORGIVING_GRAPH.md``).
+dissolved, created or relinked
+(:meth:`~ReconstructionTree.changed_portions` adds the members whose
+port moved).  Neither reads more than the row, the last tree's right
+path, the tree roots and the removed member's neighbourhood, so both
+run unchanged on the *partial* haft the distributed coordinator
+assembles from its probe walk (:func:`probe_walk`).  The engine keeps
+each real node in at most one haft, so each real node simulates at
+most one helper globally, and a helper carries at most three endpoint
+edges: the additive degree bound of 3 (``docs/FORGIVING_GRAPH.md``).
 """
 
 from __future__ import annotations
