@@ -358,9 +358,9 @@ class ForgivingGraph:
         helpers' old links), ``gain`` what arrives (their new links).
 
         Returns the edges whose count fell to 0 and the edges whose count
-        rose from 0.  Keeps the degree-increase histogram: the victim
-        leaves it, each endpoint of an edge that appears or vanishes moves
-        by one.
+        rose from 0.  Keeps the degree-increase histogram and the view's
+        degree index: the victim leaves both, each endpoint of an edge
+        that appears or vanishes moves by one.
         """
         img, ideal = self._img, self._ideal
         self._inc_shift(len(img[nid]) - len(ideal[nid]), -1)
