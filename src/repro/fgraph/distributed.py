@@ -426,18 +426,24 @@ class FGNode:
             kind(sender=self.nid, recipient=to, victim=victim, coordinator=coordinator)
         )
 
+    def _simulated(self) -> Links:
+        """The helper a probe reached here expects this node to run."""
+        if self.helper is None:
+            raise ProtocolError(f"node {self.nid}: probed, but simulates no helper")
+        return self.helper
+
     def _climb(self, victim: int, coordinator: int) -> None:
         if self._climbed == victim:
             return
         self._climbed = victim
-        up = self.helper[0]  # type: ignore[index]
+        up = self._simulated()[0]
         if up is None:
             self._descend(victim, coordinator)
         elif up[0] != victim:
             self._probe(FGClimb, up[0], victim, coordinator)
 
     def _descend(self, victim: int, coordinator: int) -> None:
-        _, left, right = self.helper  # type: ignore[misc]
+        _, left, right = self._simulated()
         if left[1] == HELPER and left[0] != victim:
             self._probe(FGTreeRoot, left[0], victim, coordinator)
         if right[1] == HELPER and right[0] != victim:
@@ -519,14 +525,19 @@ class FGNode:
             # without a message.
             self._apply(True, None, True, None, None)
             return
+        # Ship first, apply the own portion last: a send the transport
+        # refuses (its depth guard) then leaves no member half-applied.
         helpers, ports = rt.changed_portions(journal)
+        own_portion = None
         for member in sorted((helpers | ports) - {heal.victim}):
             port, helper, height = rt.portion(member)
             portion = (member in ports, port, member in helpers, helper, height)
             if member == self.nid:
-                self._apply(*portion)
+                own_portion = portion
             else:
                 self._send(FGPortion(self.nid, member, *portion))
+        if own_portion is not None:
+            self._apply(*own_portion)
 
     def _apply(
         self,

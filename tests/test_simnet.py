@@ -214,20 +214,41 @@ class TestAsyncNetworkDropIn:
 
     def test_depth_guard_trips_and_network_survives(self):
         """A heal deeper than max_depth raises instead of livelocking,
-        and the network stays usable afterwards."""
+        leaves no member half-applied, and the network stays usable
+        afterwards."""
         from repro.fgraph import DistributedForgivingGraph
 
         g = {0: {1, 2, 3}, 1: {0}, 2: {0}, 3: {0}}
-        dfg = DistributedForgivingGraph(g, network=AsyncNetwork(max_depth=1))
+        net = AsyncNetwork(max_depth=1)
+        dfg = DistributedForgivingGraph(g, network=net)
         # fan-out, then reports and portions: two layers below the injection
         with pytest.raises(ProtocolError, match="no quiescence after 1 layers"):
             dfg.delete(0)
+        # The coordinator (node 1) ships before it applies its own
+        # portion, so the refused portions leave the heal lost, not
+        # half-applied: nothing pending, every claim symmetric.
+        assert dfg.integrity_violations() == []
+        assert dfg.edges() == set()
         # A two-message handshake fits in one layer, and so does the heal
-        # of a leaf hung off portless node 3 (a heal touching node 1 walks
-        # the haft the tripped heal left half-applied: more layers).
-        dfg.insert(50, 3)
-        dfg.delete(50)
+        # of a leaf hung off the tripped coordinator or off node 3.
+        for leaf, anchor in ((50, 1), (51, 3)):
+            dfg.insert(leaf, anchor)
+            dfg.delete(leaf)
         assert dfg.alive == {1, 2, 3}
+        # A follow-up heal through node 1 that needs portions trips just
+        # as cleanly ...
+        dfg.insert_batch([(52, 1), (53, 1)])
+        with pytest.raises(ProtocolError, match="no quiescence after 1 layers"):
+            dfg.delete(1)
+        assert dfg.integrity_violations() == []
+        assert dfg.edges() == set()
+        # ... and heals run in full once the guard allows their depth.
+        net.max_sub_rounds = 8
+        dfg.insert_batch([(54, 2), (55, 2), (56, 2)])
+        dfg.delete(2)
+        assert dfg.alive == {3, 52, 53, 54, 55, 56}
+        assert dfg.edges() == {(54, 55), (55, 56)}
+        assert dfg.integrity_violations() == []
 
     def test_insert_batch_accepts_one_shot_iterables(self):
         """Waves may arrive as generators; validation must not consume
