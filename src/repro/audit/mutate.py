@@ -27,7 +27,7 @@ corruption             certificate   seeded defect
 
 :func:`run_self_test` drives the whole table over seeded lease +
 drop/dup campaigns — the ``fg-*`` rows over a Forgiving Graph one
-(:data:`CORRUPTION_PROTOCOL`), the rest over a Forgiving Tree one;
+(their :attr:`CorruptionCase.protocol`), the rest over a Forgiving Tree one;
 ``python -m repro.audit.mutate`` is the CLI
 the ``audit-smoke`` CI job runs.  The campaign harness is imported
 lazily so :mod:`repro.audit` itself stays importable from telemetry
@@ -37,7 +37,7 @@ alone.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .certify import AuditError, AuditInputs, Violation, _delta_key
 from .schema import (
@@ -186,25 +186,27 @@ def corrupt_strip_sends(
     return stripped if len(stripped) < len(log) else None
 
 
-#: corruption name -> (certificate class expected to catch it, mutator).
-CORRUPTIONS: Dict[str, Tuple[str, Corruption]] = {
-    "dropped-delivery": ("accounting", corrupt_dropped_delivery),
-    "forged-sender": ("locality", corrupt_forged_sender),
-    "budget-overflow": ("budget", corrupt_budget_overflow),
-    "deliver-before-send": ("causality", corrupt_deliver_before_send),
-    "lease-overlap": ("exclusion", corrupt_lease_overlap),
-    "phantom-drop": ("accounting", corrupt_phantom_drop),
-    "strip-sends": ("budget", corrupt_strip_sends),
-    "fg-member-list": ("budget", corrupt_fg_member_list),
-    "fg-over-budget": ("budget", corrupt_fg_over_budget),
+class CorruptionCase(NamedTuple):
+    """The certificate class expected to catch a corruption, its
+    mutator, and the protocol whose campaign it is seeded into."""
+
+    cert: str
+    mutate: Corruption
+    protocol: str = "ft"
+
+
+#: corruption name -> its case.
+CORRUPTIONS: Dict[str, CorruptionCase] = {
+    "dropped-delivery": CorruptionCase("accounting", corrupt_dropped_delivery),
+    "forged-sender": CorruptionCase("locality", corrupt_forged_sender),
+    "budget-overflow": CorruptionCase("budget", corrupt_budget_overflow),
+    "deliver-before-send": CorruptionCase("causality", corrupt_deliver_before_send),
+    "lease-overlap": CorruptionCase("exclusion", corrupt_lease_overlap),
+    "phantom-drop": CorruptionCase("accounting", corrupt_phantom_drop),
+    "strip-sends": CorruptionCase("budget", corrupt_strip_sends),
+    "fg-member-list": CorruptionCase("budget", corrupt_fg_member_list, "fg"),
+    "fg-over-budget": CorruptionCase("budget", corrupt_fg_over_budget, "fg"),
 }
-
-#: The protocol whose campaign a corruption is seeded into (default FT).
-CORRUPTION_PROTOCOL: Dict[str, str] = {"fg-member-list": "fg", "fg-over-budget": "fg"}
-
-
-def protocol_of(name: str) -> str:
-    return CORRUPTION_PROTOCOL.get(name, "ft")
 
 
 def _self_test_inputs(seed: int = 11, protocol: str = "ft") -> AuditInputs:
@@ -257,7 +259,7 @@ def check_corruption(
     campaign, for campaign-scoped accounting) with a non-empty event-id
     window.
     """
-    expected, mutate = CORRUPTIONS[name]
+    expected, mutate, _protocol = CORRUPTIONS[name]
     mutated = mutate(list(inputs.records), inputs)
     if mutated is None:
         return False, "corruption not applicable to this campaign", None
@@ -284,8 +286,8 @@ def run_self_test(seed: int = 11) -> Dict[str, str]:
     inputs: Dict[str, AuditInputs] = {}
     outcomes: Dict[str, str] = {}
     escaped: List[str] = []
-    for name in CORRUPTIONS:
-        protocol = protocol_of(name)
+    for name, case in CORRUPTIONS.items():
+        protocol = case.protocol
         if protocol not in inputs:
             inputs[protocol] = _self_test_inputs(seed, protocol)
         caught, detail, _ = check_corruption(inputs[protocol], name)

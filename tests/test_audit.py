@@ -344,9 +344,9 @@ class TestMutation:
 
     @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
     def test_each_corruption_is_caught(self, clean_inputs, name):
-        inputs = clean_inputs[mutate_mod.protocol_of(name)]
+        inputs = clean_inputs[CORRUPTIONS[name].protocol]
         caught, detail, violation = check_corruption(inputs, name)
-        expected_cert = CORRUPTIONS[name][0]
+        expected_cert = CORRUPTIONS[name].cert
         assert caught, detail
         assert violation.cert == expected_cert
         # The auditor names the offending heal and event-id window.
@@ -366,7 +366,9 @@ class TestMutation:
 
     def test_undetected_corruption_raises(self, clean_inputs, monkeypatch):
         monkeypatch.setitem(
-            mutate_mod.CORRUPTIONS, "no-op", ("budget", lambda log, inputs: log)
+            mutate_mod.CORRUPTIONS,
+            "no-op",
+            mutate_mod.CorruptionCase("budget", lambda log, inputs: log),
         )
         with pytest.raises(AuditError, match="no-op"):
             run_self_test(seed=11)
