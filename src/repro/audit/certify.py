@@ -15,8 +15,8 @@ Five certificate classes (:data:`CERTIFICATE_KINDS`):
     carries at most :attr:`AuditParams.ft_msg_ids` node ids.  FG: every
     node but the victim sends at most
     :func:`~repro.guarantees.fg_node_message_budget` messages (``n`` the
-    alive count, ``fresh`` bounded by the victim's own fan-out; the wave
-    size for batch inserts) and every message carries at most
+    alive count, the hafts merged and fresh neighbours bounded by the
+    victim's own fan-out; the wave size for batch inserts) and every message carries at most
     :attr:`AuditParams.fg_msg_ids` node ids — O(1)-id portions, no
     member lists.
 ``locality``
@@ -528,10 +528,14 @@ def _check_budget(
         budget, why = params.ft_node_budget * wave, "Theorem 1.3 budget"
         id_budget = params.ft_msg_ids
     else:
-        # The victim's fan-out is its own; it also bounds the fresh
-        # neighbours joining the merged haft.
-        fresh = per_node.pop(delta.victim, 0) if delta.kind == "delete" else wave
-        budget = guarantees.fg_node_message_budget(alive_count, fresh)
+        # The victim's fan-out f is its own; it also bounds what the heal
+        # merges (hafts + fresh neighbours <= f + 1), charged as hafts,
+        # the dearer term.  An insert wave merges nothing.
+        if delta.kind == "delete":
+            fanout = per_node.pop(delta.victim, 0)
+            budget = guarantees.fg_node_message_budget(alive_count, 0, fanout + 1)
+        else:
+            budget = guarantees.fg_node_message_budget(alive_count, wave, 0)
         why = "FG node budget"
         id_budget = params.fg_msg_ids
     for node, count in sorted(per_node.items()):

@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from .. import guarantees
 from .certify import AuditError, AuditInputs, Violation, _delta_key
 from .schema import (
     ControlRecord,
@@ -169,10 +170,13 @@ def corrupt_fg_over_budget(
     log: List[LogRecord], inputs: AuditInputs
 ) -> Optional[List[LogRecord]]:
     """One report is sent again and again: its sender, a notified
-    neighbour, exceeds any per-node budget the campaign's size allows."""
+    neighbour, exceeds any per-node budget the campaign's size allows
+    (every node id it logs alive, every one a merged haft)."""
+    ids = {u for r in log if isinstance(r, SendRecord) for u in (r.src, r.dst)}
+    repeat = guarantees.fg_node_message_budget(len(ids), len(ids), len(ids))
     for i, rec in enumerate(log):
         if isinstance(rec, SendRecord) and rec.msg == "FGReport" and _heal_of(rec, inputs):
-            return log[: i + 1] + [rec] * 200 + log[i + 1:]
+            return log[: i + 1] + [rec] * repeat + log[i + 1:]
     return None
 
 

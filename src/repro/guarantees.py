@@ -55,25 +55,38 @@ FT_MESSAGE_ID_BUDGET = 8
 FG_MESSAGE_ID_BUDGET = 6
 
 #: Base of :func:`fg_node_message_budget`: a notified node's report,
-#: climb and descent forwards and one answer per probe it receives.
+#: climb and descent forwards and one answer per probe it receives; for
+#: the coordinator, its own walk hops and the handful of portions the
+#: removed member's relabel touches.
 FG_NODE_MESSAGE_BASE = 8
 
 
-def fg_node_message_budget(n: int, fresh: int) -> int:
+def fg_node_message_budget(n: int, fresh: int, hafts: int) -> int:
     """No node but the victim sends more than this many messages in one
-    Forgiving Graph delete heal (the victim's fan-out is its own, as in
-    the FT).
+    Forgiving Graph delete heal that merges ``hafts`` hafts (the victim's
+    own included) with ``fresh`` portless direct neighbours (the
+    victim's fan-out is its own, as in the FT).
 
-    Walkers send O(1) each (:data:`FG_NODE_MESSAGE_BASE`); the
+    Walkers send O(1) each (:data:`FG_NODE_MESSAGE_BASE`).  The
     coordinator also ships one portion per member whose port or helper
-    changed: the O(log L) helpers the haft's remove and merge touch —
-    two per level at most, ``L <= n`` — plus one per ``fresh`` direct
-    neighbour joining as a new leaf.  The measured peak of ``sends -
-    fresh`` is 12 on the hub-massacre ladder up to n = 30,000 (one haft
-    of 22,640 members) and stays under ``2 log2 n + 5`` on random churn
-    merging up to six hafts at once; callers that cannot tell fresh
-    neighbours apart pass the victim's fan-out, which bounds it."""
-    return FG_NODE_MESSAGE_BASE + 2 * math.ceil(math.log2(max(n, 2))) + fresh
+    changed, and merging charges each complete tree of the merged row at
+    most two: its root (re-hung: the root's simulator, or the real root's
+    port) and its rightmost member (the spine or carry helper it comes
+    to simulate, or the spine helper it drops).  A haft of ``L < n``
+    members has at most ``ceil(log2 n)`` trees; the victim's own haft,
+    whose last tree dissolves into its left subtrees on removal, at most
+    twice that; each fresh neighbour is a one-leaf tree whose root and
+    rightmost member coincide.  Hence ``8 + 2 (1 + hafts) ceil(log2 n) +
+    fresh``.  It grows with the hafts merged, not with their size: one
+    delete merging nine hafts of 511 members measures 115 sends
+    against 268, a massacre growing one haft to 22,640 members at most
+    12 + fresh.  A caller that sees only the victim's fan-out ``f``
+    bounds both terms by it — ``hafts + fresh <= f + 1``, every merged
+    haft but the victim's own reached through a notified direct
+    neighbour — and passes ``fresh=0, hafts=f + 1``, the larger of the
+    two charges."""
+    log_n = math.ceil(math.log2(max(n, 2)))
+    return FG_NODE_MESSAGE_BASE + 2 * (1 + hafts) * log_n + fresh
 
 
 def fg_stretch_envelope(n: int) -> float:

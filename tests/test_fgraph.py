@@ -352,9 +352,10 @@ class TestForgivingGraphEngine:
     )
     def test_heal_messages_are_flat_in_region_size(self, n, min_region):
         """Per delete, no node but the victim (whose fan-out is its own,
-        as in the FT) sends more than ``fg_node_message_budget(n,
-        fresh)`` — O(log n) plus one portion per fresh direct neighbour —
-        while the hub massacre grows one haft to L ~ n * 3/4 members:
+        as in the FT) sends more than ``fg_node_message_budget(n, fresh,
+        hafts)`` — O(log n) per merged haft plus one portion per fresh
+        direct neighbour — while the hub massacre grows one haft to
+        L ~ n * 3/4 members:
         the walk and the changed members' portions, not one portion per
         member.  (Every message's id count is a constant of its type; the
         distributed parity massacre checks it.)"""
@@ -362,18 +363,46 @@ class TestForgivingGraphEngine:
         engine = ForgivingGraph(g)
         biggest = peak = 0
         for v in sorted(g, key=lambda v: (-len(g[v]), v))[: n // 5]:
-            fresh = sum(
-                1 for u in g[v] if u in engine.alive and engine.haft_of(u) is None
-            )
+            fresh, hafts = _merge_inputs(engine, v, g[v])
             report = engine.delete(v)
             sends = [c for u, c in report.messages_per_node.items() if u != v]
             if sends:
-                assert max(sends) <= guarantees.fg_node_message_budget(n, fresh), v
+                budget = guarantees.fg_node_message_budget(n, fresh, hafts)
+                assert max(sends) <= budget, v
                 peak = max(peak, max(sends) - fresh)
             haft = engine.hafts[0] if engine.hafts else None
             biggest = max(biggest, len(haft.members) if haft else 0)
         assert biggest >= min_region
         assert peak <= 12  # the measured peak at every rung: flat in L
+
+    @pytest.mark.parametrize("own", [False, True])
+    def test_heal_messages_grow_with_the_hafts_merged(self, own):
+        """One delete joins ``k`` hafts of 511 members each — nine 1-bits,
+        so every tree of every row is unspined and respined — plus three
+        fresh neighbours: the coordinator's portions grow with ``k``
+        (about ``log2 n`` each), and stay within
+        ``fg_node_message_budget(n, fresh, hafts)``."""
+        peaks = []
+        for k in (1, 3, 6, 9):
+            g, hubs, victim = _hafts_around(k, bits=9, fresh=3, own=own)
+            engine = ForgivingGraph(g)
+            for hub in hubs:
+                engine.delete(hub)
+            fresh, hafts = _merge_inputs(engine, victim, g[victim])
+            assert (fresh, hafts) == (3, k + own)
+            n = len(engine.alive)
+            report = engine.delete(victim)
+            engine.check()
+            peak = max(
+                c for u, c in report.messages_per_node.items() if u != victim
+            )
+            assert peak <= guarantees.fg_node_message_budget(n, fresh, hafts)
+            peaks.append(peak - fresh)
+        log_n = math.ceil(math.log2(n))
+        assert peaks == sorted(peaks)
+        # Nine hafts cost several times one haft's log2 n: the haft
+        # count, not a constant, carries the coordinator's budget.
+        assert peaks[-1] > guarantees.FG_NODE_MESSAGE_BASE + 4 * log_n
 
     def test_merge_keeps_the_largest_haft(self):
         # Small-to-large: the big region's haft absorbs the small one,
@@ -480,6 +509,46 @@ CHURN_ADVERSARIES = [
     lambda: GrowthThenMassacreAdversary(growth=25, seed=13),
     lambda: OscillatingChurnAdversary(period=8, seed=14),
 ]
+
+
+def _merge_inputs(engine, v, direct):
+    """``(fresh, hafts)`` of deleting ``v``, whose direct neighbours are
+    ``direct``: its portless alive ones, and the distinct hafts of ``v``
+    and its alive ones."""
+    alive = [u for u in direct if u in engine.alive]
+    fresh = sum(1 for u in alive if engine.haft_of(u) is None)
+    hafts = {id(h) for h in map(engine.haft_of, (v, *alive)) if h is not None}
+    return fresh, len(hafts)
+
+
+def _hafts_around(k, bits, fresh, own):
+    """``(graph, hubs, victim)``: once the hubs are deleted, each leaves
+    a haft of ``2**bits - 1`` members, ``k`` of them holding one direct
+    neighbour of the victim each (with ``own`` one more holds the
+    victim itself), and the victim has ``fresh`` portless neighbours."""
+    g, ids = {}, iter(range(10**6))
+
+    def node():
+        nid = next(ids)
+        g[nid] = set()
+        return nid
+
+    def edge(a, b):
+        g[a].add(b)
+        g[b].add(a)
+
+    victim, hubs = node(), []
+    for i in range(k + own):
+        hub = node()
+        edge(hub, victim if i == k else node())
+        if i < k:
+            edge(victim, max(g[hub]))
+        for _ in range(2**bits - 2):
+            edge(hub, node())
+        hubs.append(hub)
+    for _ in range(fresh):
+        edge(victim, node())
+    return g, hubs, victim
 
 
 class TestHealerIntegration:
@@ -679,6 +748,18 @@ class TestDistributedParity:
         assert max(rounds) >= 10  # walks of eight hops and more
         assert max(rounds) < net.max_sub_rounds
         assert net.max_ids <= guarantees.FG_MESSAGE_ID_BUDGET
+
+    def test_multi_haft_merge_parity(self):
+        """A delete that unspines and respines four hafts of 63 members
+        at once: tallies node-for-node equal and images equal."""
+        g, hubs, victim = _hafts_around(4, bits=6, fresh=2, own=True)
+        seq = ForgivingGraph(g, strict=True)
+        dist = DistributedForgivingGraph({k: set(v) for k, v in g.items()})
+        for v in (*hubs, victim):
+            report, stats = seq.delete(v), dist.delete(v)
+            assert report.messages_per_node == stats.sent
+            assert edge_set(seq.graph()) == dist.edges()
+        assert len(seq.hafts) == 1 and len(seq.hafts[0].members) == 5 * 63 + 1
 
     def test_single_insert_is_a_wave_of_one(self):
         g = generators.path(4)
