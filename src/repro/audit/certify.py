@@ -16,9 +16,9 @@ Five certificate classes (:data:`CERTIFICATE_KINDS`):
     node but the victim sends at most
     :func:`~repro.guarantees.fg_node_message_budget` messages (``n`` the
     alive count, the hafts merged and fresh neighbours bounded by the
-    victim's own fan-out; the wave size for batch inserts) and every message carries at most
-    :attr:`AuditParams.fg_msg_ids` node ids — O(1)-id portions, no
-    member lists.
+    victim's own fan-out; the wave size for batch inserts) and every
+    message carries at most :attr:`AuditParams.fg_msg_ids` node ids —
+    O(1)-id portions, no member lists.
 ``locality``
     Every payload travels a current-overlay or heal-introduced edge —
     the overlay universe is reconstructed by replaying the oracle edge
