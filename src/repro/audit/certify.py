@@ -54,6 +54,7 @@ offending records directly.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -528,12 +529,14 @@ def _check_budget(
         budget, why = params.ft_node_budget * wave, "Theorem 1.3 budget"
         id_budget = params.ft_msg_ids
     else:
-        # The victim's fan-out f is its own; it also bounds what the heal
-        # merges (hafts + fresh neighbours <= f + 1), charged as hafts,
-        # the dearer term.  An insert wave merges nothing.
+        # The victim's fan-out is its own; the others are charged for the
+        # hafts and fresh neighbours the oracle says the heal merged.  An
+        # insert wave merges nothing.
         if delta.kind == "delete":
-            fanout = per_node.pop(delta.victim, 0)
-            budget = guarantees.fg_node_message_budget(alive_count, 0, fanout + 1)
+            per_node.pop(delta.victim, 0)
+            budget = guarantees.fg_node_message_budget(
+                alive_count, delta.fresh, delta.hafts
+            )
         else:
             budget = guarantees.fg_node_message_budget(alive_count, wave, 0)
         why = "FG node budget"
@@ -622,28 +625,39 @@ def _check_exclusion(
         return set()
 
     parts = {hid: write_region(hid) for hid in intervals}
-    hids = sorted(intervals)
-    for a_pos, a in enumerate(hids):
-        ga, ra, gia, _ = intervals[a]
-        for b in hids[a_pos + 1:]:
-            gb, rb, gib, _ = intervals[b]
-            if ga < rb and gb < ra:  # strict overlap in virtual time
-                shared = parts[a] & parts[b]
-                if shared:
-                    violation = Violation(
-                        "exclusion",
-                        b,
-                        (min(gia, gib), max(gia, gib)),
-                        f"heals {a} and {b} held overlapping lease intervals "
-                        f"but their write regions share nodes "
-                        f"{sorted(shared)[:8]}",
-                    )
-                    target = certificates.get(b) or certificates.get(a)
-                    if target is not None:
-                        target.violations.append(violation)
-                    else:
-                        report.campaign_violations.append(violation)
-    for hid in hids:
+    # Sweep by grant time: a grant can overlap only the heals still
+    # holding their leases (a heap keyed by release time), so the scan
+    # meets the overlapping pairs, not every pair.
+    holding: List[Tuple[float, int]] = []
+    clashes: List[Tuple[int, int]] = []
+    for hid in sorted(intervals, key=lambda h: intervals[h][0]):
+        granted, released = intervals[hid][:2]
+        while holding and holding[0][0] <= granted:
+            heapq.heappop(holding)
+        for _, other in holding:
+            a, b = min(hid, other), max(hid, other)
+            ga, ra = intervals[a][:2]
+            gb, rb = intervals[b][:2]
+            # strict overlap in virtual time, on a shared write region
+            if ga < rb and gb < ra and parts[a] & parts[b]:
+                clashes.append((a, b))
+        heapq.heappush(holding, (released, hid))
+    for a, b in sorted(clashes):  # reported in (a, b) order
+        gia, gib = intervals[a][2], intervals[b][2]
+        violation = Violation(
+            "exclusion",
+            b,
+            (min(gia, gib), max(gia, gib)),
+            f"heals {a} and {b} held overlapping lease intervals "
+            f"but their write regions share nodes "
+            f"{sorted(parts[a] & parts[b])[:8]}",
+        )
+        target = certificates.get(b) or certificates.get(a)
+        if target is not None:
+            target.violations.append(violation)
+        else:
+            report.campaign_violations.append(violation)
+    for hid in sorted(intervals):
         cert = certificates.get(hid)
         if cert is not None and "exclusion" not in cert.checked:
             cert.checked = cert.checked + ("exclusion",)

@@ -23,6 +23,10 @@ corruption             certificate   seeded defect
                                      to carry its haft's member list
 ``fg-over-budget``     budget        one Forgiving Graph node's sends
                                      repeated past its per-node budget
+``fg-exact-budget``    budget        one Forgiving Graph node's sends
+                                     repeated one past the budget of the
+                                     hafts its heal merged, inside the
+                                     victim-fan-out bound
 =====================  ============  =========================================
 
 :func:`run_self_test` drives the whole table over seeded lease +
@@ -36,6 +40,7 @@ alone.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -180,6 +185,33 @@ def corrupt_fg_over_budget(
     return None
 
 
+def corrupt_fg_exact_budget(
+    log: List[LogRecord], inputs: AuditInputs
+) -> Optional[List[LogRecord]]:
+    """One notified neighbour's send is repeated until the node is one
+    past the exact budget of what its heal merged, yet still inside the
+    bound that charges the victim's whole fan-out as merged hafts."""
+    alive = {u for edge in inputs.initial_edges for u in edge}
+    hid_of = {stats.label: stats.hid for stats in inputs.heal_stats}
+    for d in inputs.deltas:  # replayed as the auditor does, for its n
+        alive.discard(d.victim)
+        alive.update(nid for nid, _ in d.joiners)
+        hid = hid_of.get(_delta_key(d)) if d.kind == "delete" else None
+        sends = [
+            (i, rec) for i, rec in enumerate(log)
+            if isinstance(rec, SendRecord) and rec.heal == hid
+        ]
+        per_node = Counter(rec.src for _, rec in sends)
+        fanout = per_node.pop(d.victim, 0)
+        exact = guarantees.fg_node_message_budget(len(alive), d.fresh, d.hafts)
+        loose = guarantees.fg_node_message_budget(len(alive), 0, fanout + 1)
+        for i, rec in sends:
+            if per_node.get(rec.src, exact + 1) <= exact < loose:
+                repeat = exact + 1 - per_node[rec.src]
+                return log[: i + 1] + [rec] * repeat + log[i + 1:]
+    return None
+
+
 def corrupt_strip_sends(
     log: List[LogRecord], inputs: AuditInputs
 ) -> Optional[List[LogRecord]]:
@@ -210,6 +242,7 @@ CORRUPTIONS: Dict[str, CorruptionCase] = {
     "strip-sends": CorruptionCase("budget", corrupt_strip_sends),
     "fg-member-list": CorruptionCase("budget", corrupt_fg_member_list, "fg"),
     "fg-over-budget": CorruptionCase("budget", corrupt_fg_over_budget, "fg"),
+    "fg-exact-budget": CorruptionCase("budget", corrupt_fg_exact_budget, "fg"),
 }
 
 

@@ -261,6 +261,8 @@ class HealDelta:
     stream, which is exactly the universe the locality certificate
     replays.  ``region`` is every node the oracle named (edge endpoints,
     victim, joiners): heal-introduced traffic must stay inside it.
+    ``hafts`` / ``fresh`` are what a Forgiving Graph delete merged (0
+    for everything else): the exact per-node budget's two terms.
     """
 
     kind: str  # "delete" | "insert"
@@ -269,6 +271,8 @@ class HealDelta:
     added: Tuple[Tuple[int, int], ...] = ()
     removed: Tuple[Tuple[int, int], ...] = ()
     touched: Tuple[Tuple[int, int], ...] = ()
+    hafts: int = 0
+    fresh: int = 0
 
     @functools.cached_property
     def region(self) -> frozenset:
@@ -312,6 +316,8 @@ class HealDelta:
             added=tuple(sorted(_norm(u, v) for u, v in added)),
             removed=tuple(sorted(_norm(u, v) for u, v in removed)),
             touched=tuple(sorted(touched)),
+            hafts=getattr(report, "hafts", 0),
+            fresh=getattr(report, "fresh", 0),
         )
 
 

@@ -31,9 +31,9 @@ from typing import Dict, Iterable, Optional, Set, Tuple
 from ..core import WILL_SPLICE
 from ..core.errors import InvariantViolationError
 from ..core.events import HealReport, edge_key
-from ..core.flat_tree import FlatForgivingTree
-from ..graphs.adjacency import Graph, from_edges, require_connected
-from ..graphs.spanning import bfs_tree, non_tree_edges
+from ..core.flat_tree import FlatForgivingTree, TreeShape
+from ..graphs.adjacency import Graph, copy as copy_graph, degrees, from_edges
+from ..graphs.spanning import spanning_shape
 from ..graphs.view import OverlayView
 from .base import Healer
 
@@ -43,6 +43,10 @@ class ForgivingTreeHealer(Healer):
 
     Parameters mirror :class:`~repro.core.forgiving_tree.ForgivingTree`;
     ``root`` selects the spanning-tree root (default: smallest id).
+
+    The healer keeps no copy of its input: the spanning tree (a
+    :class:`~repro.core.flat_tree.TreeShape`) and the non-tree edges
+    rebuild :attr:`initial_graph` on request.
     """
 
     name = "forgiving-tree"
@@ -55,17 +59,14 @@ class ForgivingTreeHealer(Healer):
         will_mode: str = WILL_SPLICE,
         strict: bool = False,
     ):
-        super().__init__(graph)
-        require_connected(graph)
-        tree = bfs_tree(graph, root)
+        self._original_degree = degrees(graph)
+        self.rounds = 0
+        self._tree, self._extras = spanning_shape(graph, root)
+        self._initial: Optional[Graph] = None
         self.engine = FlatForgivingTree(
-            tree,
-            root=root,
-            branching=branching,
-            will_mode=will_mode,
-            strict=strict,
+            self._tree, branching=branching, will_mode=will_mode, strict=strict
         )
-        self._mount(non_tree_edges(graph, tree))
+        self._mount(self._extras)
 
     def _mount(self, extras: Iterable[Tuple[int, int]]) -> None:
         """State both constructors share, given ``self.engine``."""
@@ -99,6 +100,7 @@ class ForgivingTreeHealer(Healer):
         """
         self = cls.__new__(cls)
         self.engine = engine
+        self._tree, self._extras = None, set(extras)
         self._mount(extras)
         self._initial = self._with_extras(engine.adjacency())
         self._original_degree = dict(engine.original_degree)
@@ -143,6 +145,20 @@ class ForgivingTreeHealer(Healer):
 
     def graph(self) -> Graph:
         return self._with_extras(self.engine.adjacency())
+
+    @property
+    def initial_graph(self) -> Graph:
+        if self._initial is not None:  # a wrapped engine's start
+            return copy_graph(self._initial)
+        return self._tree.graph(self._extras)
+
+    def spanning_tree(self) -> TreeShape:
+        """The spanning tree the engine started from, which the transport
+        mirror builds its distributed runtime over.  A wrapped engine's
+        is the BFS tree of its overlay at wrap time."""
+        if self._tree is None:
+            self._tree = spanning_shape(self._initial, self.engine.root_id)[0]
+        return self._tree
 
     def _with_extras(self, adjacency: Graph) -> Graph:
         """Lay the surviving extras over a caller-owned image adjacency."""

@@ -28,8 +28,6 @@ from .flat_tree import (
     WILL_REBUILD,
     WILL_SPLICE,
     FlatForgivingTree,
-    as_adjacency,
-    check_is_tree,
 )
 from .forgiving_tree import ForgivingTree
 from .slot_tree import SlotTree

@@ -154,6 +154,11 @@ class HealReport:
     inserted_batch:
         For a batch insert wave: the ``(joiner, attach_to)`` pairs applied
         this round, in order (empty otherwise).
+    hafts / fresh:
+        Forgiving Graph deletions only (0 otherwise): how many hafts the
+        heal merged (the victim's own included) and how many portless
+        direct neighbours joined them as fresh leaves — the two terms of
+        :func:`~repro.guarantees.fg_node_message_budget`.
     """
 
     deleted: int
@@ -165,6 +170,8 @@ class HealReport:
     inserted: "int | None" = None
     attached_to: "int | None" = None
     inserted_batch: Tuple[Tuple[int, int], ...] = ()
+    hafts: int = 0
+    fresh: int = 0
 
     @classmethod
     def of_wave(

@@ -334,14 +334,12 @@ class FlatCore(TreeText):
         self._reals = dict(zip(arrays["reals_k"], arrays["reals_v"]))
         self._helpers = dict(zip(arrays["helpers_k"], arrays["helpers_v"]))
         img = arrays["image"]
-        self._image = {
-            (img[i], img[i + 1]): img[i + 2] for i in range(0, len(img), 3)
-        }
+        self._image = dict(zip(zip(img[0::3], img[1::3]), img[2::3]))
         self._free = list(arrays["free"])
         self._limbo = list(arrays["limbo"])
         self._inc_count = dict(zip(arrays["inc_k"], arrays["inc_v"]))
         self._alive_list = list(arrays["alive"])
-        self._alive_idx = {nid: i for i, nid in enumerate(self._alive_list)}
+        self._alive_idx = dict(zip(self._alive_list, range(len(self._alive_list))))
         self._root = int(meta["root"])
         self._hid_counter = int(meta["hid_counter"])
         self._inc_max = int(meta["inc_max"])

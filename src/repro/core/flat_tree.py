@@ -24,17 +24,19 @@ The virtual tree and the wills are one text each too: ``FlatCore`` and
 ``ObjectWills`` both inherit ``WillText``, so the engines differ in
 storage only, never in a tree rule or a will rule.
 
-The tree-input helpers (:func:`as_adjacency`, :func:`check_is_tree`), the
-will-mode constants and the per-round message tally live here too, next
-to the algorithm that uses them; import them from :mod:`repro.core`.
+The tree-input normalization (:class:`TreeShape`, :func:`tree_shape`,
+:func:`breadth_first`), the will-mode constants and the per-round message
+tally live here too, next to the algorithm that uses them (the constants
+are re-exported from :mod:`repro.core`).
 
 What the flat layout buys (the BENCH_churn ladder's flat per-event cost):
 
 * ``alive`` is a zero-copy set view — no O(n) copy per round;
 * victim/attachment sampling is O(1) via :meth:`sample_alive`;
 * nodes are array rows, so n = 10^6 fits in a few flat arrays instead of
-  millions of dict entries and lists — see :meth:`from_parents` for O(n)
-  bulk construction without an adjacency dict.
+  millions of dict entries and lists — the initial state is written
+  in bulk (:meth:`FlatForgivingTree._load`), and :meth:`from_parents`
+  builds from a parent array without an adjacency dict.
 
 (``degree`` and ``max_degree_increase`` read the tree text's maintained
 counters on either store.)  Object views are materialized on demand
@@ -45,8 +47,13 @@ distributed drivers run against the same API either way.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from itertools import accumulate, chain, repeat
+from typing import (
+    Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set,
+    Tuple, Union,
+)
 
 from .errors import (
     DuplicateNodeError,
@@ -70,7 +77,7 @@ from .events import (
 from .flat import NIL, AliveView, FlatCore, FlatWills
 from .slot_tree import ObjectWills, SlotTree
 from .state import HelperState, NodeState
-from .virtual_tree import VirtualTree
+from .virtual_tree import KIND_REAL, VirtualTree
 
 TreeInput = Union[Mapping[int, Iterable[int]], Iterable[Tuple[int, int]], object]
 
@@ -79,43 +86,126 @@ WILL_SPLICE = "splice"
 WILL_REBUILD = "rebuild"
 
 
-def as_adjacency(tree: TreeInput) -> Dict[int, List[int]]:
-    """Normalize tree input (adjacency mapping, edge iterable or
-    ``networkx.Graph``) to a symmetric adjacency dict."""
+class TreeShape(NamedTuple):
+    """A rooted tree in the one form every constructor builds from.
+
+    ``order`` is the registration order: node ``order[i]`` is the
+    ``i``-th real the engine registers (its flat slot, its place in node
+    age order).  ``bfs`` lists the nodes breadth-first from ``root`` and
+    ``fanout[i]`` counts ``bfs[i]``'s children; since a breadth-first
+    order appends each node's children together, ``bfs[1:]`` *is* the
+    children lists, cut by ``fanout`` (see :meth:`families`), each list
+    id-ascending (Algorithm 3.5's sort).
+    """
+
+    root: int
+    order: List[int]
+    bfs: List[int]
+    fanout: List[int]
+
+    def families(self) -> Iterator[Tuple[int, List[int]]]:
+        """``(node, its children ascending)``, breadth-first."""
+        bfs, at = self.bfs, 1
+        for nid, k in zip(bfs, self.fanout):
+            yield nid, bfs[at : at + k]
+            at += k
+
+    def degrees(self) -> Dict[int, int]:
+        """Every node's tree degree, in registration order."""
+        deg = dict.fromkeys(self.order, 1)
+        deg[self.root] = 0
+        for nid, k in zip(self.bfs, self.fanout):
+            deg[nid] += k
+        return deg
+
+    def graph(self, extras: Iterable[Tuple[int, int]] = ()) -> Dict[int, Set[int]]:
+        """The tree, plus the ``extras`` edges, as a fresh adjacency in
+        registration order."""
+        adj: Dict[int, Set[int]] = {nid: set() for nid in self.order}
+        tree = ((nid, kid) for nid, kids in self.families() for kid in kids)
+        for u, v in chain(tree, extras):
+            adj[u].add(v)
+            adj[v].add(u)
+        return adj
+
+
+def breadth_first(
+    adjacency: Mapping[int, Iterable[int]], root: int
+) -> Tuple[List[int], List[int], List[Tuple[int, int]]]:
+    """The one BFS every construction runs: from ``root``, neighbours
+    scanned ascending, so the tree is a deterministic shortest-path tree.
+
+    Returns ``(bfs, fanout, cross)`` as in :class:`TreeShape`;
+    ``cross`` holds every scanned ``(node, neighbour)`` that was
+    neither a new child nor the node's parent — a non-tree edge seen
+    from either end, a self-loop, or a repeated listing.  Nodes the
+    walk never reaches are missing from ``bfs``.
+    """
+    bfs, fanout = [root], []
+    cross: List[Tuple[int, int]] = []
+    seen = {root}
+    up = [None]
+    for i, cur in enumerate(bfs):  # ``bfs`` grows while it is walked
+        parent, kids = up[i], []
+        for nxt in sorted(adjacency[cur]):
+            if nxt not in seen:
+                seen.add(nxt)
+                kids.append(nxt)
+            elif nxt != parent:
+                cross.append((cur, nxt))
+        fanout.append(len(kids))
+        bfs += kids
+        up += [cur] * len(kids)
+    return bfs, fanout, cross
+
+
+def tree_shape(tree: TreeInput, root: Optional[int] = None) -> TreeShape:
+    """Normalize tree input — an adjacency mapping, an edge iterable, a
+    ``networkx.Graph`` or a :class:`TreeShape` — with one BFS.
+
+    The input is first made a symmetric adjacency of int ids (the form
+    every input always took); its node order — a mapping's key order,
+    then ids only listed as neighbours; first appearance in an edge
+    list; networkx's node order — is the registration order.  ``root``
+    defaults to the smallest id.  Raises :class:`NotATreeError` unless
+    the input is a tree, :class:`NodeNotFoundError` for a missing root.
+    """
+    if isinstance(tree, TreeShape):
+        if root is not None and root != tree.root:
+            raise ValueError(f"root {root} is not the shape's root {tree.root}")
+        return tree
+    adjacency = _symmetric(tree)
+    if not adjacency:
+        raise NotATreeError("empty tree")
+    start = min(adjacency) if root is None else root
+    if start not in adjacency:
+        raise NodeNotFoundError(start, "root")
+    bfs, fanout, cross = breadth_first(adjacency, start)
+    n = len(adjacency)
+    if cross or len(bfs) != n:
+        m = sum(len(v) for v in adjacency.values()) // 2
+        if m != n - 1:
+            raise NotATreeError(f"{n} nodes but {m} edges")
+        if len(bfs) != n:
+            raise NotATreeError("graph is not connected")
+        raise NotATreeError(f"self-loop at node {cross[0][0]}")
+    return TreeShape(start, list(adjacency), bfs, fanout)
+
+
+def _symmetric(tree: TreeInput) -> Dict[int, List[int]]:
+    """Tree input as a symmetric adjacency of int ids."""
     if hasattr(tree, "adj") and hasattr(tree, "nodes"):  # networkx.Graph
         return {int(n): sorted(int(m) for m in tree.adj[n]) for n in tree.nodes}
+    adj: Dict[int, Set[int]] = {}
     if isinstance(tree, Mapping):
-        adj: Dict[int, Set[int]] = {int(n): set() for n in tree}
-        for n, neighbors in tree.items():
-            for m in neighbors:
-                adj.setdefault(int(n), set()).add(int(m))
-                adj.setdefault(int(m), set()).add(int(n))
-        return {n: sorted(s) for n, s in adj.items()}
-    adj = {}
-    for u, v in tree:  # type: ignore[union-attr]
+        adj = {int(n): set() for n in tree}
+        pairs = ((n, m) for n, neighbors in tree.items() for m in neighbors)
+    else:
+        pairs = tree  # type: ignore[assignment]
+    for u, v in pairs:
         adj.setdefault(int(u), set()).add(int(v))
         adj.setdefault(int(v), set()).add(int(u))
     return {n: sorted(s) for n, s in adj.items()}
-
-
-def check_is_tree(adjacency: Mapping[int, Sequence[int]]) -> None:
-    """Raise :class:`NotATreeError` unless ``adjacency`` is connected
-    with exactly ``n - 1`` edges."""
-    n = len(adjacency)
-    m = sum(len(v) for v in adjacency.values()) // 2
-    if m != n - 1:
-        raise NotATreeError(f"{n} nodes but {m} edges")
-    start = next(iter(adjacency))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for nxt in adjacency[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    if len(seen) != n:
-        raise NotATreeError("graph is not connected")
 
 
 class _Tally:
@@ -138,6 +228,9 @@ class FlatForgivingTree:
     than a fresh ``set``, supporting the same set algebra).
     """
 
+    #: The stores this engine runs the texts over.
+    _tree_store, _will_store = FlatCore, FlatWills
+
     def __init__(
         self,
         tree: TreeInput,
@@ -146,23 +239,12 @@ class FlatForgivingTree:
         will_mode: str = WILL_SPLICE,
         strict: bool = False,
     ) -> None:
-        adjacency = as_adjacency(tree)
-        if not adjacency:
-            raise NotATreeError("empty tree")
-        root_id = min(adjacency) if root is None else root
-        if root_id not in adjacency:
-            raise NodeNotFoundError(root_id, "root")
-        check_is_tree(adjacency)
-        self._setup(root_id, branching, will_mode, strict)
-        self.original_degree = {
-            nid: len(neigh) for nid, neigh in adjacency.items()
-        }
-        self.initial_nodes: Set[int] = set(adjacency)
-        self._ever: Set[int] = set(adjacency)  # ids may never be reused
-        n = len(adjacency)
-        self._c.reserve(n + max(16, n // 8))
-        self._w.reserve(2 * n + 16)
-        self._build(adjacency)
+        shape = tree_shape(tree, root)
+        self._setup(shape.root, branching, will_mode, strict)
+        self.original_degree = shape.degrees()
+        self.initial_nodes: Set[int] = set(shape.order)
+        self._ever: Set[int] = set(shape.order)  # ids may never be reused
+        self._load(shape)
 
     def _setup(self, root_id: int, branching: int, will_mode: str, strict: bool) -> None:
         if will_mode not in (WILL_SPLICE, WILL_REBUILD):
@@ -174,8 +256,8 @@ class FlatForgivingTree:
         self.strict = strict
         self.root_id = root_id
         self._events: List[object] = []
-        self._c = FlatCore(recorder=None)  # recorder attaches after the build
-        self._w = FlatWills(branching=branching)
+        self._c = self._tree_store(recorder=None)  # it records after the build
+        self._w = self._will_store(branching)
         self._tally = _Tally()
         self.rounds = 0
 
@@ -191,70 +273,33 @@ class FlatForgivingTree:
 
         O(n) with no adjacency dict — the constructor the n = 10^6 scaling
         ladder uses.  Produces exactly the structure the adjacency
-        constructor would: per-parent children come out id-ascending, the
-        BFS attach order matches ``_build``, and the wills are identical.
+        constructor would: nodes register in id order, children come out
+        id-ascending, and the one :meth:`_load` writes the state.
         """
         n = len(parents)
         if n == 0:
             raise NotATreeError("empty tree")
         root = -1
-        count = [0] * n
-        for i in range(n):
-            p = parents[i]
+        # Filling in ascending child id leaves each parent's children
+        # sorted ascending (Algorithm 3.5's sort for free).
+        kids: List[List[int]] = [[] for _ in range(n)]
+        for i, p in enumerate(parents):
             if p == -1:
                 if root != -1:
                     raise NotATreeError("two roots in parent array")
                 root = i
             elif 0 <= p < n:
-                count[p] += 1
+                kids[p].append(i)
             else:
                 raise NodeNotFoundError(p, "parent array")
         if root == -1:
             raise NotATreeError("no root in parent array")
-
-        # Counting sort children by parent; filling in ascending child id
-        # leaves each parent's children sorted ascending (Algorithm 3.5's
-        # sort for free).
-        offset = [0] * (n + 1)
-        for i in range(n):
-            offset[i + 1] = offset[i] + count[i]
-        cursor = list(offset[:n])
-        childarr = [0] * (n - 1) if n > 1 else []
-        for i in range(n):
-            p = parents[i]
-            if p != -1:
-                childarr[cursor[p]] = i
-                cursor[p] += 1
-
-        self = cls.__new__(cls)
-        self._setup(root, branching, will_mode, strict)
-        self.original_degree = {
-            i: count[i] + (0 if i == root else 1) for i in range(n)
-        }
-        self.initial_nodes = set(range(n))
-        self._ever = set(range(n))
-
-        c, w = self._c, self._w
-        c.reserve(n + max(16, n // 8))
-        w.reserve(2 * n + 16)
-        for i in range(n):
-            c.add_real(i, original_degree=self.original_degree[i])
-        c.set_root(c.real(root))
-        queue = deque([root])
-        while queue:
-            nid = queue.popleft()
-            parent_slot = c.real(nid)
-            kids = childarr[offset[nid] : offset[nid + 1]]
-            for kid in kids:
-                c.attach(c.real(kid), parent_slot)
-                queue.append(kid)
-            w.build(nid, kids)
-        # cycles unreachable from the root would leave nodes unattached
-        for i in range(n):
-            if i != root and c.parent[c.real(i)] == NIL:
-                raise NotATreeError("parent array contains a cycle")
-        c.recorder = self._events.append
-        return self
+        bfs, fanout, _ = breadth_first(kids, root)
+        # cycles unreachable from the root leave nodes unvisited
+        if len(bfs) != n:
+            raise NotATreeError("parent array contains a cycle")
+        shape = TreeShape(root, list(range(n)), bfs, fanout)
+        return cls(shape, branching=branching, will_mode=will_mode, strict=strict)
 
     # ------------------------------------------------------------------
     # checkpointing (the soak service's snapshot surface)
@@ -331,40 +376,79 @@ class FlatForgivingTree:
         from .forgiving_tree import ForgivingTree
 
         obj = ForgivingTree.__new__(ForgivingTree)
-        obj.branching = self.branching
-        obj.will_mode = self.will_mode
-        obj.strict = self.strict
-        obj.root_id = self.root_id
-        obj._events = []
+        obj._setup(self.root_id, self.branching, self.will_mode, self.strict)
         obj._c = VirtualTree.adopt(self._c)
         obj._c.recorder = obj._events.append
-        obj._w = ObjectWills(self.branching)
         for owner in self._w._root:
             obj._w.adopt(self._w, owner)
         obj.original_degree = dict(self.original_degree)
         obj.initial_nodes = set(self.initial_nodes)
         obj._ever = set(self._ever)
-        obj._tally = _Tally()
         obj.rounds = self.rounds
         return obj
 
-    def _build(self, adjacency: Mapping[int, Sequence[int]]) -> None:
-        c, w = self._c, self._w
-        for nid in adjacency:
-            c.add_real(nid, original_degree=self.original_degree[nid])
-        c.set_root(c.real(self.root_id))
-        seen = {self.root_id}
-        queue = deque([self.root_id])
-        while queue:
-            nid = queue.popleft()
-            parent_slot = c.real(nid)
-            kids = sorted(k for k in adjacency[nid] if k not in seen)
-            for kid in kids:
-                seen.add(kid)
-                c.attach(c.real(kid), parent_slot)
-                queue.append(kid)
+    def _load(self, shape: TreeShape) -> None:
+        """Write the initial state down in one go.
+
+        An initial tree is a checkpoint that needs no replay: the core's
+        state is written as columns and loaded through
+        :meth:`FlatCore.restore_state`, exactly what registering every
+        node and attaching every child one at a time would leave (node
+        ``order[i]`` in slot ``i``, children linked ascending, image
+        edges in attach order, every degree increase 0, the unused
+        reserve on the free list).  The wills keep the will text, one
+        :meth:`~repro.core.slot_tree.WillText.build` per node.  The
+        object engine loads node by node
+        (:meth:`~repro.core.forgiving_tree.ForgivingTree._load`), the
+        reference ``tests/test_flatcore.py`` holds this state to byte for
+        byte.
+        """
+        order, bfs, fanout = shape.order, shape.bfs, shape.fanout
+        n = len(order)
+        w = self._w
+        w.reserve(2 * n + 16)
+        for nid, kids in shape.families():
             w.build(nid, kids)
-        c.recorder = self._events.append
+        # The core's columns, first per breadth-first position (a node's
+        # children sit side by side there), then gathered into slots.
+        slot = dict(zip(order, range(n)))
+        sb = list(map(slot.__getitem__, bfs))
+        up = [NIL, *chain.from_iterable(map(repeat, sb, fanout))]
+        first = list(accumulate(fanout, initial=1))  # a first child's position
+        head = [sb[at] if k else NIL for at, k in zip(first, fanout)]
+        tail = [sb[at + k - 1] if k else NIL for at, k in zip(first, fanout)]
+        twins = list(map(operator.eq, up, up[1:]))  # position j, j+1 siblings
+        nxt = [x if t else NIL for x, t in zip(sb[1:], twins)] + [NIL]
+        prv = [NIL] + [x if t else NIL for x, t in zip(sb, twins)]
+        where = dict(zip(bfs, range(n)))
+        inv = list(map(where.__getitem__, order))  # slot -> position
+        cap = n + max(16, n // 8)
+        pad = [0] * (cap - n)
+
+        def by_slot(column: List[int]) -> List[int]:
+            return list(map(column.__getitem__, inv)) + pad
+
+        arrays = {
+            "kind": [KIND_REAL] * n + pad, "ident": order + pad,
+            "sim": [NIL] * n + pad, "parent": by_slot(up),
+            "head": by_slot(head), "tail": by_slot(tail),
+            "next": by_slot(nxt), "prev": by_slot(prv),
+            "nchild": by_slot(fanout), "role": [NIL] * n + pad,
+            "imgdeg": list(self.original_degree.values()) + pad, "inc": [0] * cap,
+        }
+        # Image edges in attach order (breadth-first), multiplicity 1.
+        ups = [order[x] for x in up[1:]]
+        image = [1] * (3 * (n - 1))
+        image[0::3] = map(min, ups, bfs[1:])
+        image[1::3] = map(max, ups, bfs[1:])
+        arrays.update(
+            reals_k=order, reals_v=range(n), helpers_k=(), helpers_v=(),
+            image=image, free=range(cap - 1, n - 1, -1), limbo=(),
+            inc_k=(0,), inc_v=(n,), alive=order,
+        )
+        meta = {"root": slot[shape.root], "hid_counter": 0, "inc_max": 0, "inc_dirty": 0}
+        self._c = FlatCore.restore_state({"meta": meta, "arrays": arrays})
+        self._c.recorder = self._events.append
 
     # ------------------------------------------------------------------
     # public queries

@@ -47,21 +47,9 @@ study.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Set
 
-from .errors import (
-    NodeNotFoundError,
-    NotATreeError,
-)
-from .flat_tree import (
-    WILL_REBUILD,
-    WILL_SPLICE,
-    FlatForgivingTree,
-    TreeInput,
-    _Tally,
-    as_adjacency,
-    check_is_tree,
-)
+from .flat_tree import WILL_REBUILD, WILL_SPLICE, FlatForgivingTree, TreeShape  # noqa: F401
 from .slot_tree import ObjectWills
 from .virtual_tree import VirtualTree
 
@@ -87,41 +75,28 @@ class ForgivingTree:
         Run the full invariant checker after every deletion (slow; tests).
     """
 
-    def __init__(
-        self,
-        tree: TreeInput,
-        root: Optional[int] = None,
-        branching: int = 2,
-        will_mode: str = WILL_SPLICE,
-        strict: bool = False,
-    ) -> None:
-        if will_mode not in (WILL_SPLICE, WILL_REBUILD):
-            raise ValueError(f"unknown will_mode {will_mode!r}")
-        if branching < 2:
-            raise ValueError("branching must be >= 2")
-        self.branching = branching
-        self.will_mode = will_mode
-        self.strict = strict
+    #: The stores this engine runs the texts over.
+    _tree_store, _will_store = VirtualTree, ObjectWills
 
-        adjacency = as_adjacency(tree)
-        if not adjacency:
-            raise NotATreeError("empty tree")
-        self.root_id = min(adjacency) if root is None else root
-        if self.root_id not in adjacency:
-            raise NodeNotFoundError(self.root_id, "root")
-        check_is_tree(adjacency)
+    def _load(self, shape: TreeShape) -> None:
+        """Build the initial tree one node at a time through the tree
+        and will texts: register every node, then attach each node's
+        children and write its will, breadth-first.
 
-        self._events: List[object] = []
-        self._c = VirtualTree()  # the recorder attaches after the build
-        self._w = ObjectWills(branching)
-        self.original_degree: Dict[int, int] = {
-            nid: len(neigh) for nid, neigh in adjacency.items()
-        }
-        self.initial_nodes: Set[int] = set(adjacency)
-        self._ever: Set[int] = set(adjacency)  # ids may never be reused
-        self._tally = _Tally()
-        self.rounds = 0
-        self._build(adjacency)
+        The readable construction, and the reference the flat engine's
+        bulk :meth:`~repro.core.flat_tree.FlatForgivingTree._load` is
+        held to: run over a ``FlatCore`` it leaves the state the bulk
+        load writes, byte for byte (``tests/test_flatcore.py``)."""
+        c, w = self._c, self._w
+        for nid in shape.order:
+            c.add_real(nid, original_degree=self.original_degree[nid])
+        c.set_root(c.real(shape.root))
+        for nid, kids in shape.families():
+            parent = c.real(nid)
+            for kid in kids:
+                c.attach(c.real(kid), parent)
+            w.build(nid, kids)
+        c.recorder = self._events.append
 
     @property
     def alive(self) -> Set[int]:
@@ -135,10 +110,11 @@ class ForgivingTree:
     # ------------------------------------------------------------------
     # everything else is FlatForgivingTree's text, verbatim, reading and
     # writing this engine's stores through ``self._c`` / ``self._w``: the
-    # public queries (both stores keep maintained degree counters), the
-    # check, the will read-outs, and the healing algorithm
+    # constructor, the public queries (both stores keep maintained degree
+    # counters), the check, the will read-outs, and the healing algorithm
     # ------------------------------------------------------------------
-    _build = FlatForgivingTree._build
+    __init__ = FlatForgivingTree.__init__
+    _setup = FlatForgivingTree._setup
     __len__ = FlatForgivingTree.__len__
     __contains__ = FlatForgivingTree.__contains__
     adjacency = FlatForgivingTree.adjacency

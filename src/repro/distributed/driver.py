@@ -16,7 +16,7 @@ constructor, :meth:`_fan_out`, :meth:`_inject_wave`, and (FG) a stricter
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import NodeNotFoundError, ProtocolError, SimulationOverError
 from ..core.events import normalize_wave
@@ -31,18 +31,17 @@ class ProtocolDriver:
     #: Prefix of the driver-level trace marks (``"ft"`` / ``"fg"``).
     tag: str
 
-    def __init__(self, adjacency: Mapping[int, Sequence[int]], network: Network):
-        # The subclass hands over its default synchronous network or the
-        # caller's alternative transport (e.g. the discrete-event
+    def __init__(self, original_degree: Dict[int, int], network: Network):
+        # The subclass hands over every initial node's degree and its
+        # default synchronous network or the caller's alternative
+        # transport (e.g. the discrete-event
         # :class:`repro.simnet.AsyncNetwork`); the node protocols are
         # transport-agnostic.  Must be empty.
         if len(network):
             raise ProtocolError("provided network already has nodes")
         self.network = network
-        self.original_degree: Dict[int, int] = {
-            n: len(neigh) for n, neigh in adjacency.items()
-        }
-        self._ever: Set[int] = set(adjacency)  # ids may never be reused
+        self.original_degree = original_degree
+        self._ever: Set[int] = set(original_degree)  # ids may never be reused
         self.rounds = 0
 
     # -- the protocol's part -------------------------------------------

@@ -14,11 +14,9 @@ read-outs are :class:`~repro.distributed.driver.ProtocolDriver`'s.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from ..core import as_adjacency, check_is_tree
-from ..core.errors import NodeNotFoundError
+from ..core.flat_tree import tree_shape
 from ..core.slot_tree import ObjectWills, SlotTree
 from .driver import ProtocolDriver, Wave
 from .messages import REAL, Deleted, InsertRequest
@@ -41,47 +39,24 @@ class DistributedForgivingTree(ProtocolDriver):
     def __init__(
         self, tree, root: Optional[int] = None, network: Optional[Network] = None
     ):
-        adjacency = as_adjacency(tree)
-        check_is_tree(adjacency)
-        self.root_id = min(adjacency) if root is None else root
-        if self.root_id not in adjacency:
-            raise NodeNotFoundError(self.root_id, "root")
-        super().__init__(adjacency, Network() if network is None else network)
+        shape = tree_shape(tree, root)
+        self.root_id = shape.root
+        super().__init__(shape.degrees(), Network() if network is None else network)
         # Every node's will, in one store; each node holds its view.
         self._wills = ObjectWills(branching=2)
-        self._build(adjacency)
-
-    # ------------------------------------------------------------------
-    def _build(self, adjacency: Mapping[int, Sequence[int]]) -> None:
-        parent: Dict[int, Optional[int]] = {self.root_id: None}
-        order: List[int] = [self.root_id]
-        queue = deque([self.root_id])
-        seen = {self.root_id}
-        while queue:
-            cur = queue.popleft()
-            for nxt in sorted(adjacency[cur]):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    parent[nxt] = cur
-                    order.append(nxt)
-                    queue.append(nxt)
-        children: Dict[int, List[int]] = {n: [] for n in adjacency}
-        for n, p in parent.items():
-            if p is not None:
-                children[p].append(n)
-
-        for nid in adjacency:
+        children = dict(shape.families())
+        for nid in shape.order:
             self.network.register(self._node(nid, children[nid]))
-        for nid in adjacency:
-            node = self.network.nodes[nid]
-            p = parent[nid]
-            node.parent_ref = None if p is None else (p, REAL)
-            node.slot_kind = {k: REAL for k in sorted(children[nid])}
+        nodes = self.network.nodes
+        for nid, kids in children.items():
+            nodes[nid].slot_kind = dict.fromkeys(kids, REAL)
+            for kid in kids:
+                nodes[kid].parent_ref = (nid, REAL)
 
         # Setup phase: wills and leaf wills travel as counted messages.
         self.network.begin_round(0)
-        for nid in adjacency:
-            node = self.network.nodes[nid]
+        for nid in shape.order:
+            node = nodes[nid]
             node.refresh_portions()
             node._maybe_deposit_leaf_will()
         self.setup_stats = self.network.run_round(0)

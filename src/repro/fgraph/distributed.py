@@ -56,7 +56,7 @@ from ..core.errors import NodeNotFoundError, ProtocolError
 from ..distributed.driver import ProtocolDriver, Wave
 from ..distributed.messages import Message
 from ..distributed.network import Network
-from ..graphs.adjacency import Graph
+from ..graphs.adjacency import Graph, degrees
 from .rtree import HELPER, REAL, Links, ReconstructionTree, Ref, Tree, probe_walk
 
 
@@ -580,7 +580,7 @@ class DistributedForgivingGraph(ProtocolDriver):
     def __init__(self, graph: Graph, network: Optional[Network] = None):
         if not graph:
             raise NodeNotFoundError(-1, "empty initial graph")
-        super().__init__(graph, Network() if network is None else network)
+        super().__init__(degrees(graph), Network() if network is None else network)
         for nid in graph:
             self.network.register(FGNode(nid))
         for nid, neigh in graph.items():

@@ -217,7 +217,7 @@ class ForgivingGraph:
                 if u != coordinator:
                     tally[u] = 1
             self._probe_walk(nid, img_nbrs, tally, hops)
-        internal, haft, changed, removed, added = self._heal(nid)
+        hafts, fresh, haft, changed, removed, added = self._heal(nid)
         links = haft.helper_links if haft else {}
         events: List[object] = [
             HelperDestroyed(sim=s, helper_id=s) for s in changed if changed[s]
@@ -253,11 +253,13 @@ class ForgivingGraph:
         events += starmap(EdgeAdded, sorted(relisted.union(added)))
         report = HealReport(
             deleted=nid,
-            was_internal=internal,
+            was_internal=bool(hafts) or haft is not None,
             edges_added=frozenset(added),
             edges_removed=frozenset(removed),
             events=tuple(events),
             messages_per_node=tally,
+            hafts=hafts,
+            fresh=fresh,
         )
         if self.strict:
             self.check()
@@ -298,16 +300,17 @@ class ForgivingGraph:
 
     def _heal(
         self, nid: int
-    ) -> Tuple[bool, Optional[ReconstructionTree], Journal, List[Edge], List[Edge]]:
+    ) -> Tuple[int, int, Optional[ReconstructionTree], Journal, List[Edge], List[Edge]]:
         """The structural half of a deletion, O(log L + degree) amortized:
         remove ``nid`` from its haft, merge the hafts of its surviving
         direct neighbors with one fresh leaf per portless one, and swap
         the changed helpers' links in the image.
 
-        Returns whether any haft took part or formed, the merged haft
-        (None if the region dissolved), the changed helpers' old links
-        (sorted by simulator; ``None``: no helper before), and the edges
-        removed from and added to the image.
+        Returns how many hafts merged (the victim's own included) and how
+        many fresh leaves joined them, the merged haft (None if the
+        region dissolved), the changed helpers' old links (sorted by
+        simulator; ``None``: no helper before), and the edges removed
+        from and added to the image.
         """
         direct_alive = sorted(u for u in self._ideal[nid] if u in self._alive)
         haft_of = self._haft_of
@@ -348,7 +351,7 @@ class ForgivingGraph:
                     acc[e] = acc.get(e, 0) + 1
         removed, added = self._swap_image(nid, retire, gain)
         self._alive.discard(nid)
-        return bool(popped) or haft is not None, haft, changed, removed, added
+        return len(popped), len(fresh), haft, changed, removed, added
 
     def _swap_image(
         self, nid: int, retire: Dict[Edge, int], gain: Dict[Edge, int]

@@ -80,11 +80,11 @@ def fg_node_message_budget(n: int, fresh: int, hafts: int) -> int:
     fresh``.  It grows with the hafts merged, not with their size: one
     delete merging nine hafts of 511 members measures 115 sends
     against 268, a massacre growing one haft to 22,640 members at most
-    12 + fresh.  A caller that sees only the victim's fan-out ``f``
-    bounds both terms by it — ``hafts + fresh <= f + 1``, every merged
-    haft but the victim's own reached through a notified direct
-    neighbour — and passes ``fresh=0, hafts=f + 1``, the larger of the
-    two charges."""
+    12 + fresh.  The engine's delete report carries both terms
+    (``HealReport.hafts`` / ``fresh``), and the audit charges them
+    exactly.  A caller that sees only the victim's fan-out ``f`` can
+    bound both by it (``hafts + fresh <= f + 1``), overcharging each
+    node by up to ``2 (f + 1) ceil(log2 n)``."""
     log_n = math.ceil(math.log2(max(n, 2)))
     return FG_NODE_MESSAGE_BASE + 2 * (1 + hafts) * log_n + fresh
 

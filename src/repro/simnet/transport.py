@@ -58,7 +58,6 @@ from ..core.events import HealReport
 from ..distributed.network import Network
 from ..faults.plan import FaultPlan, FaultSummary
 from ..faults.repair import RepairPass, RepairReport
-from ..graphs.spanning import bfs_tree
 from ..obs.histogram import LogHistogram
 from ..obs.spec import ObsState
 from ..obs.trace import NO_TRACE
@@ -317,9 +316,8 @@ class TransportMirror:
                 )
             from ..distributed.protocol import DistributedForgivingTree
 
-            tree = bfs_tree(healer.initial_graph, engine.root_id)
             driver = DistributedForgivingTree(
-                tree, root=engine.root_id, network=network
+                healer.spanning_tree(), network=network
             )
             # The FT healer carries surviving non-tree edges alongside the
             # protocol's tree overlay; the mirror validates the overlay.

@@ -220,12 +220,12 @@ class SoakService:
         entry = self.store.latest()
         generator = TraceGenerator(cfg.generator_config())
         if entry is None:
+            # One copy of the starting tree: neither constructor mutates it.
+            initial = generator.build_initial()
             healer = ForgivingTreeHealer(
-                generator.build_initial(),
-                branching=cfg.branching,
-                will_mode=cfg.will_mode,
+                initial, branching=cfg.branching, will_mode=cfg.will_mode
             )
-            tracker = DynamicTreeMetrics(generator.build_initial())
+            tracker = DynamicTreeMetrics(initial)
             start_event = 0
             carry = {
                 "d0": tracker.diameter,

@@ -362,7 +362,7 @@ class TestMutation:
         out = capsys.readouterr().out
         assert "caught  strip-sends" in out
         assert "caught  fg-member-list" in out
-        assert "9/9 corruptions caught" in out
+        assert f"{len(CORRUPTIONS)}/{len(CORRUPTIONS)} corruptions caught" in out
 
     def test_undetected_corruption_raises(self, clean_inputs, monkeypatch):
         monkeypatch.setitem(
@@ -372,6 +372,104 @@ class TestMutation:
         )
         with pytest.raises(AuditError, match="no-op"):
             run_self_test(seed=11)
+
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from tests.conftest import examples  # noqa: E402
+
+#: One drawn lease interval: grant time, hold time (None: never
+#: released), write region, and whether the heal has a certificate.
+lease_draws = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=12),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+        st.frozensets(st.integers(min_value=0, max_value=9), max_size=3),
+        st.booleans(),
+    ),
+    max_size=14,
+)
+
+
+def _pairwise_exclusion(intervals, parts, certificates, report):
+    """The exclusion scan as it was: every pair of heals, (a, b) order."""
+    hids = sorted(intervals)
+    for a_pos, a in enumerate(hids):
+        ga, ra, gia, _ = intervals[a]
+        for b in hids[a_pos + 1:]:
+            gb, rb, gib, _ = intervals[b]
+            if ga < rb and gb < ra:
+                shared = parts[a] & parts[b]
+                if shared:
+                    violation = Violation(
+                        "exclusion", b, (min(gia, gib), max(gia, gib)),
+                        f"heals {a} and {b} held overlapping lease intervals "
+                        f"but their write regions share nodes "
+                        f"{sorted(shared)[:8]}",
+                    )
+                    target = certificates.get(b) or certificates.get(a)
+                    if target is not None:
+                        target.violations.append(violation)
+                    else:
+                        report.campaign_violations.append(violation)
+
+
+class TestExclusionSweep:
+    """The grant-time sweep reports exactly what the all-pairs scan did,
+    in the same order."""
+
+    @settings(max_examples=examples(60), deadline=None)
+    @given(draws=lease_draws)
+    def test_sweep_equals_the_pairwise_scan(self, draws):
+        from types import SimpleNamespace
+
+        from repro.audit.certify import HealCertificate, _check_exclusion
+        from repro.audit.schema import ControlRecord
+
+        controls, deltas, delta_index, stats_by_hid = [], [], {}, {}
+        intervals, parts = {}, {}
+        for hid, (granted, hold, region, _) in enumerate(draws):
+            label = f"delete-{hid}"
+            stats_by_hid[hid] = SimpleNamespace(label=label)
+            delta_index[label] = len(deltas)
+            deltas.append(
+                HealDelta(kind="delete", touched=tuple((u, u) for u in sorted(region)))
+            )
+            parts[hid] = set(region)
+            events = [("lease-grant", granted)]
+            if hold is not None:
+                events.append(("lease-release", granted + hold))
+            for ctl, t in events:
+                controls.append((t, ctl, hid))
+        controls.sort()  # the log's timeline: by time, grants before releases
+        records = [
+            (i, ControlRecord(t=float(t), heal=hid, depth=-1, src=-1, dst=-1, ctl=ctl))
+            for i, (t, ctl, hid) in enumerate(controls)
+        ]
+        grants = {}
+        for i, rec in records:
+            if rec.ctl == "lease-grant":
+                grants[rec.ref] = (i, rec.t)
+            elif rec.ref in grants:
+                gi, gt = grants.pop(rec.ref)
+                intervals[rec.ref] = (gt, rec.t, gi, i)
+        for hid, (gi, gt) in grants.items():
+            intervals[hid] = (gt, float("inf"), gi, gi)
+
+        def certs():
+            return {
+                hid: HealCertificate(heal=hid, label=f"delete-{hid}")
+                for hid, draw in enumerate(draws) if draw[3]
+            }
+
+        got_certs, want_certs = certs(), certs()
+        got, want = AuditReport(protocol="ft"), AuditReport(protocol="ft")
+        _check_exclusion(got, got_certs, records, {}, deltas, delta_index, stats_by_hid)
+        _pairwise_exclusion(intervals, parts, want_certs, want)
+        assert got.campaign_violations == want.campaign_violations
+        for hid, cert in want_certs.items():
+            assert got_certs[hid].violations == cert.violations
 
 
 # ---------------------------------------------------------------------------

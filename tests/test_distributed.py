@@ -210,6 +210,27 @@ class TestOneDriverShell:
         assert set(store._root) == set(dist.network.nodes)
         store.check_all()
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_built_from_the_healers_spanning_tree_as_from_its_bfs_tree(self, seed):
+        """The transport mirror builds the runtime over the healer's
+        spanning tree instead of a BFS of a copy of the input: same node
+        registration order, wills, parent pointers and setup tallies."""
+        from repro.baselines import ForgivingTreeHealer
+        from repro.graphs.spanning import bfs_tree
+
+        healer = ForgivingTreeHealer(generators.preferential_attachment(50, 2, seed))
+        root = healer.engine.root_id
+        new = DistributedForgivingTree(healer.spanning_tree())
+        old = DistributedForgivingTree(bfs_tree(healer.initial_graph, root), root=root)
+        assert list(new.network.nodes) == list(old.network.nodes)
+        assert new.setup_stats == old.setup_stats
+        assert new.original_degree == old.original_degree
+        for nid, node in new.network.nodes.items():
+            twin = old.network.nodes[nid]
+            assert node.parent_ref == twin.parent_ref
+            assert node.slot_kind == twin.slot_kind
+            assert node.will.internal_specs() == twin.will.internal_specs()
+
     def test_ft_pointer_refs_name_every_field(self):
         dist = DistributedForgivingTree({0: [1, 2], 1: [3]})
         dist.network.remove(1)  # silent death: nobody is told

@@ -336,7 +336,7 @@ class TestForgivingGraphEngine:
         biggest = 0
         for v in sorted(g, key=lambda v: (-len(g[v]), v))[: n // 5]:
             degree = sum(1 for u in g[v] if u in engine.alive)
-            _internal, haft, changed, removed, added = engine._heal(v)
+            _hafts, _fresh, haft, changed, removed, added = engine._heal(v)
             size = len(haft.members) if haft else 1
             biggest = max(biggest, size)
             links = haft.helper_links if haft else {}

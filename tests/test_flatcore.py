@@ -240,11 +240,8 @@ WILL_RULES = (
 )
 
 #: Same-named methods under ``core/`` that are not will rules: the
-#: structure checks of the tree text and the engine, the engine's builder.
-NOT_WILL_RULES = {
-    ("TreeText", "check"),
-    ("FlatForgivingTree", "check"), ("FlatForgivingTree", "_build"),
-}
+#: structure checks of the tree text and the engine.
+NOT_WILL_RULES = {("TreeText", "check"), ("FlatForgivingTree", "check")}
 
 
 #: The virtual-tree rules (the helper/real tree, its image graph and its
@@ -741,3 +738,232 @@ class TestBenchTableCoercion:
         bench = _load_bench_conftest()
         payload = bench.table(["a", "b", "c"], [["12", "3.4x", "ok"]])
         assert payload["rows"] == [[12, 3.4, "ok"]]
+
+
+# ---------------------------------------------------------------------------
+# One build path: every constructor normalizes to a TreeShape with one BFS,
+# and the flat store writes that shape's initial state in bulk.  The
+# reference is the object store's per-node construction run over a
+# FlatCore; the bulk state must equal it byte for byte.
+# ---------------------------------------------------------------------------
+from repro.core.flat_tree import TreeShape, tree_shape  # noqa: E402
+from repro.graphs.adjacency import from_edges  # noqa: E402
+from repro.graphs.spanning import bfs_tree, non_tree_edges  # noqa: E402
+from repro.soak.checkpoint import encode_state  # noqa: E402
+
+
+class PerNodeFlat(FlatForgivingTree):
+    """The flat engine loaded node by node: the object engine's ``_load``
+    over a FlatCore, with the bulk load's reserve — the state the bulk
+    ``_load`` must write."""
+
+    def _load(self, shape):
+        n = len(shape.order)
+        self._c.reserve(n + max(16, n // 8))
+        self._w.reserve(2 * n + 16)
+        ForgivingTree._load(self, shape)
+
+
+def per_node_reference(shape, branching=2, will_mode="splice"):
+    return PerNodeFlat(shape, branching=branching, will_mode=will_mode)
+
+
+def state_bytes(engine):
+    return encode_state(engine.snapshot_state())
+
+
+@st.composite
+def labelled_trees(draw, max_n=40):
+    """A random tree on non-contiguous ids, as a symmetric mapping in a
+    shuffled key order, plus a root (or None: the smallest id)."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    ids = draw(st.lists(st.integers(min_value=0, max_value=10**6),
+                        min_size=n, max_size=n, unique=True))
+    picks = draw(st.lists(st.integers(min_value=0, max_value=10**6),
+                          min_size=n, max_size=n))
+    tree = {nid: set() for nid in ids}
+    for i in range(1, n):
+        parent = ids[picks[i] % i]
+        tree[ids[i]].add(parent)
+        tree[parent].add(ids[i])
+    keys = draw(st.permutations(ids))
+    root = draw(st.one_of(st.none(), st.sampled_from(ids)))
+    return {k: tree[k] for k in keys}, root
+
+
+class TestOneBuildPath:
+    @settings(max_examples=examples(40), deadline=None)
+    @given(drawn=labelled_trees(), branching=st.sampled_from([2, 3]),
+           will_mode=st.sampled_from(["splice", "rebuild"]))
+    def test_bulk_state_equals_the_per_node_build(self, drawn, branching,
+                                                 will_mode):
+        tree, root = drawn
+        shape = tree_shape(tree, root)
+        assert shape.order == list(tree)  # the mapping's key order
+        bulk = FlatForgivingTree(tree, root=root, branching=branching,
+                                 will_mode=will_mode)
+        ref = per_node_reference(shape, branching, will_mode)
+        assert state_bytes(bulk) == state_bytes(ref)
+        bulk.check()
+
+    @settings(max_examples=examples(25), deadline=None)
+    @given(drawn=labelled_trees())
+    def test_edge_lists_and_networkx_register_in_first_appearance_order(
+        self, drawn
+    ):
+        import networkx as nx
+
+        tree, root = drawn
+        edges = [(u, v) for u in tree for v in sorted(tree[u]) if u < v]
+        first = list(dict.fromkeys(x for e in edges for x in e)) or list(tree)
+        g = nx.Graph()
+        g.add_nodes_from(tree)
+        g.add_edges_from(edges)
+        for given_tree, order in ((edges, first), (g, list(g.nodes))):
+            if not edges and given_tree is edges:
+                continue  # an empty edge list names no node
+            shape = tree_shape(given_tree, root)
+            assert shape.order == order
+            assert state_bytes(FlatForgivingTree(given_tree, root=root)) == (
+                state_bytes(per_node_reference(shape))
+            )
+
+    @settings(max_examples=examples(25), deadline=None)
+    @given(n=st.integers(min_value=1, max_value=40),
+           picks=st.lists(st.integers(min_value=0, max_value=10**6),
+                          min_size=40, max_size=40),
+           root=st.integers(min_value=0, max_value=39))
+    def test_from_parents_equals_the_adjacency_build(self, n, picks, root):
+        root %= n
+        # A random tree on 0..n-1, then oriented away from ``root``.
+        tree = {i: set() for i in range(n)}
+        for i in range(1, n):
+            p = picks[i] % i
+            tree[i].add(p)
+            tree[p].add(i)
+        parents = [-1] * n
+        stack, seen = [root], {root}
+        while stack:
+            cur = stack.pop()
+            for nxt in tree[cur]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    parents[nxt] = cur
+                    stack.append(nxt)
+        bulk = FlatForgivingTree.from_parents(parents)
+        assert bulk.root_id == root
+        ordered = {i: tree[i] for i in range(n)}
+        assert state_bytes(bulk) == state_bytes(
+            per_node_reference(tree_shape(ordered, root))
+        )
+        assert state_bytes(bulk) == state_bytes(FlatForgivingTree(ordered, root=root))
+
+    def test_a_shape_passes_through_and_keeps_its_root(self):
+        shape = tree_shape({5: [7], 7: [5, 9], 9: [7]}, root=7)
+        assert tree_shape(shape) is shape
+        assert shape == TreeShape(7, [5, 7, 9], [7, 5, 9], [2, 0, 0])
+        assert shape.degrees() == {5: 1, 7: 2, 9: 1}
+        assert list(shape.families()) == [(7, [5, 9]), (5, []), (9, [])]
+        assert shape.graph() == {5: {7}, 7: {5, 9}, 9: {7}}
+        with pytest.raises(ValueError):
+            tree_shape(shape, root=5)
+
+    def test_one_sided_mappings_are_symmetrized_as_before(self):
+        # Children-only listings and ids that are no key: the mapping is
+        # symmetrized first, appended ids registering after the keys.
+        one_sided = {0: [1, 2], 1: [3, 4]}
+        shape = tree_shape(one_sided)
+        assert shape.order == [0, 1, 2, 3, 4]
+        assert list(shape.families()) == [
+            (0, [1, 2]), (1, [3, 4]), (2, []), (3, []), (4, []),
+        ]
+        assert state_bytes(FlatForgivingTree(one_sided)) == state_bytes(
+            FlatForgivingTree({k: set(v) for k, v in shape.graph().items()})
+        )
+
+
+class TestBadInputsKeepTheirErrors:
+    """Same typed errors, same messages, as before the one build path."""
+
+    @pytest.mark.parametrize("engine_cls", [FlatForgivingTree, ForgivingTree])
+    def test_tree_constructors(self, engine_cls):
+        cases = [
+            ({0: [1, 2], 1: [0, 2], 2: [0, 1]}, None,
+             NotATreeError, "3 nodes but 3 edges"),
+            ({0: [1, 2], 1: [0, 2], 2: [0, 1], 3: []}, None,
+             NotATreeError, "graph is not connected"),
+            ({0: [1], 1: [0], 2: [3], 3: [2]}, None,
+             NotATreeError, "4 nodes but 2 edges"),
+            ([(0, 1), (1, 2), (2, 0)], None,
+             NotATreeError, "3 nodes but 3 edges"),
+            ({}, None, NotATreeError, "empty tree"),
+            ({0: [1], 1: [0]}, 9, NodeNotFoundError, str(NodeNotFoundError(9, "root"))),
+        ]
+        for tree, root, exc, message in cases:
+            with pytest.raises(exc) as info:
+                engine_cls(tree, root=root)
+            assert str(info.value) == message
+
+    def test_self_loops_are_not_trees(self):
+        with pytest.raises(NotATreeError, match="self-loop at node 0"):
+            FlatForgivingTree({0: [0, 1], 1: [0]})
+
+    def test_parent_arrays(self):
+        for parents, exc, message in (
+            ([], NotATreeError, "empty tree"),
+            ([-1, -1, 0], NotATreeError, "two roots in parent array"),
+            ([1, 0], NotATreeError, "no root in parent array"),
+            ([-1, 2, 1], NotATreeError, "parent array contains a cycle"),
+            ([-1, 1], NotATreeError, "parent array contains a cycle"),
+            ([-1, 7], NodeNotFoundError, str(NodeNotFoundError(7, "parent array"))),
+        ):
+            with pytest.raises(exc) as info:
+                FlatForgivingTree.from_parents(parents)
+            assert str(info.value) == message
+
+    def test_general_graph_healer(self):
+        from repro.core.errors import DisconnectedGraphError
+
+        triangle_and_pair = {0: {1, 2}, 1: {0, 2}, 2: {0, 1}, 3: {4}, 4: {3}}
+        for graph, root, exc, message in (
+            (triangle_and_pair, None, DisconnectedGraphError, "graph is not connected"),
+            (triangle_and_pair, 9, DisconnectedGraphError, "graph is not connected"),
+            ({0: {1}, 1: {0}}, 9, NodeNotFoundError,
+             str(NodeNotFoundError(9, "bfs_tree root"))),
+            ({}, None, NotATreeError, "empty tree"),
+        ):
+            with pytest.raises(exc) as info:
+                ForgivingTreeHealer(graph, root=root)
+            assert str(info.value) == message
+
+
+class TestHealerSpanningTree:
+    """The healer's one BFS gives what ``bfs_tree`` + ``non_tree_edges``
+    gave: the same engine state, extras, initial graph and overlay."""
+
+    @pytest.mark.parametrize("graph", [
+        generators.preferential_attachment(60, 2, seed=3),
+        generators.random_connected_gnp(30, 0.2, seed=4),
+        {k: set(v) for k, v in generators.random_tree(40, seed=5).items()},
+        {7: set()},
+    ], ids=["pa", "gnp", "tree", "single"])
+    def test_matches_the_copying_construction(self, graph):
+        healer = ForgivingTreeHealer(graph)
+        tree = bfs_tree(graph)
+        old_engine = FlatForgivingTree(tree)
+        old_extra = from_edges(non_tree_edges(graph, tree))
+        assert state_bytes(healer.engine) == state_bytes(old_engine)
+        assert list(healer._extra.items()) == list(old_extra.items())
+        assert healer.initial_graph == graph
+        overlay = old_engine.adjacency()
+        for u, row in old_extra.items():
+            overlay[u] |= row
+        assert healer.graph() == overlay
+        assert healer.spanning_tree().graph() == tree
+
+    def test_the_input_is_not_kept(self):
+        graph = generators.preferential_attachment(40, 2, seed=6)
+        healer = ForgivingTreeHealer(graph)
+        graph[10**6] = set()  # the caller's graph is the caller's
+        assert healer.initial_graph != graph
+        assert all(value is not graph for value in vars(healer).values())

@@ -268,6 +268,16 @@ class TestTraceGenerator:
         assert [a.next() for _ in range(300)] == [b.next() for _ in range(300)]
         assert a.build_initial() == b.build_initial()
 
+    def test_the_initial_tree_is_shared_and_left_as_built(self):
+        # The service hands one build_initial() to the healer and the
+        # tracker: neither constructor may mutate it.
+        initial = TraceGenerator(GeneratorConfig(n0=120, seed=6)).build_initial()
+        pristine = {k: set(v) for k, v in initial.items()}
+        healer = ForgivingTreeHealer(initial)
+        tracker = DynamicTreeMetrics(initial)
+        assert initial == pristine and list(initial) == list(pristine)
+        assert healer.graph() == initial and len(tracker) == len(initial)
+
     def test_skip_equals_discard(self):
         cfg = GeneratorConfig(n0=100, seed=5)
         a, b = TraceGenerator(cfg), TraceGenerator(cfg)
