@@ -26,6 +26,7 @@ net edge deltas.  A campaign that never looks never builds them.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ..core import WILL_SPLICE
@@ -79,6 +80,11 @@ class ForgivingTreeHealer(Healer):
         # Built by the first look (see view()), None until then.
         self._view: Optional[OverlayView] = None
         self._tree_view: Optional[OverlayView] = None
+        # Non-tree inputs: each node's degree increase over the merged
+        # view and how many nodes hold each value, built by the first
+        # max_degree_increase() and refreshed per event where it moved.
+        self._increase: Optional[Dict[int, int]] = None
+        self._tally: Counter = Counter()
 
     @classmethod
     def from_engine(
@@ -202,6 +208,7 @@ class ForgivingTreeHealer(Healer):
         views = [(tree, {})]
         if merged is not tree:
             views.append((merged, self._extra))
+        former = ()  # the victim's neighbours in the merged overlay
         for view, kept in views:
             if view is None:
                 continue
@@ -211,14 +218,40 @@ class ForgivingTreeHealer(Healer):
             for u, v in added:
                 view.link(u, v)
             if gone is not None:
-                view.drop_node(gone)
+                row = view.drop_node(gone)
+                if view is merged:
+                    former = row
+        if self._increase is not None:
+            touched = [x for edges in (added, removed) for edge in edges for x in edge]
+            touched.extend(former)
+            if gone is not None:
+                touched.append(gone)
+            self._refresh_increase(touched)
         if self.engine.strict:
             self._check_views()
 
+    def _refresh_increase(self, nodes: Iterable[int]) -> None:
+        """Re-read the degree increase of ``nodes`` off the merged view
+        (a node it no longer lists leaves the tally)."""
+        increase, tally = self._increase, self._tally
+        view, original = self._view, self._original_degree
+        for nid in nodes:
+            old = increase.pop(nid, None)  # type: ignore[union-attr]
+            if old is not None:
+                tally[old] -= 1
+                if not tally[old]:
+                    del tally[old]
+            row = view.get(nid)  # type: ignore[union-attr]
+            if row is not None:
+                new = len(row) - original[nid]
+                increase[nid] = new  # type: ignore[index]
+                tally[new] += 1
+
     def _check_views(self) -> None:
         """``strict`` engines: a built view must equal a fresh
-        materialisation after every event, and its roster (if a reader
-        asked for one) must list exactly its nodes, sorted."""
+        materialisation after every event, its roster (if a reader
+        asked for one) must list exactly its nodes, sorted, and the kept
+        degree increases (if built) must equal a scan of the view."""
         for name, kept, fresh in (
             ("tree_view", self._tree_view, self.engine.adjacency),
             ("view", self._view, self.graph),
@@ -241,6 +274,15 @@ class ForgivingTreeHealer(Healer):
                     f"round {self.rounds}: {name}()'s roster is not its "
                     "sorted node ids",
                 )
+        if self._increase is not None:
+            original = self._original_degree
+            scan = {nid: len(row) - original[nid] for nid, row in self._view.items()}
+            if scan != self._increase or Counter(scan.values()) != self._tally:
+                raise InvariantViolationError(
+                    "degree-increase",
+                    f"round {self.rounds}: the kept degree increases differ "
+                    "from a scan of the merged view",
+                )
 
     @property
     def alive(self) -> Set[int]:
@@ -255,11 +297,16 @@ class ForgivingTreeHealer(Healer):
         # On pure-tree inputs the merged overlay equals the engine image
         # and the healer's baseline degrees equal the engine's, so the
         # engine's maintained maximum (O(1) on the flat core) is the
-        # answer.  With original non-tree extras the merged graph differs:
-        # measure on it for honesty, as the base class does.
+        # answer.
         if self._pure_tree:
             return self.engine.max_degree_increase()
-        return super().max_degree_increase()
+        # With original non-tree extras the merged graph differs: measure
+        # on it, from the tally the events keep (one O(n) count first).
+        if self._increase is None:
+            view, original = self.view(), self._original_degree
+            self._increase = {nid: len(row) - original[nid] for nid, row in view.items()}
+            self._tally = Counter(self._increase.values())
+        return max(self._tally, default=0)
 
     def fast_stats(self) -> Tuple[bool, int]:
         """O(1) ``(connected, alive_count)`` without materializing the graph.

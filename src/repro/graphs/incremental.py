@@ -19,6 +19,16 @@ overlay together with two per-subtree aggregates:
   (``max`` of the child diameters and of the path through ``v`` joining
   its two tallest child branches).
 
+Per node the tracker stores its adjacency row, its parent pointer and
+the two aggregates — nothing else.  Child sets are not kept: ``c`` is a
+child of ``v`` exactly when ``c`` is a neighbour of ``v`` with
+``parent[c] == v`` (a chord is never a parent edge), so a child scan
+costs the node's degree, which the Forgiving Tree bounds.  The
+adjacency can be the caller's own: ``DynamicTreeMetrics(graph,
+adopt=True)`` takes ``graph`` over instead of copying it (the campaign
+loop hands over the overlay snapshot it took), so a tracked campaign
+holds the overlay once.
+
 The global diameter is ``diam[root]``.  A leaf insertion touches the
 attachment point and those of its ancestors whose aggregates actually
 change; a heal round removes the victim, may detach whole subtrees
@@ -58,7 +68,6 @@ against ``diameter_exact`` after every event of randomized churn traces.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..core.errors import (
@@ -78,17 +87,31 @@ class DynamicTreeMetrics:
     Parameters
     ----------
     graph:
-        The initial overlay; must be a tree (or empty).  The adjacency is
-        copied — the structure is fed deltas, it never re-reads the graph.
+        The initial overlay; must be a tree (or empty).  Read once: the
+        structure is fed deltas, it never re-reads the graph.
     root:
         Orientation root (default: smallest id).  Purely internal; the
         maintained metrics are orientation-independent.
+    adopt:
+        False (default): the adjacency is copied and ``graph`` is left
+        alone.  True: ``graph`` — a mutable ``node -> set of node`` dict
+        the caller gives up — *becomes* the maintained adjacency, which
+        every delta then edits in place; no copy is made.
     """
 
-    def __init__(self, graph: Mapping[int, Iterable[int]], root: Optional[int] = None):
-        self._adj: Graph = {int(n): {int(m) for m in s} for n, s in graph.items()}
+    def __init__(
+        self,
+        graph: Mapping[int, Iterable[int]],
+        root: Optional[int] = None,
+        *,
+        adopt: bool = False,
+    ):
+        self._adj: Graph = (
+            graph  # type: ignore[assignment]
+            if adopt
+            else {int(n): {int(m) for m in s} for n, s in graph.items()}
+        )
         self._parent: Dict[int, Optional[int]] = {}
-        self._children: Dict[int, Set[int]] = {}
         self._height: Dict[int, int] = {}
         self._diam: Dict[int, int] = {}
         self._chords: Set[Tuple[int, int]] = set()
@@ -139,7 +162,6 @@ class DynamicTreeMetrics:
         self = cls.__new__(cls)
         self._adj = {nid: set() for nid in labels}
         self._parent = {}
-        self._children = {nid: set() for nid in labels}
         self._height = {}
         self._diam = {}
         self._chords = set()
@@ -163,15 +185,9 @@ class DynamicTreeMetrics:
             nid = labels[i]
             self._parent[nid] = None if p == -1 else labels[p]
             if p != -1:
-                self._children[labels[p]].add(nid)
                 self._adj[nid].add(labels[p])
                 self._adj[labels[p]].add(nid)
-        order: List[int] = [self._root]
-        queue = deque(order)
-        while queue:
-            kids = self._children[queue.popleft()]
-            order.extend(kids)
-            queue.extend(kids)
+        order = self._top_down()
         if len(order) != n:
             raise NotATreeError("parent array contains a cycle")
         for u, v in chords:
@@ -212,23 +228,33 @@ class DynamicTreeMetrics:
 
     def _orient_from_root(self) -> None:
         order: List[int] = [self._root]  # type: ignore[list-item]
-        self._parent = {self._root: None}  # type: ignore[dict-item]
-        self._children = {n: set() for n in self._adj}
-        queue = deque(order)
-        while queue:
-            cur = queue.popleft()
+        parent = self._parent
+        parent[self._root] = None  # type: ignore[index]
+        for cur in order:  # breadth-first: the loop reads what it appends
             for nxt in self._adj[cur]:
-                if nxt not in self._parent:
-                    self._parent[nxt] = cur
-                    self._children[cur].add(nxt)
+                if nxt not in parent:
+                    parent[nxt] = cur
                     order.append(nxt)
-                    queue.append(nxt)
-                elif self._parent[cur] != nxt and nxt not in self._children[cur]:
+                elif nxt != parent[cur] and parent[nxt] != cur:
                     self._chords.add(edge_key(cur, nxt))
         if len(order) != len(self._adj):
             raise NotATreeError("graph is not connected")
         for nid in reversed(order):
             self._recompute(nid)
+
+    def _kids(self, nid: int) -> List[int]:
+        """``nid``'s children: its neighbours whose parent it is (its own
+        parent is skipped unread, as in :meth:`_recompute`)."""
+        parent = self._parent
+        up = parent[nid]
+        return [c for c in self._adj[nid] if c != up and parent[c] == nid]
+
+    def _top_down(self) -> List[int]:
+        """Every node the orientation reaches from the root, breadth-first."""
+        order: List[int] = [self._root]  # type: ignore[list-item]
+        for nid in order:
+            order.extend(self._kids(nid))
+        return order
 
     # ------------------------------------------------------------------
     # queries
@@ -310,7 +336,6 @@ class DynamicTreeMetrics:
             # First node of an empty network (the network can re-grow).
             self._adj[nid] = set()
             self._parent[nid] = None
-            self._children[nid] = set()
             self._height[nid] = 0
             self._diam[nid] = 0
             self._root = nid
@@ -320,8 +345,6 @@ class DynamicTreeMetrics:
         self._adj[nid] = {attach_to}
         self._adj[attach_to].add(nid)
         self._parent[nid] = attach_to
-        self._children[nid] = set()
-        self._children[attach_to].add(nid)
         self._height[nid] = 0
         self._diam[nid] = 0
         self._bubble(attach_to)
@@ -344,7 +367,6 @@ class DynamicTreeMetrics:
         if len(self._adj) == 1:
             self._adj.clear()
             self._parent.clear()
-            self._children.clear()
             self._height.clear()
             self._diam.clear()
             self._root = None
@@ -352,7 +374,7 @@ class DynamicTreeMetrics:
         if victim == self._root:
             # Re-root to a tree child (a chord neighbor carries no
             # orientation to flip); n >= 2 guarantees one exists.
-            self._reroot_adjacent(min(self._children[victim]))
+            self._reroot_adjacent(min(self._kids(victim)))
 
         # Normalize and include every victim-incident edge in the removals
         # (engines report them, but baseline reports are trusted less).
@@ -370,12 +392,10 @@ class DynamicTreeMetrics:
             if (u, v) in self._chords:
                 self._chords.discard((u, v))  # chords carry no orientation
             elif self._parent.get(u) == v:
-                self._children[v].discard(u)
                 self._parent[u] = None
                 detached.add(u)
                 dirty.add(v)
             elif self._parent.get(v) == u:
-                self._children[u].discard(v)
                 self._parent[v] = None
                 detached.add(v)
                 dirty.add(u)
@@ -384,7 +404,7 @@ class DynamicTreeMetrics:
 
         if self._adj[victim]:
             raise NotATreeError(f"victim {victim} still has edges after removals")
-        for store in (self._adj, self._parent, self._children, self._height, self._diam):
+        for store in (self._adj, self._parent, self._height, self._diam):
             store.pop(victim, None)
         detached.discard(victim)
         dirty.discard(victim)
@@ -504,23 +524,31 @@ class DynamicTreeMetrics:
     # ------------------------------------------------------------------
     def _recompute(self, nid: int) -> bool:
         """Refresh ``height``/``diam`` of ``nid`` from its children's
-        stored pairs; True when either value changed."""
+        stored pairs; True when either value changed.
+
+        The children are the neighbours pointing at ``nid``; its own
+        parent is skipped unread, so the scan never looks upward."""
+        parent, heights, diams = self._parent, self._height, self._diam
+        up = parent[nid]
         top1 = top2 = -1  # the two tallest child branch heights
         best_child_diam = 0
-        for c in self._children[nid]:
-            h = self._height[c]
+        for c in self._adj[nid]:
+            if c == up or parent[c] != nid:
+                continue
+            h = heights[c]
             if h > top1:
                 top1, top2 = h, top1
             elif h > top2:
                 top2 = h
-            if self._diam[c] > best_child_diam:
-                best_child_diam = self._diam[c]
+            d = diams[c]
+            if d > best_child_diam:
+                best_child_diam = d
         height = top1 + 1
         diam = max(height + top2 + 1, best_child_diam)
-        if self._height.get(nid) == height and self._diam.get(nid) == diam:
+        if heights.get(nid) == height and diams.get(nid) == diam:
             return False
-        self._height[nid] = height
-        self._diam[nid] = diam
+        heights[nid] = height
+        diams[nid] = diam
         return True
 
     def _bubble(self, nid: int) -> None:
@@ -541,6 +569,7 @@ class DynamicTreeMetrics:
         """
         cap = 4 * len(self._chords) + 64
         members: Dict[int, int] = {}
+        adj, parent = self._adj, self._parent
         for root in detached:
             stack = [root]
             while stack:
@@ -548,27 +577,26 @@ class DynamicTreeMetrics:
                 if len(members) == cap:
                     return None
                 members[node] = root
-                stack.extend(self._children[node])
+                up = parent[node]  # _kids, inlined: this walk is hot
+                for c in adj[node]:
+                    if c != up and parent[c] == node:
+                        stack.append(c)
         return members
 
     def _rehang(self, top: int, onto: int) -> None:
         """Re-root ``top``'s fragment at ``top`` and hang it under ``onto``.
 
-        Flips the parent pointers along the ``top`` → fragment-root path,
-        re-aggregating the flipped nodes bottom-up, then attaches.
+        Flips the parent pointers along the ``top`` → fragment-root path
+        and attaches, then re-aggregates the flipped nodes bottom-up.
         """
         path = [top]
         while self._parent[path[-1]] is not None:
             path.append(self._parent[path[-1]])  # type: ignore[arg-type]
-        for i in range(len(path) - 1, 0, -1):
-            child, par = path[i - 1], path[i]
-            self._children[par].discard(child)
-            self._children[child].add(par)
+        for child, par in zip(path, path[1:]):
             self._parent[par] = child
+        self._parent[top] = onto
         for node in reversed(path):
             self._recompute(node)
-        self._parent[top] = onto
-        self._children[onto].add(top)
 
     def _reroot_adjacent(self, new_root: int) -> None:
         """Move the orientation root to a neighbor of the current root."""
@@ -576,8 +604,6 @@ class DynamicTreeMetrics:
         assert old is not None and new_root in self._adj[old]
         if self._parent[new_root] != old:  # pragma: no cover - defensive
             raise InvariantViolationError("metrics-root", "neighbor not a child")
-        self._children[old].discard(new_root)
-        self._children[new_root].add(old)
         self._parent[old] = new_root
         self._parent[new_root] = None
         self._root = new_root
@@ -593,20 +619,17 @@ class DynamicTreeMetrics:
             if self._adj or self._parent or self._height or self._chords:
                 raise InvariantViolationError("metrics-empty", "stale entries")
             return
-        # Orientation forms a spanning tree of the adjacency minus chords.
-        seen = {self._root}
-        order = [self._root]
-        queue = deque(order)
-        while queue:
-            cur = queue.popleft()
-            for c in self._children[cur]:
-                if self._parent[c] != cur or cur not in self._adj[c]:
-                    raise InvariantViolationError("metrics-orientation", str(c))
-                if c in seen:
-                    raise InvariantViolationError("metrics-orientation", f"dup {c}")
-                seen.add(c)
-                order.append(c)
-                queue.append(c)
+        # Orientation forms a spanning tree of the adjacency minus chords:
+        # the adjacency is symmetric, and the children a parent pointer
+        # derives (a pointer along an edge) reach every node from the root.
+        for u, row in self._adj.items():
+            for v in row:
+                if u not in self._adj.get(v, ()):
+                    raise InvariantViolationError("metrics-adjacency", f"{(u, v)}")
+        if self._parent.keys() != self._adj.keys():
+            raise InvariantViolationError("metrics-orientation", "pointer set")
+        order = self._top_down()
+        seen = set(order)
         if seen != set(self._adj):
             raise InvariantViolationError(
                 "metrics-spanning", f"unreachable: {set(self._adj) - seen}"

@@ -23,10 +23,12 @@ follow in that same order.  Dict insertion order is preserved through
 JSON — it is load-bearing (the flat core's donor scans walk dicts in
 age order), which is why the codec never sorts the tree.
 
-A SIGKILL can land mid-write: objects are written to a temp name and
-atomically renamed, the manifest line is flushed+fsynced before the
-append returns, and the reader tolerates a torn final line (the
-checkpoint that was being written simply never happened).
+A SIGKILL can land mid-write: objects are streamed to a per-process
+temp name — hashed part by part as they are written, so a blob is never
+held whole in memory — and atomically renamed to their hash, the
+manifest line is flushed+fsynced before the append returns, and the
+reader tolerates a torn final line (the checkpoint that was being
+written simply never happened).
 """
 
 from __future__ import annotations
@@ -36,9 +38,12 @@ import json
 import os
 import sys
 from array import array
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..core.errors import ReproError
+
+#: What a blob is written from: bytes, or an array's raw buffer.
+Buffer = Union[bytes, memoryview]
 
 MAGIC = b"FTSNAP1\n"
 
@@ -89,8 +94,10 @@ def _inflate(node: object, blob: memoryview, offset: List[int]) -> object:
     return node
 
 
-def encode_state(state: Dict[str, object]) -> bytes:
-    """Serialize a snapshot-state tree to one deterministic blob."""
+def state_parts(state: Dict[str, object]) -> Iterator[Buffer]:
+    """A snapshot-state tree's blob, piece by piece: the magic, the
+    header length, the header, then every array's own buffer (no copy).
+    :meth:`SnapshotStore.append` streams these to disk."""
     arrays: List[array] = []
     header = {
         "byteorder": sys.byteorder,
@@ -98,9 +105,16 @@ def encode_state(state: Dict[str, object]) -> bytes:
         "state": _flatten(state, arrays),
     }
     head = json.dumps(header, separators=(",", ":")).encode()
-    parts = [MAGIC, len(head).to_bytes(8, "big"), head]
-    parts.extend(a.tobytes() for a in arrays)
-    return b"".join(parts)
+    yield MAGIC
+    yield len(head).to_bytes(8, "big")
+    yield head
+    for a in arrays:
+        yield memoryview(a).cast("B")
+
+
+def encode_state(state: Dict[str, object]) -> bytes:
+    """Serialize a snapshot-state tree to one deterministic blob."""
+    return b"".join(state_parts(state))
 
 
 def decode_state(blob: bytes) -> Dict[str, object]:
@@ -154,22 +168,35 @@ class SnapshotStore:
         os.makedirs(self.objects_dir, exist_ok=True)
 
     # -- objects -----------------------------------------------------------
-    def put_bytes(self, data: bytes) -> str:
-        """Store a blob; returns its address.  Deduplicates by content."""
-        sha = hashlib.sha256(data).hexdigest()
+    def put_parts(self, parts: Iterable[Buffer]) -> str:
+        """Store the blob ``parts`` concatenate to; returns its address.
+
+        Streams: each part is hashed and written in turn, so the whole
+        blob is never held.  Deduplicates by content (a blob already
+        stored is not replaced)."""
+        digest = hashlib.sha256()
+        # Per-pid staging name: two processes storing the same content
+        # (e.g. an orphaned soak racing its own resume) must not rename
+        # each other's half-written staging file out from under the
+        # os.replace.
+        tmp = os.path.join(self.objects_dir, f"incoming.{os.getpid()}.tmp")
+        with open(tmp, "wb") as fh:
+            for part in parts:
+                digest.update(part)
+                fh.write(part)
+            fh.flush()
+            os.fsync(fh.fileno())
+        sha = digest.hexdigest()
         path = os.path.join(self.objects_dir, sha)
-        if not os.path.exists(path):
-            # Per-pid tmp name: two processes storing the same content
-            # (e.g. an orphaned soak racing its own resume) must not
-            # rename each other's half-written staging file out from
-            # under the os.replace.
-            tmp = f"{path}.{os.getpid()}.tmp"
-            with open(tmp, "wb") as fh:
-                fh.write(data)
-                fh.flush()
-                os.fsync(fh.fileno())
+        if os.path.exists(path):
+            os.remove(tmp)
+        else:
             os.replace(tmp, path)
         return sha
+
+    def put_bytes(self, data: bytes) -> str:
+        """Store a blob; returns its address.  Deduplicates by content."""
+        return self.put_parts((data,))
 
     def get_bytes(self, sha: str) -> bytes:
         path = os.path.join(self.objects_dir, sha)
@@ -219,7 +246,7 @@ class SnapshotStore:
         meta: Optional[dict] = None,
     ) -> dict:
         """Write both objects, then durably append the chained entry."""
-        engine_sha = self.put_bytes(encode_state(engine_state))
+        engine_sha = self.put_parts(state_parts(engine_state))
         tracker_sha = self.put_json(tracker_state)
         prior = self.latest()
         prev = prior["hash"] if prior else GENESIS

@@ -220,12 +220,13 @@ class SoakService:
         entry = self.store.latest()
         generator = TraceGenerator(cfg.generator_config())
         if entry is None:
-            # One copy of the starting tree: neither constructor mutates it.
+            # One copy of the starting tree: the healer reads it, then the
+            # tracker adopts it as its own adjacency.
             initial = generator.build_initial()
             healer = ForgivingTreeHealer(
                 initial, branching=cfg.branching, will_mode=cfg.will_mode
             )
-            tracker = DynamicTreeMetrics(initial)
+            tracker = DynamicTreeMetrics(initial, adopt=True)
             start_event = 0
             carry = {
                 "d0": tracker.diameter,

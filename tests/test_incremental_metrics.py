@@ -8,6 +8,7 @@ a structure identical to the same inserts applied sequentially.
 """
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -599,18 +600,39 @@ def _branch(length, i):
 
 
 def _counted(tracker, operation):
-    """Run ``operation``; return ``(recompute calls, parent keys read)``."""
-    recomputed = []
-    original = tracker._recompute
-    tracker._recompute = lambda nid: (recomputed.append(nid), original(nid))[1]
+    """Run ``operation``; return ``(recompute calls, parent keys the
+    update read, parent keys its child scans read)``.
+
+    Children are derived from parent pointers, so ``_recompute``,
+    ``_kids`` and the downward fragment enumeration read the pointers
+    of the nodes they scan and of their neighbours below; those reads
+    are counted apart from the update's own walks and classifications."""
+    recomputed, scanned = [], []
     tracker._parent = counting = _ReadCountingDict(tracker._parent)
+
+    def scan(method):
+        def spy(arg):
+            if method.__name__ == "_recompute":
+                recomputed.append(arg)
+            start = len(counting.reads)
+            result = method(arg)
+            scanned.extend(counting.reads[start:])
+            del counting.reads[start:]
+            return result
+
+        return spy
+
+    scans = ("_recompute", "_kids", "_fragment_members")
+    for name in scans:
+        setattr(tracker, name, scan(getattr(tracker, name)))
     try:
         operation()
     finally:
-        del tracker._recompute
+        for name in scans:
+            delattr(tracker, name)
         tracker._parent = dict(counting)
     tracker.check()
-    return recomputed, counting.reads
+    return recomputed, counting.reads, scanned
 
 
 class TestWorkBound:
@@ -625,7 +647,9 @@ class TestWorkBound:
         tracker = DynamicTreeMetrics(_spine_with_branches(length))
         mid = length // 2
         a, b, _ = _branch(length, mid)
-        recomputed, _ = _counted(tracker, lambda: tracker.insert_leaf(10 * length, b))
+        recomputed, _, _ = _counted(
+            tracker, lambda: tracker.insert_leaf(10 * length, b)
+        )
         # the branch, the spine node (its through-path grew), and the one
         # above, whose pair comes out as it was: stop
         assert recomputed == [b, a, mid, mid - 1]
@@ -633,13 +657,18 @@ class TestWorkBound:
     def test_side_leaf_delete_never_steps_above_the_cut_parent(self):
         length = self.SPINE
         tracker = DynamicTreeMetrics(_spine_with_branches(length))
-        cut_parent, victim, _ = _branch(length, length // 2)
-        recomputed, reads = _counted(
+        mid = length // 2
+        cut_parent, victim, sibling = _branch(length, mid)
+        recomputed, reads, scanned = _counted(
             tracker,
             lambda: tracker.apply_delete(victim, (), ((cut_parent, victim),)),
         )
         assert len(recomputed) <= 6
         assert set(reads) <= {victim, cut_parent}  # not one step further up
+        # the cut parent's pair changed, so the spine node above it is
+        # recomputed: each scan reads its own node and the children below
+        assert recomputed == [cut_parent, mid]
+        assert set(scanned) == {cut_parent, sibling, mid, mid + 1}
 
     @pytest.mark.parametrize("length", [500, 2000])
     def test_small_fragment_rehang_is_independent_of_depth(self, length):
@@ -649,7 +678,7 @@ class TestWorkBound:
         tracker = DynamicTreeMetrics(_spine_with_branches(length))
         k = length - 12
         side = _branch(length, k)[0]
-        recomputed, reads = _counted(
+        recomputed, reads, scanned = _counted(
             tracker,
             lambda: tracker.apply_delete(
                 k,
@@ -660,7 +689,10 @@ class TestWorkBound:
         assert tracker.is_exact and tracker.height_of(side) == length - k + 1
         assert len(recomputed) <= 8
         assert len(reads) <= 16
-        assert not set(reads) & set(range(k - 1))  # nothing above the cut parent
+        # the scans enumerate the two fragments (47 nodes) downward
+        assert len(scanned) <= 120
+        # nothing above the cut parent
+        assert not (set(reads) | set(scanned)) & set(range(k - 1))
 
 
 class _RootBubbling(DynamicTreeMetrics):
@@ -680,18 +712,24 @@ def _assert_same_tracker(new, old):
     assert new._height == old._height and new._diam == old._diam
 
 
+def _window_tree(n, seed, window):
+    """Node ``i`` hangs under a uniform choice among the ``window`` nodes
+    before it: depth ~ 2n/window (the perf benchmark's deep tree)."""
+    rng = random.Random(seed)
+    graph = {i: set() for i in range(n)}
+    for i in range(1, n):
+        parent = i - 1 - rng.randrange(min(i, window))
+        graph[i].add(parent)
+        graph[parent].add(i)
+    return graph
+
+
 def _deep_shape(kind, n, seed):
     if kind == 0:
         return generators.path(n)
     if kind == 1:
         return generators.caterpillar((n + 1) // 2, 1)
-    rng = random.Random(seed)  # window-2 tree: depth ~ 2n/3
-    graph = {i: set() for i in range(n)}
-    for i in range(1, n):
-        parent = i - 1 - rng.randrange(min(i, 2))
-        graph[i].add(parent)
-        graph[parent].add(i)
-    return graph
+    return _window_tree(n, seed, 2)  # depth ~ 2n/3
 
 
 def _drive_both(tree, picks, seen=None):
@@ -847,3 +885,77 @@ class TestEarlyStopDifferential:
         assert walked.parent_state()["parents"] == listed.parent_state()["parents"]
         assert walked._parent[100] == 5 and walked._parent[11] == 12
         assert walked.diameter == listed.diameter
+
+
+# ----------------------------------------------------------------------
+# One adjacency: copied by default, adopted on request
+# ----------------------------------------------------------------------
+class TestOwnership:
+    def test_copying_constructor_leaves_its_input_alone_the_owning_one_aliases(self):
+        tree = generators.random_tree(80, seed=9)
+        pristine = {k: set(v) for k, v in tree.items()}
+        owned = {k: set(v) for k, v in tree.items()}
+        healer = ForgivingTreeHealer({k: set(v) for k, v in tree.items()})
+        copying = DynamicTreeMetrics(tree)
+        adopting = DynamicTreeMetrics(owned, adopt=True)
+        assert copying._adj is not tree and adopting._adj is owned
+        adversary = RandomChurnAdversary(p_insert=0.4, seed=9)
+        for _ in range(60):
+            event = adversary.next_event(healer)
+            if isinstance(event, Insert):
+                report = healer.insert(event.nid, event.attach_to)
+            else:
+                report = healer.delete(event.nid)
+            copying.apply_report(report)
+            adopting.apply_report(report)
+            adopting.check()
+        assert tree == pristine
+        assert owned == healer.graph() == copying._adj
+        assert adopting.diameter == copying.diameter
+
+    def test_building_allocates_little_beyond_the_adopted_adjacency(self):
+        """The parent, height and diameter maps plus one breadth-first
+        order; no copy of the adjacency and no child sets (which took
+        67 MB here)."""
+        graph = _window_tree(100_000, seed=3, window=256)
+        tracemalloc.start()
+        try:
+            tracker = DynamicTreeMetrics(graph, adopt=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tracker._adj is graph and tracker.is_exact
+        assert peak <= 25 * 2**20, f"{peak / 2**20:.1f} MB"
+
+    def test_tracked_campaign_holds_the_overlay_snapshot_once(self, monkeypatch):
+        """A churn_tracked-shaped campaign: the tracker's adjacency is the
+        one snapshot the campaign took, maintained to the end."""
+        from repro.harness import experiment
+
+        meters, snapshots = [], []
+
+        class Meter(experiment._DiameterMeter):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                meters.append(self)
+
+        healer = ForgivingTreeHealer(_window_tree(300, seed=3, window=8))
+        graph = healer.graph
+
+        def snapshot():
+            snapshots.append(graph())
+            return snapshots[-1]
+
+        monkeypatch.setattr(experiment, "_DiameterMeter", Meter)
+        monkeypatch.setattr(healer, "graph", snapshot)
+        result = run_churn_campaign(
+            healer,
+            RandomChurnAdversary(p_insert=0.5, seed=3, fast_sample=True),
+            events=200,
+            metrics="incremental",
+            keep_rounds=False,
+        )
+        assert result.n_inserts + result.n_deletes == 200
+        assert len(snapshots) == 1 and len(meters) == 1
+        assert meters[0].tracker._adj is snapshots[0]
+        assert snapshots[0] == graph()

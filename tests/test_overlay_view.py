@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.adversaries import (
     ADVERSARY_CATALOG,
     CHURN_ADVERSARY_CATALOG,
+    DeletionOnlyChurnAdversary,
     DegreeGreedyAdversary,
     DiameterGreedyAdversary,
     GrowthThenMassacreAdversary,
@@ -446,3 +447,41 @@ def test_strict_healer_checks_the_roster_after_every_event():
     roster.remove(12)  # what no reader may ever do
     with pytest.raises(InvariantViolationError, match=r"round 3: tree_view\(\)'s roster"):
         healer.insert(101, 0)
+
+
+# -- (g) the kept maximum degree increase on non-tree inputs -----------------
+@pytest.mark.parametrize(
+    "adversary",
+    [
+        MaxDegreeAdversary(),
+        RandomChurnAdversary(p_insert=0.4, seed=4),
+        WaveChurnAdversary(wave=3, seed=4, attach="hub"),
+    ],
+    ids=["hubs", "churn", "waves"],
+)
+def test_kept_degree_increase_equals_the_scan(adversary):
+    """With original extras the maximum comes off a tally the events
+    keep: equal to the base class's scan of the merged view after every
+    event (the strict healer compares every node's entry as well)."""
+    graph = generators.preferential_attachment(120, 2, seed=4)
+    healer = ForgivingTreeHealer(graph, strict=True)
+    assert healer.max_degree_increase() == Healer.max_degree_increase(healer) == 0
+    if not hasattr(adversary, "next_event"):
+        adversary = DeletionOnlyChurnAdversary(adversary)
+    for _ in range(80):
+        pins.apply_event(healer, adversary.next_event(healer))
+        assert healer.max_degree_increase() == Healer.max_degree_increase(healer)
+    assert healer._increase is not None and sum(healer._tally.values()) == len(healer.alive)
+
+
+def test_strict_healer_checks_the_kept_degree_increases():
+    healer = ForgivingTreeHealer(
+        generators.preferential_attachment(60, 2, seed=3), strict=True
+    )
+    healer.max_degree_increase()
+    healer.delete(0)
+    node = min(healer.alive)
+    healer._increase[node] += 1  # a refresh that missed a node
+    victim = max(n for n in healer.alive if n not in healer.view()[node] and n != node)
+    with pytest.raises(InvariantViolationError, match=r"degree-increase.*round 2\b"):
+        healer.delete(victim)

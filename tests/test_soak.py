@@ -13,12 +13,14 @@ checkpoint with differential cross-validation passing and the same
 deterministic telemetry as an unbroken run.
 """
 
+import hashlib
 import json
 import os
 import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -228,6 +230,29 @@ class TestSnapshotStore:
         objects = os.listdir(os.path.join(str(tmp_path), "objects"))
         assert len(objects) == 2  # one engine blob + one tracker blob
 
+    def test_streamed_object_is_the_encoded_blob(self, tmp_path):
+        store = SnapshotStore(str(tmp_path))
+        e_state, t_state = self._state(1)
+        blob = encode_state(e_state)
+        entry = store.append(100, e_state, t_state)
+        assert entry["engine"] == hashlib.sha256(blob).hexdigest()
+        assert store.get_bytes(entry["engine"]) == blob
+        assert store.put_bytes(blob) == entry["engine"]
+        objects = os.listdir(os.path.join(str(tmp_path), "objects"))
+        assert sorted(objects) == sorted([entry["engine"], entry["tracker"]])
+
+    def test_append_never_holds_the_whole_blob(self, tmp_path):
+        state = FlatForgivingTree(generators.random_tree(5000, seed=2)).snapshot_state()
+        size = len(encode_state(state))
+        store = SnapshotStore(str(tmp_path))
+        tracemalloc.start()
+        try:
+            store.append(1, state, {"ids": [0], "parents": [-1], "chords": []})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size // 8, (peak, size)
+
     def test_tamper_detected(self, tmp_path):
         store = SnapshotStore(str(tmp_path))
         e_state, t_state = self._state(1)
@@ -269,14 +294,18 @@ class TestTraceGenerator:
         assert a.build_initial() == b.build_initial()
 
     def test_the_initial_tree_is_shared_and_left_as_built(self):
-        # The service hands one build_initial() to the healer and the
-        # tracker: neither constructor may mutate it.
+        # The service hands one build_initial() to the healer, then the
+        # tracker adopts it: building mutates nothing, and the healer
+        # keeps no reference that the tracker's later edits could reach.
         initial = TraceGenerator(GeneratorConfig(n0=120, seed=6)).build_initial()
         pristine = {k: set(v) for k, v in initial.items()}
         healer = ForgivingTreeHealer(initial)
-        tracker = DynamicTreeMetrics(initial)
+        tracker = DynamicTreeMetrics(initial, adopt=True)
         assert initial == pristine and list(initial) == list(pristine)
-        assert healer.graph() == initial and len(tracker) == len(initial)
+        assert healer.graph() == initial and tracker._adj is initial
+        tracker.apply_report(healer.delete(min(pristine)))
+        assert initial == healer.graph() != pristine
+        assert healer.initial_graph == pristine
 
     def test_skip_equals_discard(self):
         cfg = GeneratorConfig(n0=100, seed=5)
