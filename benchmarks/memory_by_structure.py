@@ -3,7 +3,7 @@
 Builds what the ``churn_tracked`` perf workload builds before its first
 event — the deep random tree, the Forgiving Tree healer over it, the
 campaign's one ``healer.graph()`` snapshot and the diameter tracker that
-adopts it — under ``tracemalloc``, and prints:
+takes it over — under ``tracemalloc``, and prints:
 
 * what each step added to the traced heap, and the step's own peak;
 * the healer split by structure (``sys.getsizeof``, every object
@@ -108,10 +108,7 @@ def heap_steps(n: int, seed: int) -> None:
     graph = step("input tree", lambda: deep_random_tree(n, seed=derive(seed, "tree")))
     healer = step("ForgivingTreeHealer(graph)", lambda: ForgivingTreeHealer(graph))
     snapshot = step("healer.graph() snapshot", healer.graph)
-    tracker = step(
-        "DynamicTreeMetrics(snapshot, adopt=True)",
-        lambda: DynamicTreeMetrics(snapshot, adopt=True),
-    )
+    tracker = step("DynamicTreeMetrics(snapshot)", lambda: DynamicTreeMetrics(snapshot))
     print(f"n = {n}: traced heap by step (kept, step peak)")
     for label, kept, peak in steps:
         print(f"  {label:44s} {kept / 2**20:8.1f} MB {peak / 2**20:8.1f} MB")
@@ -140,7 +137,7 @@ def heap_steps(n: int, seed: int) -> None:
         ],
         n,
     )
-    print("tracker by structure (_adj is the adopted snapshot)")
+    print("tracker by structure (_adj is the snapshot itself)")
     split(
         [(name, obj) for name, obj in vars(tracker).items() if isinstance(obj, (dict, set))],
         n,

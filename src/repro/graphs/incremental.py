@@ -24,10 +24,10 @@ the two aggregates — nothing else.  Child sets are not kept: ``c`` is a
 child of ``v`` exactly when ``c`` is a neighbour of ``v`` with
 ``parent[c] == v`` (a chord is never a parent edge), so a child scan
 costs the node's degree, which the Forgiving Tree bounds.  The
-adjacency can be the caller's own: ``DynamicTreeMetrics(graph,
-adopt=True)`` takes ``graph`` over instead of copying it (the campaign
-loop hands over the overlay snapshot it took), so a tracked campaign
-holds the overlay once.
+adjacency is the caller's own: ``DynamicTreeMetrics(graph)`` takes the
+``graph`` dict over instead of copying it (the campaign loop hands over
+the overlay snapshot it took), so a tracked campaign holds the overlay
+once.
 
 The global diameter is ``diam[root]``.  A leaf insertion touches the
 attachment point and those of its ancestors whose aggregates actually
@@ -68,7 +68,7 @@ against ``diameter_exact`` after every event of randomized churn traces.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.errors import (
     DuplicateNodeError,
@@ -87,30 +87,18 @@ class DynamicTreeMetrics:
     Parameters
     ----------
     graph:
-        The initial overlay; must be a tree (or empty).  Read once: the
-        structure is fed deltas, it never re-reads the graph.
+        The initial overlay, a ``node -> set of node`` dict; must be a
+        tree (or empty).  The structure takes it over: ``graph`` *becomes*
+        the maintained adjacency, which every delta then edits in place
+        (no copy is made).  A caller that still needs its graph passes a
+        copy, ``{n: set(row) for n, row in graph.items()}``.
     root:
         Orientation root (default: smallest id).  Purely internal; the
         maintained metrics are orientation-independent.
-    adopt:
-        False (default): the adjacency is copied and ``graph`` is left
-        alone.  True: ``graph`` — a mutable ``node -> set of node`` dict
-        the caller gives up — *becomes* the maintained adjacency, which
-        every delta then edits in place; no copy is made.
     """
 
-    def __init__(
-        self,
-        graph: Mapping[int, Iterable[int]],
-        root: Optional[int] = None,
-        *,
-        adopt: bool = False,
-    ):
-        self._adj: Graph = (
-            graph  # type: ignore[assignment]
-            if adopt
-            else {int(n): {int(m) for m in s} for n, s in graph.items()}
-        )
+    def __init__(self, graph: Graph, root: Optional[int] = None):
+        self._adj: Graph = graph
         self._parent: Dict[int, Optional[int]] = {}
         self._height: Dict[int, int] = {}
         self._diam: Dict[int, int] = {}
@@ -628,6 +616,9 @@ class DynamicTreeMetrics:
                     raise InvariantViolationError("metrics-adjacency", f"{(u, v)}")
         if self._parent.keys() != self._adj.keys():
             raise InvariantViolationError("metrics-orientation", "pointer set")
+        if self._parent[self._root] is not None:
+            # The root is then some node's child and the walk never ends.
+            raise InvariantViolationError("metrics-orientation", "root has a parent")
         order = self._top_down()
         seen = set(order)
         if seen != set(self._adj):

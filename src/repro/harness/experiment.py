@@ -127,9 +127,10 @@ class _DiameterMeter:
             return
         if mode in ("auto", "incremental"):
             try:
-                # The meter owns ``initial``; building leaves it intact,
-                # so a rejected tracker leaves it to the BFS fallback.
-                self.tracker = DynamicTreeMetrics(initial, adopt=True)
+                # The meter owns ``initial`` and the tracker takes it
+                # over; building leaves it intact, so a rejected tracker
+                # leaves it to the BFS fallback.
+                self.tracker = DynamicTreeMetrics(initial)
                 if self.tracker.n_chords:
                     raise NotATreeError("initial overlay is not a tree")
             except ReproError:
@@ -470,24 +471,23 @@ def _play(
     """
     initial = healer.graph()
     n0 = len(initial)
-    initial_max_degree = max_degree(initial)
-    obs_state = _make_obs(obs, transport)
-    mirror = _make_mirror(healer, transport, seed, obs_state, faults)
-    auditing = mirror is not None and obs_state is not None and obs_state.spec.audit
-    audit_deltas: Optional[List[HealDelta]] = [] if auditing else None
-    audit_initial = normalize_edges(initial) if auditing else frozenset()
-    # The snapshot is handed over: a tracker adopts it as its adjacency
-    # and edits it from the first event on, so it is read only up to here.
     meter = _DiameterMeter(metrics, initial, seed, tracker=metrics_tracker)
     d0 = _initial_diameter(meter, initial)
-    del initial
     result = CampaignResult(
         healer_name=healer.name,
         adversary_name=adversary_name,
         n0=n0,
         initial_diameter=d0,
-        initial_max_degree=initial_max_degree,
+        initial_max_degree=max_degree(initial),
     )
+    obs_state = _make_obs(obs, transport)
+    mirror = _make_mirror(healer, transport, seed, obs_state, faults)
+    auditing = mirror is not None and obs_state is not None and obs_state.spec.audit
+    audit_deltas: Optional[List[HealDelta]] = [] if auditing else None
+    audit_initial = normalize_edges(initial) if auditing else frozenset()
+    # A tracker took the snapshot over as its adjacency and edits it from
+    # the first event on: it is read only up to here.
+    del initial
     registry = obs_state.metrics if obs_state is not None else None
     fast_stats = getattr(healer, "fast_stats", None)
 

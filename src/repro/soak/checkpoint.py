@@ -23,12 +23,11 @@ follow in that same order.  Dict insertion order is preserved through
 JSON — it is load-bearing (the flat core's donor scans walk dicts in
 age order), which is why the codec never sorts the tree.
 
-A SIGKILL can land mid-write: objects are streamed to a per-process
-temp name — hashed part by part as they are written, so a blob is never
-held whole in memory — and atomically renamed to their hash, the
-manifest line is flushed+fsynced before the append returns, and the
-reader tolerates a torn final line (the checkpoint that was being
-written simply never happened).
+A SIGKILL can land mid-write: objects are written part by part (a blob
+is never joined in memory) to a per-process temp name and atomically
+renamed to their hash, the manifest line is flushed+fsynced before the
+append returns, and the reader tolerates a torn final line (the
+checkpoint that was being written simply never happened).
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import json
 import os
 import sys
 from array import array
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.errors import ReproError
 
@@ -94,10 +93,10 @@ def _inflate(node: object, blob: memoryview, offset: List[int]) -> object:
     return node
 
 
-def state_parts(state: Dict[str, object]) -> Iterator[Buffer]:
+def state_parts(state: Dict[str, object]) -> List[Buffer]:
     """A snapshot-state tree's blob, piece by piece: the magic, the
     header length, the header, then every array's own buffer (no copy).
-    :meth:`SnapshotStore.append` streams these to disk."""
+    :meth:`SnapshotStore.append` stores these without joining them."""
     arrays: List[array] = []
     header = {
         "byteorder": sys.byteorder,
@@ -105,11 +104,9 @@ def state_parts(state: Dict[str, object]) -> Iterator[Buffer]:
         "state": _flatten(state, arrays),
     }
     head = json.dumps(header, separators=(",", ":")).encode()
-    yield MAGIC
-    yield len(head).to_bytes(8, "big")
-    yield head
-    for a in arrays:
-        yield memoryview(a).cast("B")
+    parts: List[Buffer] = [MAGIC, len(head).to_bytes(8, "big"), head]
+    parts.extend(memoryview(a).cast("B") for a in arrays)
+    return parts
 
 
 def encode_state(state: Dict[str, object]) -> bytes:
@@ -168,29 +165,28 @@ class SnapshotStore:
         os.makedirs(self.objects_dir, exist_ok=True)
 
     # -- objects -----------------------------------------------------------
-    def put_parts(self, parts: Iterable[Buffer]) -> str:
+    def put_parts(self, parts: Sequence[Buffer]) -> str:
         """Store the blob ``parts`` concatenate to; returns its address.
 
-        Streams: each part is hashed and written in turn, so the whole
-        blob is never held.  Deduplicates by content (a blob already
-        stored is not replaced)."""
+        The parts are hashed, then written one after another, so the
+        whole blob is never held.  Deduplicates by content: a blob
+        already stored costs no write."""
         digest = hashlib.sha256()
-        # Per-pid staging name: two processes storing the same content
-        # (e.g. an orphaned soak racing its own resume) must not rename
-        # each other's half-written staging file out from under the
-        # os.replace.
-        tmp = os.path.join(self.objects_dir, f"incoming.{os.getpid()}.tmp")
-        with open(tmp, "wb") as fh:
-            for part in parts:
-                digest.update(part)
-                fh.write(part)
-            fh.flush()
-            os.fsync(fh.fileno())
+        for part in parts:
+            digest.update(part)
         sha = digest.hexdigest()
         path = os.path.join(self.objects_dir, sha)
-        if os.path.exists(path):
-            os.remove(tmp)
-        else:
+        if not os.path.exists(path):
+            # Per-pid tmp name: two processes storing the same content
+            # (e.g. an orphaned soak racing its own resume) must not
+            # rename each other's half-written staging file out from
+            # under the os.replace.
+            tmp = f"{path}.{os.getpid()}.tmp"
+            with open(tmp, "wb") as fh:
+                for part in parts:
+                    fh.write(part)
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(tmp, path)
         return sha
 

@@ -221,12 +221,12 @@ class SoakService:
         generator = TraceGenerator(cfg.generator_config())
         if entry is None:
             # One copy of the starting tree: the healer reads it, then the
-            # tracker adopts it as its own adjacency.
+            # tracker takes it over as its own adjacency.
             initial = generator.build_initial()
             healer = ForgivingTreeHealer(
                 initial, branching=cfg.branching, will_mode=cfg.will_mode
             )
-            tracker = DynamicTreeMetrics(initial, adopt=True)
+            tracker = DynamicTreeMetrics(initial)
             start_event = 0
             carry = {
                 "d0": tracker.diameter,

@@ -26,6 +26,7 @@ from repro.churn import Insert
 from repro.core.errors import (
     DuplicateNodeError,
     EmptyStructureError,
+    InvariantViolationError,
     NodeNotFoundError,
     NotATreeError,
 )
@@ -705,6 +706,10 @@ class _RootBubbling(DynamicTreeMetrics):
             cur = self._parent[cur]
 
 
+def _copy(graph):
+    return {k: set(v) for k, v in graph.items()}
+
+
 def _assert_same_tracker(new, old):
     assert new.parent_state() == old.parent_state()
     assert new.diameter == old.diameter
@@ -805,7 +810,7 @@ class TestEarlyStopDifferential:
     def test_odd_toggle_campaign_agrees(self):
         pinned = TestOddToggleRawEventReplay()
         tree = generators.random_tree(pinned.N, seed=pinned.TREE_SEED)
-        new, old = DynamicTreeMetrics(tree), _RootBubbling(tree)
+        new, old = DynamicTreeMetrics(tree), _RootBubbling(_copy(tree))
         for _healer, report in pinned._reports(pinned.TOGGLE_EVENT + 10):
             new.apply_report(report)
             old.apply_report(report)
@@ -841,7 +846,8 @@ class TestEarlyStopDifferential:
         self, edges, victim, added, removed, ancestor, descendant, ancestor_first
     ):
         graph = from_edges(edges)
-        new, old = DynamicTreeMetrics(graph, root=0), _RootBubbling(graph, root=0)
+        new = DynamicTreeMetrics(graph, root=0)
+        old = _RootBubbling(_copy(graph), root=0)
         order = []
         bubble = new._bubble
         new._bubble = lambda nid: (order.append(nid), bubble(nid))[1]
@@ -888,17 +894,14 @@ class TestEarlyStopDifferential:
 
 
 # ----------------------------------------------------------------------
-# One adjacency: copied by default, adopted on request
+# One adjacency: the tracker takes its input over
 # ----------------------------------------------------------------------
 class TestOwnership:
-    def test_copying_constructor_leaves_its_input_alone_the_owning_one_aliases(self):
+    def test_the_tracker_edits_the_graph_it_was_given(self):
         tree = generators.random_tree(80, seed=9)
-        pristine = {k: set(v) for k, v in tree.items()}
-        owned = {k: set(v) for k, v in tree.items()}
-        healer = ForgivingTreeHealer({k: set(v) for k, v in tree.items()})
-        copying = DynamicTreeMetrics(tree)
-        adopting = DynamicTreeMetrics(owned, adopt=True)
-        assert copying._adj is not tree and adopting._adj is owned
+        healer = ForgivingTreeHealer(_copy(tree))
+        tracker = DynamicTreeMetrics(tree)
+        assert tracker._adj is tree
         adversary = RandomChurnAdversary(p_insert=0.4, seed=9)
         for _ in range(60):
             event = adversary.next_event(healer)
@@ -906,21 +909,27 @@ class TestOwnership:
                 report = healer.insert(event.nid, event.attach_to)
             else:
                 report = healer.delete(event.nid)
-            copying.apply_report(report)
-            adopting.apply_report(report)
-            adopting.check()
-        assert tree == pristine
-        assert owned == healer.graph() == copying._adj
-        assert adopting.diameter == copying.diameter
+            tracker.apply_report(report)
+            tracker.check()
+        assert tree == healer.graph()
 
-    def test_building_allocates_little_beyond_the_adopted_adjacency(self):
+    def test_check_reports_a_root_pointer_instead_of_walking_for_ever(self):
+        """The root's pointer aimed at a deeper node adjacent to it through
+        a chord: a walk down the pointers would find the root again as
+        that node's child."""
+        tracker = DynamicTreeMetrics.from_parents([-1, 0, 1], chords=[(0, 2)])
+        tracker._parent[0] = 2
+        with pytest.raises(InvariantViolationError, match="root has a parent"):
+            tracker.check()
+
+    def test_building_allocates_little_beyond_the_adjacency_it_takes(self):
         """The parent, height and diameter maps plus one breadth-first
         order; no copy of the adjacency and no child sets (which took
         67 MB here)."""
         graph = _window_tree(100_000, seed=3, window=256)
         tracemalloc.start()
         try:
-            tracker = DynamicTreeMetrics(graph, adopt=True)
+            tracker = DynamicTreeMetrics(graph)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -241,6 +241,20 @@ class TestSnapshotStore:
         objects = os.listdir(os.path.join(str(tmp_path), "objects"))
         assert sorted(objects) == sorted([entry["engine"], entry["tracker"]])
 
+    def test_a_stored_blob_is_not_written_again(self, tmp_path, monkeypatch):
+        from repro.soak import checkpoint
+
+        store = SnapshotStore(str(tmp_path))
+        e_state, _ = self._state(1)
+        sha = store.put_parts(checkpoint.state_parts(e_state))
+
+        def no_write(*args, **kwargs):
+            raise AssertionError("a stored blob was written again")
+
+        monkeypatch.setattr(checkpoint, "open", no_write, raising=False)
+        assert store.put_parts(checkpoint.state_parts(e_state)) == sha
+        assert store.put_bytes(encode_state(e_state)) == sha
+
     def test_append_never_holds_the_whole_blob(self, tmp_path):
         state = FlatForgivingTree(generators.random_tree(5000, seed=2)).snapshot_state()
         size = len(encode_state(state))
@@ -295,12 +309,12 @@ class TestTraceGenerator:
 
     def test_the_initial_tree_is_shared_and_left_as_built(self):
         # The service hands one build_initial() to the healer, then the
-        # tracker adopts it: building mutates nothing, and the healer
+        # tracker takes it over: building mutates nothing, and the healer
         # keeps no reference that the tracker's later edits could reach.
         initial = TraceGenerator(GeneratorConfig(n0=120, seed=6)).build_initial()
         pristine = {k: set(v) for k, v in initial.items()}
         healer = ForgivingTreeHealer(initial)
-        tracker = DynamicTreeMetrics(initial, adopt=True)
+        tracker = DynamicTreeMetrics(initial)
         assert initial == pristine and list(initial) == list(pristine)
         assert healer.graph() == initial and tracker._adj is initial
         tracker.apply_report(healer.delete(min(pristine)))
